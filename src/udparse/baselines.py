@@ -9,33 +9,24 @@
 """
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .conllu import DependencyTree, Sentence, validate_tree
 from .ranker import estimate_main_predicate
-from .rules import Direction, RuleSet, delta
+from .rules import Direction, RuleSet
 
 FUNCTION_FORM_COUNT = 100
 
 _TREE_CONSTRAINTS = ("single-root", "connectivity", "acyclicity")
 
 
-@dataclass(frozen=True)
-class HeadAssignment:
-    """A head per token plus whether the result is a well-formed tree.
-
-    ``well_formed`` covers tree structure (single root, connected, acyclic).
-    Function-word leafness is the main decoder's guarantee; the baselines'
-    neighbor attachments make no such promise.
-    """
-
-    heads: dict[int, int]
-    well_formed: bool
-
-
 def forms_tree(sentence: Sentence, heads: dict[int, int]) -> bool:
-    """True when the heads form a single-rooted, connected, acyclic tree."""
+    """True when the heads form a single-rooted, connected, acyclic tree.
+
+    Function-word leafness is the main decoder's guarantee; the baselines'
+    neighbor attachments make no such promise, so it is not checked here.
+    """
     violations = validate_tree(sentence, DependencyTree(heads))
     return not any(v in _TREE_CONSTRAINTS for v in violations)
 
@@ -54,14 +45,14 @@ def _neighbor(index: int, n: int, direction: Direction) -> int:
 
 
 def baseline_parse(sentence: Sentence, ruleset: RuleSet,
-                   backoff_direction: Direction = Direction.RIGHT) -> HeadAssignment:
+                   backoff_direction: Direction = Direction.RIGHT) -> DependencyTree:
     """Attach every token to its closest rule-licensed head.
 
     The first verb (else first content word, else the first token) becomes
     the root's dependent.  Tokens with no licensed head available attach to
     their immediate neighbor in ``backoff_direction``.  Distance ties go
     leftward.  The output is single-rooted but may contain cycles among
-    backoff attachments; ``well_formed`` records the validation outcome.
+    backoff attachments; ``forms_tree`` tells whether it is a tree.
     """
     _checked_direction(backoff_direction)
     n = len(sentence)
@@ -72,17 +63,17 @@ def baseline_parse(sentence: Sentence, ruleset: RuleSet,
             heads[token.index] = 0
             continue
         candidates = [other.index for other in sentence.tokens
-                      if other.index != token.index and delta(other.upos, token.upos, ruleset)]
+                      if other.index != token.index and ruleset.licenses(other.upos, token.upos)]
         if candidates:
             heads[token.index] = min(candidates,
                                      key=lambda h: (abs(h - token.index), h))
         else:
             heads[token.index] = _neighbor(token.index, n, backoff_direction)
-    return HeadAssignment(heads, forms_tree(sentence, heads))
+    return DependencyTree(heads)
 
 
 def adjacency_parse(sentence: Sentence,
-                    direction: Direction = Direction.RIGHT) -> HeadAssignment:
+                    direction: Direction = Direction.RIGHT) -> DependencyTree:
     """Attach every token to its neighbor; the edge token takes the root."""
     _checked_direction(direction)
     n = len(sentence)
@@ -90,7 +81,7 @@ def adjacency_parse(sentence: Sentence,
         heads = {i: i + 1 if i < n else 0 for i in range(1, n + 1)}
     else:
         heads = {i: i - 1 for i in range(1, n + 1)}
-    return HeadAssignment(heads, forms_tree(sentence, heads))
+    return DependencyTree(heads)
 
 
 def naive_pos_tag(corpus: Sequence[Sentence]) -> list[Sentence]:
@@ -111,24 +102,3 @@ def naive_pos_tag(corpus: Sequence[Sentence]) -> list[Sentence]:
         retagged.append(replace(sentence, tokens=tokens))
     return retagged
 
-
-def best_baseline_direction(corpus: Sequence[Sentence], ruleset: RuleSet):
-    """Try both backoff directions against gold heads, keep the better one.
-
-    Returns ``(direction, parsed_corpus, report)`` for the direction with
-    the higher attachment score; ties prefer RIGHT.  The corpus must carry
-    gold heads.
-    """
-    from .evaluation import uas
-
-    outcomes = {}
-    for direction in (Direction.RIGHT, Direction.LEFT):
-        parsed = [sentence.with_heads(baseline_parse(sentence, ruleset, direction).heads)
-                  for sentence in corpus]
-        outcomes[direction] = (parsed, uas(corpus, parsed))
-    if outcomes[Direction.RIGHT][1].uas >= outcomes[Direction.LEFT][1].uas:
-        best = Direction.RIGHT
-    else:
-        best = Direction.LEFT
-    parsed, report = outcomes[best]
-    return best, parsed, report

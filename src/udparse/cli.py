@@ -11,21 +11,18 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .baselines import (adjacency_parse, baseline_parse, best_baseline_direction,
-                        forms_tree, naive_pos_tag)
-from .conllu import ConlluError, Sentence, read_conllu, write_conllu
+from .baselines import adjacency_parse, baseline_parse, forms_tree, naive_pos_tag
+from .conllu import Sentence, read_conllu, write_conllu
 from .decoder import decode
 from .direction import estimate_adp_direction
-from .evaluation import (AlignmentError, domain_report, format_domain_report,
-                         format_report, uas)
-from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, RankingMode,
-                     rank)
+from .evaluation import domain_report, format_domain_report, format_report, uas
+from .ranker import DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, rank
 from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY,
                     NAIVE_RULESET, Direction, DirectionPolicy, RuleSet,
                     parse_rules)
 
 MODES = ("udp", "udp-nopr", "baseline", "adjacency")
-_RANK_MODES = {"udp": RankingMode.PAGERANK, "udp-nopr": RankingMode.READING_ORDER}
+_RANKED_MODES = ("udp", "udp-nopr")
 
 
 def parse_corpus(sentences: Sequence[Sentence], *, mode: str = "udp",
@@ -51,7 +48,7 @@ def parse_corpus(sentences: Sequence[Sentence], *, mode: str = "udp",
     elif pos_source == "gold-column":
         active_rules = ruleset if ruleset is not None else DEFAULT_RULESET
         active_policy = policy if policy is not None else DEFAULT_POLICY
-        if mode in _RANK_MODES:
+        if mode in _RANKED_MODES:
             if adp_direction == "auto":
                 resolved = estimate_adp_direction(sentences).resolved
             else:
@@ -62,16 +59,34 @@ def parse_corpus(sentences: Sequence[Sentence], *, mode: str = "udp",
 
     parsed = []
     for sentence in sentences:
-        if mode in _RANK_MODES:
-            ranked = rank(sentence, active_rules, _RANK_MODES[mode],
+        if mode in _RANKED_MODES:
+            ranked = rank(sentence, active_rules, mode,
                           teleport=teleport, predicate_weight=personalization_weight)
-            heads = decode(ranked, active_rules, active_policy).heads
+            tree = decode(ranked, active_rules, active_policy)
         elif mode == "baseline":
-            heads = baseline_parse(sentence, active_rules, backoff_direction).heads
+            tree = baseline_parse(sentence, active_rules, backoff_direction)
         else:
-            heads = adjacency_parse(sentence, backoff_direction).heads
-        parsed.append(sentence.with_heads(heads))
+            tree = adjacency_parse(sentence, backoff_direction)
+        parsed.append(sentence.with_heads(tree.heads))
     return parsed
+
+
+def best_baseline_direction(corpus: Sequence[Sentence], *,
+                            pos_source: str = "gold-column",
+                            ruleset: RuleSet | None = None):
+    """Try both backoff directions against gold heads, keep the better one.
+
+    Each direction is one ``parse_corpus`` run in baseline mode.  Returns
+    ``(direction, parsed_corpus, report)`` for the direction with the higher
+    attachment score; ties prefer RIGHT.  The corpus must carry gold heads.
+    """
+    outcomes = {}
+    for direction in (Direction.RIGHT, Direction.LEFT):
+        parsed = parse_corpus(corpus, mode="baseline", pos_source=pos_source,
+                              backoff_direction=direction, ruleset=ruleset)
+        outcomes[direction] = (parsed, uas(corpus, parsed))
+    best = max(outcomes, key=lambda direction: outcomes[direction][1].uas)
+    return (best, *outcomes[best])
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -167,10 +182,8 @@ def _cmd_parse(args) -> int:
     backoff = Direction(args.backoff_direction)
 
     if args.oracle_direction:
-        source = naive_pos_tag(corpus) if args.pos == "naive" else corpus
-        rules = ruleset if ruleset is not None else (
-            NAIVE_RULESET if args.pos == "naive" else DEFAULT_RULESET)
-        direction, parsed, report = best_baseline_direction(source, rules)
+        direction, parsed, report = best_baseline_direction(
+            corpus, pos_source=args.pos, ruleset=ruleset)
         print(f"oracle backoff direction: {direction.value} "
               f"(UAS {report.uas * 100:.2f})", file=sys.stderr)
     else:
@@ -231,13 +244,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exit_request.code if isinstance(exit_request.code, int) else 1
     try:
         return args.func(args)
-    except (ConlluError, AlignmentError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
+    except (OSError, ValueError) as error:  # ConlluError, AlignmentError included
         print(f"error: {error}", file=sys.stderr)
         return 2
 

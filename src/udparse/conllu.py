@@ -82,9 +82,9 @@ class Sentence:
     def __iter__(self) -> Iterator[Token]:
         return iter(self.tokens)
 
-    def with_heads(self, heads: Mapping[int, int], deprel: str = "dep") -> "Sentence":
-        """Copy of the sentence with predicted heads (and relation) set."""
-        tokens = tuple(replace(t, pred_head=heads[t.index], deprel=deprel)
+    def with_heads(self, heads: Mapping[int, int]) -> "Sentence":
+        """Copy of the sentence with predicted heads set and relation ``dep``."""
+        tokens = tuple(replace(t, pred_head=heads[t.index], deprel="dep")
                        for t in self.tokens)
         return replace(self, tokens=tokens)
 
@@ -107,18 +107,25 @@ class DependencyTree:
 def read_conllu(source: TextIO | Iterable[str]) -> list[Sentence]:
     """Read CoNLL-U from a line iterable into sentences.
 
-    Raises ConlluError naming the offending line for malformed column
-    counts, bad token ids, unknown UPOS tags, and unparseable head fields
-    (``_`` is accepted as "no gold head").
+    A UTF-8 byte-order mark at the start of the input is skipped.  Raises
+    ConlluError naming the offending line for malformed column counts, bad
+    token ids, unknown UPOS tags, unparseable head fields (``_`` is accepted
+    as "no gold head"), and heads beyond the end of their sentence.
     """
     sentences: list[Sentence] = []
     comments: list[str] = []
     tokens: list[Token] = []
+    token_lines: list[int] = []
     extras: list[tuple[int, str]] = []
 
     def flush(line_no: int) -> None:
-        nonlocal comments, tokens, extras
+        nonlocal comments, tokens, token_lines, extras
         if tokens:
+            n = len(tokens)
+            for token, token_line in zip(tokens, token_lines):
+                if token.gold_head is not None and token.gold_head > n:
+                    raise ConlluError(f"line {token_line}: head {token.gold_head} "
+                                      f"outside a sentence of {n} tokens")
             meta: dict[str, str] = {}
             for comment in comments:
                 body = comment.lstrip("#").strip()
@@ -128,11 +135,13 @@ def read_conllu(source: TextIO | Iterable[str]) -> list[Sentence]:
             sentences.append(Sentence(tuple(tokens), meta, tuple(comments), tuple(extras)))
         elif comments or extras:
             raise ConlluError(f"line {line_no}: sentence block contains no token lines")
-        comments, tokens, extras = [], [], []
+        comments, tokens, token_lines, extras = [], [], [], []
 
     line_no = 0
     for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip("\n").rstrip("\r")
+        if line_no == 1:
+            line = line.removeprefix("\ufeff")
         if not line.strip():
             flush(line_no)
             continue
@@ -170,6 +179,7 @@ def read_conllu(source: TextIO | Iterable[str]) -> list[Sentence]:
             index=index, form=columns[1], upos=upos, gold_head=gold_head,
             lemma=columns[2], xpos=columns[4], feats=columns[5],
             deprel=columns[7], deps=columns[8], misc=columns[9]))
+        token_lines.append(line_no)
     flush(line_no + 1)
     return sentences
 

@@ -11,7 +11,7 @@ single root.
 
 from .conllu import DependencyTree, Sentence
 from .ranker import RankedSentence
-from .rules import DEFAULT_POLICY, DEFAULT_RULESET, DirectionPolicy, RuleSet, delta, kappa
+from .rules import DEFAULT_POLICY, DEFAULT_RULESET, DirectionPolicy, RuleSet, kappa
 
 
 def attach(sentence: Sentence, dependent_index: int, head_candidates,
@@ -31,7 +31,7 @@ def attach(sentence: Sentence, dependent_index: int, head_candidates,
     dependent = sentence.tokens[dependent_index - 1]
 
     def licensed(head: int) -> bool:
-        return head != 0 and delta(sentence.tokens[head - 1].upos, dependent.upos, ruleset)
+        return head != 0 and ruleset.licenses(sentence.tokens[head - 1].upos, dependent.upos)
 
     def directed(head: int) -> bool:
         return kappa(head, dependent_index, dependent.upos, policy)

@@ -32,10 +32,6 @@ class EvalReport:
     def root_accuracy(self) -> float:
         return self.root_correct / self.sentence_count
 
-    @property
-    def token_count(self) -> int:
-        return self.total
-
     def per_pos_uas(self) -> dict[str, tuple[int, int, float]]:
         return {tag: (c, t, c / t) for tag, (c, t) in self.per_pos.items()}
 

@@ -7,7 +7,6 @@ tokens; content words are then ordered by descending score, or simply by
 reading order when ranking is disabled.
 """
 
-import enum
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -28,11 +27,6 @@ MAX_ITERATIONS = 200
 _SCORE_DECIMALS = 8
 
 
-class RankingMode(enum.Enum):
-    PAGERANK = "pagerank"
-    READING_ORDER = "reading-order"
-
-
 @dataclass(frozen=True)
 class SentenceGraph:
     """Directed dependent-to-head multigraph over 1-based token indices."""
@@ -47,13 +41,6 @@ class SentenceGraph:
             degrees[head - 1] += 1
         return tuple(degrees)
 
-    @cached_property
-    def out_degrees(self) -> tuple[int, ...]:
-        degrees = [0] * self.size
-        for dependent, _ in self.edges:
-            degrees[dependent - 1] += 1
-        return tuple(degrees)
-
 
 @dataclass(frozen=True)
 class RankedSentence:
@@ -61,7 +48,7 @@ class RankedSentence:
 
     ``content_order`` and ``function_order`` partition the token indices;
     function words always keep sentence order.  ``scores`` is None when
-    ranking ran in reading-order mode.
+    ranking ran in ``udp-nopr`` (reading-order) mode.
     """
 
     sentence: Sentence
@@ -109,9 +96,7 @@ def personalization_vector(sentence: Sentence, predicate_index: int,
 
 
 def pagerank(graph: SentenceGraph, personalization: Sequence[float],
-             teleport: float = DEFAULT_TELEPORT, *,
-             tol: float = CONVERGENCE_TOL,
-             max_iter: int = MAX_ITERATIONS) -> tuple[float, ...]:
+             teleport: float = DEFAULT_TELEPORT) -> tuple[float, ...]:
     """Stationary distribution of the teleporting walk over the graph.
 
     Each step follows a uniformly chosen outgoing edge (parallel edges count
@@ -119,7 +104,7 @@ def pagerank(graph: SentenceGraph, personalization: Sequence[float],
     according to the personalization vector.  Mass sitting on dangling nodes
     is likewise redistributed by the personalization vector, keeping the
     chain stochastic.  Iteration stops once the L1 change drops below
-    ``tol`` or after ``max_iter`` rounds.
+    ``CONVERGENCE_TOL`` or after ``MAX_ITERATIONS`` rounds.
     """
     if not 0.0 < teleport < 1.0:
         raise ValueError(f"teleport probability must be in (0, 1), got {teleport}")
@@ -141,37 +126,38 @@ def pagerank(graph: SentenceGraph, personalization: Sequence[float],
     dangling = ~moving
 
     scores = p.copy()
-    for _ in range(max_iter):
+    for _ in range(MAX_ITERATIONS):
         dangling_mass = float(scores[dangling].sum())
         follow = transition.T @ scores + dangling_mass * p
         updated = teleport * p + (1.0 - teleport) * follow
         delta = float(np.abs(updated - scores).sum())
         scores = updated
-        if delta < tol:
+        if delta < CONVERGENCE_TOL:
             break
     return tuple(float(value) for value in scores)
 
 
-def rank(sentence: Sentence, ruleset: RuleSet,
-         mode: RankingMode = RankingMode.PAGERANK, *,
+def rank(sentence: Sentence, ruleset: RuleSet, mode: str = "udp", *,
          teleport: float = DEFAULT_TELEPORT,
          predicate_weight: float = DEFAULT_PREDICATE_WEIGHT) -> RankedSentence:
     """Split a sentence into ranked content words and ordered function words.
 
-    PAGERANK mode orders content words by descending walk score, with ties
+    ``udp`` mode orders content words by descending walk score, with ties
     (after rounding away float noise) broken by sentence position;
-    READING_ORDER mode keeps them in sentence order and computes no scores.
+    ``udp-nopr`` mode keeps them in sentence order and computes no scores.
     """
     content = [t.index for t in sentence.tokens if is_content(t.upos)]
     function = tuple(t.index for t in sentence.tokens if not is_content(t.upos))
     predicate = estimate_main_predicate(sentence)
 
-    if mode is RankingMode.PAGERANK:
+    if mode == "udp":
         graph = build_graph(sentence, ruleset)
         weights = personalization_vector(sentence, predicate, weight=predicate_weight)
         scores = pagerank(graph, weights, teleport)
         content.sort(key=lambda i: (-round(scores[i - 1], _SCORE_DECIMALS), i))
-    else:
+    elif mode == "udp-nopr":
         scores = None
+    else:
+        raise ValueError(f"unknown ranking mode {mode!r}")
 
     return RankedSentence(sentence, scores, tuple(content), function, predicate)

@@ -60,28 +60,14 @@ class RuleSet:
                 raise ValueError(f"rule head must be a content tag, got {head}")
 
     @cached_property
-    def _licensed(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.pairs)
-
-    @cached_property
     def _counts(self) -> Counter:
         return Counter(self.pairs)
 
-    @cached_property
-    def dependent_tags(self) -> frozenset[str]:
-        """Tags that appear on the dependent side of at least one rule."""
-        return frozenset(dep for _, dep in self.pairs)
-
     def licenses(self, head_upos: str, dependent_upos: str) -> bool:
-        return (head_upos, dependent_upos) in self._licensed
+        return (head_upos, dependent_upos) in self._counts
 
     def multiplicity(self, head_upos: str, dependent_upos: str) -> int:
         return self._counts[(head_upos, dependent_upos)]
-
-
-def delta(head_upos: str, dependent_upos: str, ruleset: "RuleSet") -> bool:
-    """True when the rule set licenses the head/dependent tag pair."""
-    return ruleset.licenses(head_upos, dependent_upos)
 
 
 @dataclass(frozen=True)

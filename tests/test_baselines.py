@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from udparse.baselines import (adjacency_parse, baseline_parse,
-                               best_baseline_direction, forms_tree,
+from udparse.baselines import (adjacency_parse, baseline_parse, forms_tree,
                                naive_pos_tag)
+from udparse.cli import best_baseline_direction
+from udparse.conllu import DependencyTree
 from udparse.rules import DEFAULT_RULESET, UPOS_TAGS, Direction
 
 from helpers import make_sentence
@@ -17,14 +18,16 @@ class TestBaselineParse:
     def test_det_noun_verb_by_hand(self):
         # Closest licensed heads: DET under the NOUN, NOUN under the VERB;
         # the VERB takes the root.
-        result = baseline_parse(make_sentence(["DET", "NOUN", "VERB"]), DEFAULT_RULESET)
+        sentence = make_sentence(["DET", "NOUN", "VERB"])
+        result = baseline_parse(sentence, DEFAULT_RULESET)
         assert result.heads == {1: 2, 2: 3, 3: 0}
-        assert result.well_formed
+        assert forms_tree(sentence, result.heads)
 
     def test_single_uncovered_token_is_the_predicate(self):
-        result = baseline_parse(make_sentence(["X"]), DEFAULT_RULESET)
+        sentence = make_sentence(["X"])
+        result = baseline_parse(sentence, DEFAULT_RULESET)
         assert result.heads == {1: 0}
-        assert result.well_formed
+        assert forms_tree(sentence, result.heads)
 
     def test_sym_attaches_to_right_neighbor(self):
         result = baseline_parse(make_sentence(["SYM", "NOUN"]), DEFAULT_RULESET,
@@ -53,10 +56,10 @@ class TestBaselineParse:
         assert result.heads[2] == 1
 
     def test_cycles_possible_and_flag_truthful(self):
-        result = baseline_parse(make_sentence(["PUNCT", "PUNCT", "PUNCT"]),
-                                DEFAULT_RULESET, Direction.RIGHT)
+        sentence = make_sentence(["PUNCT", "PUNCT", "PUNCT"])
+        result = baseline_parse(sentence, DEFAULT_RULESET, Direction.RIGHT)
         assert result.heads == {1: 0, 2: 3, 3: 2}
-        assert not result.well_formed
+        assert not forms_tree(sentence, result.heads)
 
     def test_single_root_always(self):
         rng = random.Random(33)
@@ -67,7 +70,7 @@ class TestBaselineParse:
             result = baseline_parse(sentence, DEFAULT_RULESET, direction)
             assert sorted(result.heads) == list(range(1, len(tags) + 1))
             assert sum(1 for h in result.heads.values() if h == 0) == 1
-            assert result.well_formed == forms_tree(sentence, result.heads)
+            assert isinstance(result, DependencyTree)
 
     def test_free_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -92,7 +95,8 @@ class TestAdjacencyParse:
         for _ in range(100):
             tags = [rng.choice(ALL_TAGS) for _ in range(rng.randint(1, 12))]
             for direction in (Direction.LEFT, Direction.RIGHT):
-                assert adjacency_parse(make_sentence(tags), direction).well_formed
+                sentence = make_sentence(tags)
+                assert forms_tree(sentence, adjacency_parse(sentence, direction).heads)
 
 
 class TestNaivePosTag:
@@ -158,13 +162,13 @@ class TestOracleDirection:
         # so LEFT backoff scores higher.
         corpus = [make_sentence(["VERB", "X", "X"], heads=(0, 1, 2))
                   for _ in range(4)]
-        direction, parsed, report = best_baseline_direction(corpus, DEFAULT_RULESET)
+        direction, parsed, report = best_baseline_direction(corpus, ruleset=DEFAULT_RULESET)
         assert direction is Direction.LEFT
         assert report.uas == 1.0
         assert parsed[0].tokens[1].pred_head == 1
 
     def test_tie_prefers_right(self):
         corpus = [make_sentence(["VERB"], heads=(0,))]
-        direction, _, report = best_baseline_direction(corpus, DEFAULT_RULESET)
+        direction, _, report = best_baseline_direction(corpus, ruleset=DEFAULT_RULESET)
         assert direction is Direction.RIGHT
         assert report.uas == 1.0

@@ -189,6 +189,13 @@ class TestParseCommand:
         assert code == 2
         assert "line 1" in err
 
+    def test_byte_order_mark_input_parses(self, tmp_path, capsys):
+        source = tmp_path / "in.conllu"
+        source.write_bytes(b"\xef\xbb\xbf" + SAMPLE_PATH.read_bytes())
+        code, out, err = run(["parse", str(source)], capsys)
+        assert (code, err) == (0, "")
+        assert out == run(["parse", str(SAMPLE_PATH)], capsys)[1]
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(["parse", "no-such-file.conllu"], capsys)
         assert code == 2
@@ -254,6 +261,16 @@ class TestEvalCommand:
         assert "sentence count" in err
 
 
+    def test_gold_head_out_of_range_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "gold.conllu"
+        path.write_text("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
+                        "2\tb\t_\tNOUN\t_\t_\t7\t_\t_\t_\n\n", encoding="utf-8")
+        code, out, err = run(["eval", str(path), str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "line 2" in err and "head 7" in err
+
+
 class TestStatsCommand:
     def test_single_bigram_corpus(self, tmp_path, capsys):
         path = tmp_path / "in.conllu"
@@ -279,6 +296,13 @@ class TestStatsCommand:
         assert "sentences\t0" in lines
         assert "tokens\t0" in lines
         assert "adp_direction\tright" in lines
+
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path, capsys):
+        path = tmp_path / "in.conllu"
+        path.write_bytes(b"\xef\xbb\xbf1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
+        code, out, err = run(["stats", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert "tokens\t1" in out.splitlines()
 
     def test_sample_counts_match_reader(self, tmp_path, capsys):
         code, out, _ = run(["stats", str(SAMPLE_PATH)], capsys)

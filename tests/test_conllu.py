@@ -84,6 +84,34 @@ class TestRead:
             parse_conllu("1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
                          "3\ty\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
 
+    def test_leading_byte_order_mark_is_skipped(self):
+        text = "1\tThey\t_\tPRON\t_\t_\t2\t_\t_\t_\n2\tleft\t_\tVERB\t_\t_\t0\t_\t_\t_\n"
+        assert parse_conllu("\ufeff" + text) == parse_conllu(text)
+        (sentence,) = parse_conllu("\ufeff# sent_id = a\n" + text)
+        assert sentence.meta == {"sent_id": "a"}
+
+    def test_byte_order_mark_after_the_first_line_is_rejected(self):
+        with pytest.raises(ConlluError, match="line 2"):
+            parse_conllu("1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
+                         "\ufeff2\ty\t_\tNOUN\t_\t_\t1\t_\t_\t_\n")
+
+    def test_gold_head_beyond_the_sentence_names_its_line(self):
+        # The first sentence is fine; in the second, head 7 on line 5
+        # points past its 2 tokens.  Head 2 on line 4 is in range.
+        text = ("1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n"
+                "# sent_id = b\n"
+                "1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
+                "2\tb\t_\tNOUN\t_\t_\t7\t_\t_\t_\n")
+        with pytest.raises(ConlluError, match="line 5") as excinfo:
+            parse_conllu(text)
+        assert "head 7" in str(excinfo.value)
+
+    def test_gold_head_equal_to_the_length_is_accepted(self):
+        (sentence,) = parse_conllu("1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
+                                   "2-3\tbc\t_\t_\t_\t_\t_\t_\t_\t_\n"
+                                   "2\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n")
+        assert [t.gold_head for t in sentence] == [2, 0]
+
 
 class TestWrite:
     def test_single_token_head_zero(self):

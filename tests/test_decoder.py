@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from udparse.conllu import DependencyTree, validate_tree
 from udparse.decoder import apply_final_punct_heuristic, attach, decode
-from udparse.ranker import RankingMode, rank
+from udparse.ranker import rank
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, NAIVE_RULESET,
                            FREE_POLICY, UPOS_TAGS, Direction)
 
@@ -18,7 +18,7 @@ ADP_LEFT = DEFAULT_POLICY.with_direction("ADP", Direction.LEFT)
 ALL_TAGS = sorted(UPOS_TAGS)
 
 
-def decode_tags(tags, policy=ADP_RIGHT, mode=RankingMode.PAGERANK, forms=None):
+def decode_tags(tags, policy=ADP_RIGHT, mode="udp", forms=None):
     sentence = make_sentence(tags, forms)
     return decode(rank(sentence, DEFAULT_RULESET, mode), DEFAULT_RULESET, policy), sentence
 
@@ -158,7 +158,7 @@ class TestFinalPunctHeuristic:
 @settings(max_examples=150, deadline=None)
 def test_reading_order_decode_always_yields_valid_trees(tags):
     sentence = make_sentence(tags)
-    ranked = rank(sentence, DEFAULT_RULESET, RankingMode.READING_ORDER)
+    ranked = rank(sentence, DEFAULT_RULESET, "udp-nopr")
     for policy in (ADP_RIGHT, ADP_LEFT, DEFAULT_POLICY):
         tree = decode(ranked, DEFAULT_RULESET, policy)
         assert validate_tree(sentence, tree) == []

@@ -68,7 +68,7 @@ class TestUas:
         rng = random.Random(13)
         gold, pred = random_corpus(rng)
         report = uas(gold, pred)
-        assert sum(t for _, t in report.per_pos.values()) == report.token_count
+        assert sum(t for _, t in report.per_pos.values()) == report.total
         fractions = report.per_pos_uas()
         for tag, (c, t) in report.per_pos.items():
             assert fractions[tag] == (c, t, c / t)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udparse.ranker import (RankingMode, SentenceGraph, build_graph,
+from udparse.ranker import (SentenceGraph, build_graph,
                             estimate_main_predicate, pagerank,
                             personalization_vector, rank)
 from udparse.rules import DEFAULT_RULESET, UPOS_TAGS
@@ -170,10 +170,15 @@ class TestRank:
             content_ranking((3, 5, 6, 9), scores).index(9)
 
     def test_reading_order_mode_ignores_scores(self):
-        ranked = rank(example_sentence(), DEFAULT_RULESET, RankingMode.READING_ORDER)
+        ranked = rank(example_sentence(), DEFAULT_RULESET, "udp-nopr")
         assert ranked.content_order == (3, 5, 6, 9)
         assert ranked.function_order == EXAMPLE_FUNCTION_ORDER
         assert ranked.scores is None
+
+    def test_modes_without_ranking_rejected(self):
+        for mode in ("baseline", "adjacency", "pagerank"):
+            with pytest.raises(ValueError, match="ranking mode"):
+                rank(example_sentence(), DEFAULT_RULESET, mode)
 
     def test_single_content_word(self):
         ranked = rank(make_sentence(["NOUN"]), DEFAULT_RULESET)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY,
                            NAIVE_RULESET, UPOS_TAGS, Direction,
-                           DirectionPolicy, RuleSet, delta, is_content,
+                           DirectionPolicy, RuleSet, is_content,
                            is_nominal, kappa, parse_rules)
 
 EXPECTED_DEFAULT_PAIRS = {
@@ -20,13 +20,13 @@ EXPECTED_DEFAULT_PAIRS = {
 
 class TestDelta:
     def test_verb_heads_noun(self):
-        assert delta("VERB", "NOUN", DEFAULT_RULESET)
+        assert DEFAULT_RULESET.licenses("VERB", "NOUN")
 
     def test_noun_never_heads_verb(self):
-        assert not delta("NOUN", "VERB", DEFAULT_RULESET)
+        assert not DEFAULT_RULESET.licenses("NOUN", "VERB")
 
     def test_adj_never_heads_adj(self):
-        assert not delta("ADJ", "ADJ", DEFAULT_RULESET)
+        assert not DEFAULT_RULESET.licenses("ADJ", "ADJ")
 
     def test_default_table_is_exactly_the_documented_pairs(self):
         assert set(DEFAULT_RULESET.pairs) == EXPECTED_DEFAULT_PAIRS
