@@ -11,7 +11,7 @@ from .cli import best_baseline_direction, main, parse_corpus
 from .conllu import (ConlluError, DependencyTree, Sentence, Token,
                      format_conllu, parse_conllu, read_conllu, validate_tree,
                      write_conllu)
-from .decoder import apply_final_punct_heuristic, attach, decode
+from .decoder import apply_final_punct_heuristic, decode
 from .direction import AdpDirectionEstimate, estimate_adp_direction
 from .evaluation import (AlignmentError, DomainReport, EvalReport,
                          domain_report, error_propagation, uas)
@@ -21,6 +21,6 @@ from .ranker import (RankedSentence, SentenceGraph, build_graph,
 from .rules import (CONTENT_TAGS, DEFAULT_POLICY, DEFAULT_RULESET,
                     FREE_POLICY, KNOWN_TAGS, NAIVE_RULESET, NOMINAL_TAGS,
                     UPOS_TAGS, Direction, DirectionPolicy, RuleSet,
-                    is_content, is_nominal, kappa, parse_rules)
+                    is_content, is_nominal, parse_rules)
 
 __version__ = "0.1.0"

@@ -191,9 +191,11 @@ def parse_conllu(text: str) -> list[Sentence]:
 def write_conllu(sentences: Iterable[Sentence], out: TextIO) -> None:
     """Write sentences as CoNLL-U, one blank line after each sentence.
 
-    Predicted heads go to column 7 and must be present on every token.
-    Tokens without a relation label are written with ``dep``; preserved
-    range/empty-node lines are re-emitted in their original positions.
+    Predicted heads go to column 7 and must be present on every token, and
+    no field may contain a tab or a line break, which would corrupt the
+    columns.  Tokens without a relation label are written with ``dep``;
+    preserved range/empty-node lines are re-emitted in their original
+    positions.
     """
     for sentence in sentences:
         comment_lines = sentence.comments or tuple(
@@ -210,10 +212,14 @@ def write_conllu(sentences: Iterable[Sentence], out: TextIO) -> None:
                 raise ConlluError(
                     f"token {token.index} ({token.form!r}): missing predicted head")
             deprel = token.deprel if token.deprel != "_" else "dep"
-            out.write("\t".join((
+            line = "\t".join((
                 str(token.index), token.form, token.lemma, token.upos,
                 token.xpos, token.feats, str(token.pred_head), deprel,
-                token.deps, token.misc)) + "\n")
+                token.deps, token.misc))
+            if line.count("\t") != 9 or "\n" in line or "\r" in line:
+                raise ConlluError(
+                    f"token {token.index} ({token.form!r}): a field contains a tab or newline")
+            out.write(line + "\n")
             for raw in extras_after.get(token.index, ()):
                 out.write(raw + "\n")
         out.write("\n")

@@ -1,83 +1,72 @@
 """Two-step tree decoding.
 
-Content words are attached first, in rank order, each becoming eligible to
-head later words; function words are then attached against that frozen head
-set, which keeps them leaves.  Head choice is closest-first under the
-licensing rules and direction constraints, with a two-stage back-off (drop
-the rules, then drop the direction constraint) so every word finds a head.
-The first-ranked content word attaches to the virtual root, enforcing a
-single root.
+Content words are attached in rank order, each to a content word ranked
+above it; function words then attach to content words only, which keeps
+them leaves.  Head choice is closest-first under the licensing rules and
+direction constraints, with a two-stage back-off (drop the rules, then drop
+the direction constraint) so every word finds a head.  The first-ranked
+content word attaches to the virtual root, enforcing a single root.
+
+Once the ranking is known every attachment is independent of the others, so
+the whole sentence is decoded as one argmin per row of a dependent-by-head
+cost matrix.
 """
+
+import numpy as np
 
 from .conllu import DependencyTree, Sentence
 from .ranker import RankedSentence
-from .rules import DEFAULT_POLICY, DEFAULT_RULESET, DirectionPolicy, RuleSet, kappa
+from .rules import DEFAULT_POLICY, DEFAULT_RULESET, TAG_IDS, DirectionPolicy, RuleSet
+
+# Head-minus-dependent offsets and the distance part of the cost for the
+# longest sentence decoded so far, rebound as one pair so that concurrent
+# callers never mix sizes; a shorter sentence uses the top-left blocks.
+_grid = (np.zeros((0, 0), dtype=np.intp),) * 2
 
 
-def attach(sentence: Sentence, dependent_index: int, head_candidates,
-           ruleset: RuleSet = DEFAULT_RULESET,
-           policy: DirectionPolicy = DEFAULT_POLICY) -> int:
-    """Closest admissible head for one dependent, with back-off.
-
-    Preference order: candidates satisfying both the head rules and the
-    direction constraint, then direction only, then anything.  Distance
-    ties go to the leftward (smaller-index) candidate.  Candidates may
-    include 0 for the virtual root, which satisfies any direction but is
-    never rule-licensed.
-    """
-    candidates = list(head_candidates)
-    if not candidates:
-        raise ValueError("head candidate set is empty")
-    dependent = sentence.tokens[dependent_index - 1]
-
-    def licensed(head: int) -> bool:
-        return head != 0 and ruleset.licenses(sentence.tokens[head - 1].upos, dependent.upos)
-
-    def directed(head: int) -> bool:
-        return kappa(head, dependent_index, dependent.upos, policy)
-
-    def closest(pool):
-        return min(pool, key=lambda h: (abs(h - dependent_index), h)) if pool else None
-
-    best = closest([h for h in candidates if directed(h) and licensed(h)])
-    if best is None:
-        best = closest([h for h in candidates if directed(h)])
-    if best is None:
-        best = closest(candidates)
-    return best
+def _geometry(n: int) -> tuple[np.ndarray, np.ndarray]:
+    global _grid
+    offsets, distance_costs = _grid
+    if n > len(offsets):
+        positions = np.arange(n)
+        offsets = positions - positions[:, None]
+        distance_costs = 2 * np.abs(offsets) + (offsets > 0)
+        _grid = offsets, distance_costs
+    return offsets[:n, :n], distance_costs[:n, :n]
 
 
 def decode(ranked: RankedSentence, ruleset: RuleSet = DEFAULT_RULESET,
            policy: DirectionPolicy = DEFAULT_POLICY) -> DependencyTree:
     """Build the dependency tree for a ranked sentence.
 
-    The top-ranked content word heads the sentence; remaining content words
-    attach in rank order and join the head set; function words then attach
-    without extending it.  A sentence with no content words is seeded by
-    attaching its fallback predicate to the root so the function block still
-    has a head to work with.  The final-punctuation heuristic runs last.
+    Each word attaches to the cheapest head among the content words ranked
+    above it; function words may attach to any content word.  The cost of
+    head h for dependent d is ``tier * 4n + 2|h - d| + [h > d]``: tier 0
+    when the rules license the pair and h lies on d's allowed side, tier 1
+    when only the side holds, tier 2 otherwise.  So a lower tier always
+    wins, then the closer head, then the leftward one on a distance tie.
+    The top-ranked content word attaches to the root.  A sentence with no
+    content words ranks its fallback predicate first so the function words
+    still have a head.  The final-punctuation heuristic runs last.
     """
     sentence = ranked.sentence
-    heads: dict[int, int] = {}
-    pending_function = list(ranked.function_order)
+    n = len(sentence)
+    tags = np.array([TAG_IDS[token.upos] for token in sentence.tokens])
+    order = ranked.content_order or (ranked.predicate_index,)
+    ranks = [n] * n  # function words: below every content word
+    for position, index in enumerate(order):
+        ranks[index - 1] = position
+    ranks = np.array(ranks)
+    offsets, distance_costs = _geometry(n)
 
-    if ranked.content_order:
-        first, *rest = ranked.content_order
-        heads[first] = 0
-        head_set = [first]
-        for content_index in rest:
-            heads[content_index] = attach(sentence, content_index, head_set, ruleset, policy)
-            head_set.append(content_index)
-    else:
-        seed = ranked.predicate_index
-        heads[seed] = attach(sentence, seed, [0], ruleset, policy)
-        head_set = [seed]
-        pending_function.remove(seed)
-
-    for function_index in pending_function:
-        heads[function_index] = attach(sentence, function_index, head_set, ruleset, policy)
-
-    return apply_final_punct_heuristic(DependencyTree(heads), sentence)
+    directed = policy.sides[tags][:, None] * offsets >= 0
+    licensed = ruleset.matrix[tags, tags[:, None]] > 0
+    # Tier 3 marks heads not ranked above the dependent: never chosen.
+    tiers = np.where(ranks[:, None] <= ranks, 3, 2 - directed * (1 + licensed))
+    heads = ((tiers * (4 * n) + distance_costs).argmin(axis=1) + 1).tolist()
+    heads[order[0] - 1] = 0
+    tree = DependencyTree(dict(zip(range(1, n + 1), heads)))
+    return apply_final_punct_heuristic(tree, sentence)
 
 
 def apply_final_punct_heuristic(tree: DependencyTree, sentence: Sentence) -> DependencyTree:

@@ -3,23 +3,21 @@
 Every token pair licensed by the head rules contributes one directed edge
 from dependent to head, so a word collects an incoming edge per eligible
 dependent.  A personalized random walk over this multigraph scores the
-tokens; content words are then ordered by descending score, or simply by
-reading order when ranking is disabled.
+tokens; its stationary distribution is solved exactly as one linear system.
+Content words are then ordered by descending score, or simply by reading
+order when ranking is disabled.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .conllu import Sentence
-from .rules import RuleSet, is_content
+from .rules import TAG_IDS, RuleSet, is_content
 
 DEFAULT_TELEPORT = 0.05
 DEFAULT_PREDICATE_WEIGHT = 5.0
-CONVERGENCE_TOL = 1e-10
-MAX_ITERATIONS = 200
 
 # Scores this close are treated as tied when ordering content words, so
 # symmetric graph positions fall back to sentence order instead of float
@@ -27,19 +25,33 @@ MAX_ITERATIONS = 200
 _SCORE_DECIMALS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SentenceGraph:
-    """Directed dependent-to-head multigraph over 1-based token indices."""
+    """Directed dependent-to-head multigraph over the tokens of a sentence.
 
-    size: int
-    edges: tuple[tuple[int, int], ...]
+    ``counts[d, h]`` is the number of parallel edges from token ``d + 1`` to
+    token ``h + 1``.
+    """
 
-    @cached_property
+    counts: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.counts)
+
+    @property
     def in_degrees(self) -> tuple[int, ...]:
-        degrees = [0] * self.size
-        for _, head in self.edges:
-            degrees[head - 1] += 1
-        return tuple(degrees)
+        return tuple(self.counts.sum(axis=0).tolist())
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """1-based ``(dependent, head)`` pairs, one per parallel edge,
+        ordered by head and then by dependent."""
+        by_head = self.counts.T
+        heads, dependents = np.nonzero(by_head)
+        repeats = by_head[heads, dependents]
+        return tuple(zip(np.repeat(dependents + 1, repeats).tolist(),
+                         np.repeat(heads + 1, repeats).tolist()))
 
 
 @dataclass(frozen=True)
@@ -60,14 +72,10 @@ class RankedSentence:
 
 def build_graph(sentence: Sentence, ruleset: RuleSet) -> SentenceGraph:
     """Add one dependent-to-head edge per licensing rule application."""
-    edges: list[tuple[int, int]] = []
-    for head in sentence.tokens:
-        for dependent in sentence.tokens:
-            if head.index == dependent.index:
-                continue
-            for _ in range(ruleset.multiplicity(head.upos, dependent.upos)):
-                edges.append((dependent.index, head.index))
-    return SentenceGraph(len(sentence), tuple(edges))
+    tags = np.array([TAG_IDS[token.upos] for token in sentence.tokens])
+    counts = ruleset.matrix[tags, tags[:, None]]
+    np.fill_diagonal(counts, 0)
+    return SentenceGraph(counts)
 
 
 def estimate_main_predicate(sentence: Sentence) -> int:
@@ -101,10 +109,11 @@ def pagerank(graph: SentenceGraph, personalization: Sequence[float],
 
     Each step follows a uniformly chosen outgoing edge (parallel edges count
     with multiplicity) with probability ``1 - teleport`` and otherwise jumps
-    according to the personalization vector.  Mass sitting on dangling nodes
-    is likewise redistributed by the personalization vector, keeping the
-    chain stochastic.  Iteration stops once the L1 change drops below
-    ``CONVERGENCE_TOL`` or after ``MAX_ITERATIONS`` rounds.
+    according to the personalization vector p.  Mass sitting on dangling
+    nodes is likewise redistributed by p, keeping the chain stochastic.
+    With M the transition matrix whose dangling rows are p, the distribution
+    is the exact solution of ``(I - (1 - teleport) M^T) s = teleport * p``,
+    which is nonsingular for any teleport in (0, 1).
     """
     if not 0.0 < teleport < 1.0:
         raise ValueError(f"teleport probability must be in (0, 1), got {teleport}")
@@ -115,26 +124,10 @@ def pagerank(graph: SentenceGraph, personalization: Sequence[float],
     if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("personalization must be a probability distribution summing to 1")
 
-    counts = np.zeros((n, n), dtype=float)
-    for dependent, head in graph.edges:
-        counts[dependent - 1, head - 1] += 1.0
-    out_totals = counts.sum(axis=1)
-    moving = out_totals > 0.0
-    transition = np.zeros_like(counts)
-    if moving.any():
-        transition[moving] = counts[moving] / out_totals[moving, None]
-    dangling = ~moving
-
-    scores = p.copy()
-    for _ in range(MAX_ITERATIONS):
-        dangling_mass = float(scores[dangling].sum())
-        follow = transition.T @ scores + dangling_mass * p
-        updated = teleport * p + (1.0 - teleport) * follow
-        delta = float(np.abs(updated - scores).sum())
-        scores = updated
-        if delta < CONVERGENCE_TOL:
-            break
-    return tuple(float(value) for value in scores)
+    out_totals = graph.counts.sum(axis=1, keepdims=True)
+    walk = np.where(out_totals > 0, graph.counts / np.maximum(out_totals, 1), p)
+    scores = np.linalg.solve(np.eye(n) - (1.0 - teleport) * walk.T, teleport * p)
+    return tuple(scores.tolist())
 
 
 def rank(sentence: Sentence, ruleset: RuleSet, mode: str = "udp", *,

@@ -12,12 +12,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
+import numpy as np
+
 UPOS_TAGS = frozenset({
     "ADJ", "ADP", "ADV", "AUX", "CONJ", "DET", "INTJ", "NOUN", "NUM",
     "PART", "PRON", "PROPN", "PUNCT", "SCONJ", "SYM", "VERB", "X",
 })
 SYNTHETIC_TAGS = frozenset({"CONTENT", "FUNCTION"})
 KNOWN_TAGS = UPOS_TAGS | SYNTHETIC_TAGS
+# Row/column index of each tag in ``RuleSet.matrix`` and ``DirectionPolicy.sides``.
+TAG_IDS = {tag: tag_id for tag_id, tag in enumerate(sorted(KNOWN_TAGS))}
 
 CONTENT_TAGS = frozenset({"ADJ", "NOUN", "PROPN", "VERB", "CONTENT"})
 NOMINAL_TAGS = frozenset({"NOUN", "PROPN", "PRON"})
@@ -66,8 +70,17 @@ class RuleSet:
     def licenses(self, head_upos: str, dependent_upos: str) -> bool:
         return (head_upos, dependent_upos) in self._counts
 
-    def multiplicity(self, head_upos: str, dependent_upos: str) -> int:
-        return self._counts[(head_upos, dependent_upos)]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Read-only pair multiplicities, indexed ``[head, dep]`` by ``TAG_IDS``."""
+        matrix = np.zeros((len(TAG_IDS), len(TAG_IDS)), dtype=np.intp)
+        for (head, dep), count in self._counts.items():
+            matrix[TAG_IDS[head], TAG_IDS[dep]] = count
+        matrix.setflags(write=False)
+        return matrix
+
+
+_SIDES = {Direction.RIGHT: 1, Direction.LEFT: -1, Direction.FREE: 0}
 
 
 @dataclass(frozen=True)
@@ -83,29 +96,20 @@ class DirectionPolicy:
             if not isinstance(direction, Direction):
                 raise ValueError(f"bad direction for {tag}: {direction!r}")
 
-    def direction_for(self, upos: str) -> Direction:
-        return self.directions.get(upos, Direction.FREE)
+    @cached_property
+    def sides(self) -> np.ndarray:
+        """Read-only side of the head per dependent tag id: +1 right, -1 left,
+        0 either; head h suits dependent d iff ``sides[tag_d] * (h - d) >= 0``."""
+        sides = np.zeros(len(TAG_IDS), dtype=np.intp)
+        for tag, direction in self.directions.items():
+            sides[TAG_IDS[tag]] = _SIDES[direction]
+        sides.setflags(write=False)
+        return sides
 
     def with_direction(self, upos: str, direction: Direction) -> "DirectionPolicy":
         updated = dict(self.directions)
         updated[upos] = direction
         return DirectionPolicy(updated)
-
-
-def kappa(head_index: int, dependent_index: int, dependent_upos: str,
-          policy: DirectionPolicy) -> bool:
-    """True when the head lies on an allowed side of the dependent.
-
-    The virtual root (index 0) satisfies every direction constraint.
-    """
-    if head_index == 0:
-        return True
-    direction = policy.direction_for(dependent_upos)
-    if direction is Direction.RIGHT:
-        return head_index > dependent_index
-    if direction is Direction.LEFT:
-        return head_index < dependent_index
-    return True
 
 
 DEFAULT_RULESET = RuleSet((

@@ -20,27 +20,101 @@ def dense_transition(n, edges):
 
 
 def power_iteration(n, edges, personalization, teleport=0.05,
-                    tol=1e-10, max_iter=200):
-    """Dense power iteration with dangling mass going to the personalization."""
+                    tol=1e-14, max_iter=100_000):
+    """Dense power iteration with dangling mass going to the personalization.
+
+    Iterates until one step changes the scores by less than ``tol`` in L1
+    and raises RuntimeError when ``max_iter`` steps do not get there, so an
+    unconverged walk can never serve as the reference.
+    """
     rows, outs = dense_transition(n, edges)
+    targets = [[(j, weight) for j, weight in enumerate(row) if weight] for row in rows]
     x = list(personalization)
     for _ in range(max_iter):
         dangling = sum(x[i] for i in range(n) if not outs[i])
         pushed = [0.0] * n
         for i in range(n):
-            if not outs[i]:
-                continue
-            for j in range(n):
-                if rows[i][j]:
-                    pushed[j] += x[i] * rows[i][j]
+            for j, weight in targets[i]:
+                pushed[j] += x[i] * weight
         updated = [teleport * personalization[j]
                    + (1.0 - teleport) * (pushed[j] + dangling * personalization[j])
                    for j in range(n)]
         change = sum(abs(a - b) for a, b in zip(updated, x))
         x = updated
         if change < tol:
-            break
-    return x
+            return x
+    raise RuntimeError(f"power iteration still moving by {change} after {max_iter} steps")
+
+
+def rule_edges(tags, pairs):
+    """(dependent, head) edges, 1-based, one per occurrence of a licensing
+    (head tag, dependent tag) pair; ordered by head, then dependent."""
+    edges = []
+    for head, head_tag in enumerate(tags, start=1):
+        for dependent, dependent_tag in enumerate(tags, start=1):
+            if head == dependent:
+                continue
+            for pair in pairs:
+                if pair == (head_tag, dependent_tag):
+                    edges.append((dependent, head))
+    return edges
+
+
+def closest_first_heads(tags, content_order, function_order, predicate,
+                        pairs, directions):
+    """Heads from the sequential two-step decode, one per token in order.
+
+    Content words attach in ``content_order``, each joining the head set;
+    function words then attach to that set.  Each attachment takes the
+    closest candidate (leftward on a distance tie) that is licensed by
+    ``pairs`` and on the side ``directions`` names ("left", "right" or
+    "free", default free), then the closest on that side, then the closest.
+    With no content words, ``predicate`` attaches to the root and heads the
+    rest.  Sentence-final PUNCT finally moves to the root's dependent.
+    """
+    licensed = set(pairs)
+
+    def attach(dependent, candidates):
+        tag = tags[dependent - 1]
+        side = directions.get(tag, "free")
+
+        def directed(head):
+            if head == 0 or side == "free":
+                return True
+            return head > dependent if side == "right" else head < dependent
+
+        def closest(pool):
+            return min(pool, key=lambda h: (abs(h - dependent), h)) if pool else None
+
+        best = closest([h for h in candidates
+                        if h != 0 and directed(h) and (tags[h - 1], tag) in licensed])
+        if best is None:
+            best = closest([h for h in candidates if directed(h)])
+        if best is None:
+            best = closest(candidates)
+        return best
+
+    heads = {}
+    pending = list(function_order)
+    if content_order:
+        heads[content_order[0]] = 0
+        head_set = [content_order[0]]
+        for index in content_order[1:]:
+            heads[index] = attach(index, head_set)
+            head_set.append(index)
+    else:
+        heads[predicate] = attach(predicate, [0])
+        head_set = [predicate]
+        pending.remove(predicate)
+    for index in pending:
+        heads[index] = attach(index, head_set)
+
+    last = len(tags)
+    if tags[-1] == "PUNCT":
+        roots = sorted(d for d, h in heads.items() if h == 0)
+        if roots and roots[0] != last:
+            heads[last] = roots[0]
+    return tuple(heads[i] for i in range(1, last + 1))
 
 
 def content_ranking(indices, scores):

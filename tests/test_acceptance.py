@@ -26,7 +26,7 @@ from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FORMS, EXAMPLE_HEADS,
                      EXAMPLE_IN_DEGREES, example_conllu, example_sentence,
                      make_sentence)
 from oracles import (attachment_counts, mean_and_population_std,
-                     per_pos_counts, power_iteration)
+                     per_pos_counts, power_iteration, rule_edges)
 
 ALL_TAGS = sorted(UPOS_TAGS)
 
@@ -83,11 +83,11 @@ def test_criterion_3_golden_ranking_and_score_agreement():
     content_forms = [EXAMPLE_FORMS[i - 1] for i in ranked.content_order]
     assert content_forms == ["had", "connection", "extremists", "special"]
 
-    graph = build_graph(sentence, DEFAULT_RULESET)
     weights = personalization_vector(sentence, estimate_main_predicate(sentence))
-    reference = power_iteration(len(sentence), graph.edges, weights)
+    edges = rule_edges([t.upos for t in sentence], DEFAULT_RULESET.pairs)
+    reference = power_iteration(len(sentence), edges, weights)
     worst = max(abs(a - b) for a, b in zip(ranked.scores, reference))
-    assert worst < 1e-8, f"scores diverge from dense power iteration by {worst}"
+    assert worst < 1e-10, f"scores diverge from dense power iteration by {worst}"
     report_pass(3, f"content ranking reproduced; score gap vs oracle {worst:.2e}")
 
 

@@ -129,6 +129,14 @@ class TestWrite:
         with pytest.raises(ConlluError, match="missing predicted head"):
             format_conllu([make_sentence(["NOUN"])])
 
+    @pytest.mark.parametrize("field, value", [
+        ("form", "a\tb"), ("form", "a\nb"), ("lemma", "a\rb"), ("misc", "SpaceAfter=No\t_")])
+    def test_field_with_tab_or_line_break_is_an_error(self, field, value):
+        token = Token(1, "a", "NOUN", pred_head=0)
+        sentence = Sentence((replace(token, **{field: value}),))
+        with pytest.raises(ConlluError, match="token 1 .*tab or newline"):
+            format_conllu([sentence])
+
     def test_meta_synthesized_when_no_raw_comments(self):
         sentence = make_sentence(["NOUN"], meta={"genre": "legal"})
         out = format_conllu([replace_pred(sentence, {1: 0})])

@@ -1,17 +1,17 @@
 import itertools
 import random
 
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udparse.conllu import DependencyTree, validate_tree
-from udparse.decoder import apply_final_punct_heuristic, attach, decode
-from udparse.ranker import rank
+from udparse.decoder import apply_final_punct_heuristic, decode
+from udparse.ranker import build_graph, rank
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, NAIVE_RULESET,
-                           FREE_POLICY, UPOS_TAGS, Direction)
+                           FREE_POLICY, UPOS_TAGS, Direction, is_content)
 
 from helpers import EXAMPLE_HEADS, example_sentence, make_sentence
+from oracles import closest_first_heads, rule_edges
 
 ADP_RIGHT = DEFAULT_POLICY.with_direction("ADP", Direction.RIGHT)
 ADP_LEFT = DEFAULT_POLICY.with_direction("ADP", Direction.LEFT)
@@ -24,31 +24,34 @@ def decode_tags(tags, policy=ADP_RIGHT, mode="udp", forms=None):
 
 
 class TestAttach:
+    """Head choice for single words, read off whole-sentence decodes."""
+
     def test_det_skips_left_heads_and_takes_closest_right(self):
-        sentence = example_sentence()
-        assert attach(sentence, 4, [3, 6, 9], DEFAULT_RULESET, ADP_RIGHT) == 6
+        # DET 4 may take any content word; 3 lies on its forbidden left side.
+        tree = decode(rank(example_sentence(), DEFAULT_RULESET), DEFAULT_RULESET, ADP_RIGHT)
+        assert tree.heads[4] == 6
 
     def test_closest_licensed_head_wins(self):
-        sentence = example_sentence()
-        assert attach(sentence, 9, [3, 6], DEFAULT_RULESET, ADP_RIGHT) == 6
+        # NOUN 9 ranks third, after 3 and 6; both license it, 6 is closer.
+        ranked = rank(example_sentence(), DEFAULT_RULESET)
+        assert ranked.content_order[:3] == (3, 6, 9)
+        assert decode(ranked, DEFAULT_RULESET, ADP_RIGHT).heads[9] == 6
 
     def test_lone_punct_reaches_root_through_backoff(self):
-        sentence = make_sentence(["PUNCT"])
-        assert attach(sentence, 1, [0], DEFAULT_RULESET, DEFAULT_POLICY) == 0
+        tree, _ = decode_tags(["PUNCT"], DEFAULT_POLICY)
+        assert tree.heads == {1: 0}
 
     def test_direction_only_level_used_when_rules_fail(self):
         # Nothing licenses NOUN heading AUX, so the rule level comes up
-        # empty and the direction level picks the rightward candidate.
-        sentence = make_sentence(["AUX", "PUNCT", "NOUN"])
-        assert attach(sentence, 1, [3], DEFAULT_RULESET, DEFAULT_POLICY) == 3
+        # empty and the direction level picks the rightward noun, although
+        # the leftward one is closer.
+        tree, _ = decode_tags(["NOUN", "AUX", "PUNCT", "NOUN"], DEFAULT_POLICY)
+        assert tree.heads[2] == 4
 
     def test_distance_tie_goes_leftward(self):
-        sentence = make_sentence(["NOUN", "NOUN", "NOUN"])
-        assert attach(sentence, 2, [1, 3], DEFAULT_RULESET, DEFAULT_POLICY) == 1
-
-    def test_empty_candidates_is_an_error(self):
-        with pytest.raises(ValueError):
-            attach(example_sentence(), 1, [], DEFAULT_RULESET, DEFAULT_POLICY)
+        # Both nouns license the free NUM between them at distance 1.
+        tree, _ = decode_tags(["NOUN", "NUM", "NOUN"], DEFAULT_POLICY)
+        assert tree.heads[2] == 1
 
 
 class TestDecode:
@@ -162,3 +165,32 @@ def test_reading_order_decode_always_yields_valid_trees(tags):
     for policy in (ADP_RIGHT, ADP_LEFT, DEFAULT_POLICY):
         tree = decode(ranked, DEFAULT_RULESET, policy)
         assert validate_tree(sentence, tree) == []
+
+
+# The decoder against the sequential closest-first decode it replaced, on
+# the same ranking: every policy shape and both rule tables, in both modes.
+ORACLE_SETTINGS = (
+    (DEFAULT_RULESET, ADP_RIGHT, False),
+    (DEFAULT_RULESET, ADP_LEFT, False),
+    (DEFAULT_RULESET, FREE_POLICY, False),
+    (NAIVE_RULESET, FREE_POLICY, True),
+)
+
+
+@given(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=40))
+@example(tags=(ALL_TAGS * 3)[:40])
+@example(tags=["PUNCT", "AUX", "DET"])
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_decode_matches_sequential_oracle(tags):
+    for ruleset, policy, naive in ORACLE_SETTINGS:
+        used = ["CONTENT" if is_content(tag) else "FUNCTION" for tag in tags] if naive else tags
+        sentence = make_sentence(used)
+        assert build_graph(sentence, ruleset).edges == tuple(rule_edges(used, ruleset.pairs))
+        directions = {tag: side.value for tag, side in policy.directions.items()}
+        for mode in ("udp", "udp-nopr"):
+            ranked = rank(sentence, ruleset, mode)
+            tree = decode(ranked, ruleset, policy)
+            expected = closest_first_heads(used, ranked.content_order, ranked.function_order,
+                                           ranked.predicate_index, ruleset.pairs, directions)
+            assert tuple(tree.heads[i] for i in range(1, len(used) + 1)) == expected, \
+                (used, policy, mode)

@@ -11,7 +11,8 @@ import pytest
 
 from udparse.cli import main
 
-SAMPLE_PATH = Path(__file__).parent / "data" / "sample.conllu"
+DATA = Path(__file__).parent / "data"
+SAMPLE_PATH = DATA / "sample.conllu"
 
 _BASELINE_LINE = "baseline well-formed trees: 3/3 (100.00)\n"
 
@@ -30,6 +31,14 @@ GOLDEN = {
     "oracle-direction": (["--mode", "baseline", "--oracle-direction"],
                          "8deee208a13d8757f1e18cab510576517f34f16ba348ee9595a59b023dbc396e",
                          "oracle backoff direction: right (UAS 88.89)\n" + _BASELINE_LINE),
+    # The sample's own bigrams resolve ADP to the left, so the pinned left
+    # run matches "udp" and the right run differs from it.
+    "adp-left": (["--adp-direction", "left"],
+                 "398780337a468cfe718b8505548e14b1b392e5c40e5c4ee9cd64e03ff9bc5b94", ""),
+    "adp-right": (["--adp-direction", "right"],
+                  "78fc4fd8f5ed9b1b38acc62016498151f099b691e9296627c8fd1729bf12c5b4", ""),
+    "rules-file": (["--rules", str(DATA / "repeated.rules")],
+                   "8368a4aff1fae666e8dc698befd3540acba3c1793408c267f4d24ee77dfa04dd", ""),
 }
 
 

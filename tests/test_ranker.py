@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,9 @@ from udparse.ranker import (SentenceGraph, build_graph,
 from udparse.rules import DEFAULT_RULESET, UPOS_TAGS
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FUNCTION_ORDER,
-                     EXAMPLE_IN_DEGREES, example_sentence, make_sentence)
-from oracles import content_ranking, power_iteration
+                     EXAMPLE_IN_DEGREES, EXAMPLE_TAGS, example_sentence,
+                     make_sentence)
+from oracles import content_ranking, power_iteration, rule_edges
 
 # Stationary scores for the example sentence, frozen from the dense
 # power-iteration reference (cross-checked against a direct linear solve,
@@ -64,10 +66,10 @@ class TestBuildGraph:
         uniform = (1 / 3, 1 / 3, 1 / 3)
         scores = {}
         for name, rules in (("single", single), ("doubled", doubled)):
-            graph = build_graph(sentence, rules)
-            got = pagerank(graph, uniform)
-            reference = power_iteration(3, graph.edges, uniform)
-            assert max(abs(a - b) for a, b in zip(got, reference)) < 1e-9
+            got = pagerank(build_graph(sentence, rules), uniform)
+            reference = power_iteration(3, rule_edges(["NOUN", "NOUN", "VERB"], rules.pairs),
+                                        uniform)
+            assert max(abs(a - b) for a, b in zip(got, reference)) < 1e-10
             scores[name] = got
         assert scores["doubled"][2] > scores["single"][2]
 
@@ -105,7 +107,7 @@ class TestPersonalization:
 
 class TestPagerank:
     def test_uniform_scores_on_edgeless_graph(self):
-        graph = SentenceGraph(4, ())
+        graph = SentenceGraph(np.zeros((4, 4), dtype=int))
         scores = pagerank(graph, (0.25,) * 4)
         assert scores == pytest.approx((0.25,) * 4)
 
@@ -113,14 +115,14 @@ class TestPagerank:
         graph = build_graph(example_sentence(), DEFAULT_RULESET)
         scores = pagerank(graph, personalization_vector(example_sentence(), 3))
         for got, expected in zip(scores, EXAMPLE_SCORES):
-            assert got == pytest.approx(expected, abs=1e-8)
+            assert got == pytest.approx(expected, abs=1e-10)
 
     def test_example_scores_match_runtime_oracle(self):
         graph = build_graph(example_sentence(), DEFAULT_RULESET)
         weights = personalization_vector(example_sentence(), 3)
         scores = pagerank(graph, weights)
-        reference = power_iteration(9, graph.edges, weights)
-        assert max(abs(a - b) for a, b in zip(scores, reference)) < 1e-8
+        reference = power_iteration(9, rule_edges(EXAMPLE_TAGS, DEFAULT_RULESET.pairs), weights)
+        assert max(abs(a - b) for a, b in zip(scores, reference)) < 1e-10
 
     def test_scores_sum_to_one(self):
         graph = build_graph(example_sentence(), DEFAULT_RULESET)
@@ -129,12 +131,12 @@ class TestPagerank:
         assert all(s >= 0 for s in scores)
 
     def test_unnormalized_personalization_rejected(self):
-        graph = SentenceGraph(2, ())
+        graph = SentenceGraph(np.zeros((2, 2), dtype=int))
         with pytest.raises(ValueError, match="sum"):
             pagerank(graph, (1.0, 1.0))
 
     def test_bad_teleport_rejected(self):
-        graph = SentenceGraph(2, ())
+        graph = SentenceGraph(np.zeros((2, 2), dtype=int))
         for teleport in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 pagerank(graph, (0.5, 0.5), teleport)
@@ -192,9 +194,9 @@ class TestRank:
             tags = [rng.choice(ALL_TAGS) for _ in range(n)]
             sentence = make_sentence(tags)
             ranked = rank(sentence, DEFAULT_RULESET)
-            graph = build_graph(sentence, DEFAULT_RULESET)
             weights = personalization_vector(sentence, estimate_main_predicate(sentence))
-            reference = power_iteration(n, graph.edges, weights)
+            reference = power_iteration(n, rule_edges(tags, DEFAULT_RULESET.pairs), weights)
+            assert max(abs(a - b) for a, b in zip(ranked.scores, reference)) < 1e-10
             content = [t.index for t in sentence if t.upos in ("ADJ", "NOUN", "PROPN", "VERB")]
             assert ranked.content_order == content_ranking(content, reference)
 

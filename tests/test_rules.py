@@ -2,10 +2,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from udparse.decoder import decode
+from udparse.ranker import rank
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY,
-                           NAIVE_RULESET, UPOS_TAGS, Direction,
-                           DirectionPolicy, RuleSet, is_content,
-                           is_nominal, kappa, parse_rules)
+                           NAIVE_RULESET, TAG_IDS, UPOS_TAGS,
+                           Direction, DirectionPolicy, RuleSet, is_content,
+                           is_nominal, parse_rules)
+
+from helpers import make_sentence
+
+
+def side(policy, tag):
+    return policy.sides[TAG_IDS[tag]]
+
+
+def multiplicity(rules, head, dep):
+    return rules.matrix[TAG_IDS[head], TAG_IDS[dep]]
+
+
+def allowed_side(head, dependent, tag, policy):
+    """The decoder's direction test: side times head-minus-dependent offset."""
+    return side(policy, tag) * (head - dependent) >= 0
 
 EXPECTED_DEFAULT_PAIRS = {
     ("ADJ", "ADV"),
@@ -45,26 +62,34 @@ class TestDelta:
 
     def test_multiplicity_counts_repeats(self):
         rules = RuleSet((("VERB", "NOUN"), ("VERB", "NOUN")))
-        assert rules.multiplicity("VERB", "NOUN") == 2
-        assert rules.multiplicity("VERB", "ADJ") == 0
+        assert multiplicity(rules, "VERB", "NOUN") == 2
+        assert multiplicity(rules, "VERB", "ADJ") == 0
+        assert rules.matrix.sum() == 2
+        assert not rules.matrix.flags.writeable
 
 
 class TestKappa:
+    """The direction constraint (kappa), held per tag in DirectionPolicy.sides."""
+
     def test_det_requires_head_on_right(self):
-        assert kappa(6, 4, "DET", DEFAULT_POLICY)
-        assert not kappa(3, 4, "DET", DEFAULT_POLICY)
+        assert allowed_side(6, 4, "DET", DEFAULT_POLICY)
+        assert not allowed_side(3, 4, "DET", DEFAULT_POLICY)
 
     def test_punct_requires_head_on_left(self):
-        assert not kappa(7, 5, "PUNCT", DEFAULT_POLICY)
-        assert kappa(2, 5, "PUNCT", DEFAULT_POLICY)
+        assert not allowed_side(7, 5, "PUNCT", DEFAULT_POLICY)
+        assert allowed_side(2, 5, "PUNCT", DEFAULT_POLICY)
 
     def test_free_tag_accepts_both_sides(self):
-        assert kappa(3, 9, "NOUN", DEFAULT_POLICY)
-        assert kappa(12, 9, "NOUN", DEFAULT_POLICY)
+        assert allowed_side(3, 9, "NOUN", DEFAULT_POLICY)
+        assert allowed_side(12, 9, "NOUN", DEFAULT_POLICY)
 
     def test_virtual_root_always_valid(self):
+        # The root is not subject to sides: whatever its tag, a one-word
+        # sentence attaches to it.
         for tag in ("DET", "PUNCT", "NOUN", "SCONJ"):
-            assert kappa(0, 5, tag, DEFAULT_POLICY)
+            tree = decode(rank(make_sentence([tag]), DEFAULT_RULESET),
+                          DEFAULT_RULESET, DEFAULT_POLICY)
+            assert tree.heads == {1: 0}
 
     @given(head=st.integers(1, 40), dep=st.integers(1, 40),
            tag=st.sampled_from(sorted(UPOS_TAGS)))
@@ -73,20 +98,21 @@ class TestKappa:
             return
         right = DirectionPolicy({tag: Direction.RIGHT})
         left = DirectionPolicy({tag: Direction.LEFT})
-        assert kappa(head, dep, tag, right) != kappa(head, dep, tag, left)
+        assert allowed_side(head, dep, tag, right) != allowed_side(head, dep, tag, left)
 
     def test_default_policy_directions(self):
         for tag in ("AUX", "DET", "SCONJ"):
-            assert DEFAULT_POLICY.direction_for(tag) is Direction.RIGHT
+            assert side(DEFAULT_POLICY, tag) == 1
         for tag in ("CONJ", "PUNCT"):
-            assert DEFAULT_POLICY.direction_for(tag) is Direction.LEFT
+            assert side(DEFAULT_POLICY, tag) == -1
         for tag in ("NOUN", "VERB", "ADP", "PRON", "X"):
-            assert DEFAULT_POLICY.direction_for(tag) is Direction.FREE
+            assert side(DEFAULT_POLICY, tag) == 0
 
     def test_with_direction_does_not_mutate(self):
         updated = DEFAULT_POLICY.with_direction("ADP", Direction.LEFT)
-        assert updated.direction_for("ADP") is Direction.LEFT
-        assert DEFAULT_POLICY.direction_for("ADP") is Direction.FREE
+        assert side(updated, "ADP") == -1
+        assert side(DEFAULT_POLICY, "ADP") == 0
+        assert DEFAULT_POLICY.directions.get("ADP") is None
 
 
 class TestTagClasses:
@@ -108,8 +134,7 @@ class TestNaiveTables:
                                             ("CONTENT", "FUNCTION")}
 
     def test_naive_policy_is_all_free(self):
-        assert FREE_POLICY.direction_for("FUNCTION") is Direction.FREE
-        assert FREE_POLICY.direction_for("CONTENT") is Direction.FREE
+        assert not FREE_POLICY.sides.any()
 
 
 class TestRuleFile:
@@ -124,11 +149,9 @@ DIR PUNCT left
 VERB NOUN
 """
         rules, policy = parse_rules(text)
-        assert rules.multiplicity("VERB", "NOUN") == 2
+        assert multiplicity(rules, "VERB", "NOUN") == 2
         assert rules.licenses("NOUN", "DET")
-        assert policy.direction_for("DET") is Direction.RIGHT
-        assert policy.direction_for("PUNCT") is Direction.LEFT
-        assert policy.direction_for("SCONJ") is Direction.FREE
+        assert (side(policy, "DET"), side(policy, "PUNCT"), side(policy, "SCONJ")) == (1, -1, 0)
 
     def test_unknown_tag_names_line(self):
         with pytest.raises(ValueError, match="line 2"):
