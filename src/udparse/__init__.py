@@ -11,7 +11,7 @@ from .cli import best_baseline_direction, main, parse_corpus
 from .conllu import (ConlluError, DependencyTree, Sentence, Token,
                      format_conllu, parse_conllu, read_conllu, validate_tree,
                      write_conllu)
-from .decoder import apply_final_punct_heuristic, decode
+from .decoder import decode, decode_corpus
 from .direction import AdpDirectionEstimate, estimate_adp_direction
 from .evaluation import (AlignmentError, DomainReport, EvalReport,
                          domain_report, error_propagation, uas)

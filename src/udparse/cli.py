@@ -2,8 +2,8 @@
 
 The parser is training-free, so ``parse`` makes two passes over its input:
 one to estimate the adposition attachment direction from tag bigrams, one to
-rank and decode each sentence.  Exit status is 0 on success, 1 for usage
-errors, 2 for data errors.
+rank and decode the sentences, a stack of equal-length ones at a time.  Exit
+status is 0 on success, 1 for usage errors, 2 for data errors.
 """
 
 import argparse
@@ -13,10 +13,10 @@ from typing import Sequence
 
 from .baselines import adjacency_parse, baseline_parse, forms_tree, naive_pos_tag
 from .conllu import Sentence, read_conllu, write_conllu
-from .decoder import decode
+from .decoder import decode_corpus
 from .direction import estimate_adp_direction
 from .evaluation import domain_report, format_domain_report, format_report, uas
-from .ranker import DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, rank
+from .ranker import DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT
 from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY,
                     NAIVE_RULESET, Direction, DirectionPolicy, RuleSet,
                     parse_rules)
@@ -57,13 +57,14 @@ def parse_corpus(sentences: Sequence[Sentence], *, mode: str = "udp",
     else:
         raise ValueError(f"unknown POS source {pos_source!r}")
 
+    if mode in _RANKED_MODES:
+        heads = decode_corpus(sentences, active_rules, active_policy, mode,
+                              teleport=teleport, predicate_weight=personalization_weight)
+        return [sentence.with_heads(dict(enumerate(row, start=1)))
+                for sentence, row in zip(sentences, heads)]
     parsed = []
     for sentence in sentences:
-        if mode in _RANKED_MODES:
-            ranked = rank(sentence, active_rules, mode,
-                          teleport=teleport, predicate_weight=personalization_weight)
-            tree = decode(ranked, active_rules, active_policy)
-        elif mode == "baseline":
+        if mode == "baseline":
             tree = baseline_parse(sentence, active_rules, backoff_direction)
         else:
             tree = adjacency_parse(sentence, backoff_direction)

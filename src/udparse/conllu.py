@@ -193,14 +193,18 @@ def write_conllu(sentences: Iterable[Sentence], out: TextIO) -> None:
 
     Predicted heads go to column 7 and must be present on every token, and
     no field may contain a tab or a line break, which would corrupt the
-    columns.  Tokens without a relation label are written with ``dep``;
-    preserved range/empty-node lines are re-emitted in their original
-    positions.
+    columns; nor may a comment line, or a metadata key or value written as
+    one, contain a line break.  Tokens without a relation label are written
+    with ``dep``; preserved range/empty-node lines are re-emitted in their
+    original positions.
     """
-    for sentence in sentences:
+    for number, sentence in enumerate(sentences, start=1):
         comment_lines = sentence.comments or tuple(
             f"# {key} = {value}" for key, value in sentence.meta.items())
         for comment in comment_lines:
+            if "\n" in comment or "\r" in comment:
+                raise ConlluError(
+                    f"sentence {number}: comment {comment!r} contains a line break")
             out.write(comment + "\n")
         extras_after: dict[int, list[str]] = defaultdict(list)
         for position, raw in sentence.extras:

@@ -5,18 +5,32 @@ above it; function words then attach to content words only, which keeps
 them leaves.  Head choice is closest-first under the licensing rules and
 direction constraints, with a two-stage back-off (drop the rules, then drop
 the direction constraint) so every word finds a head.  The first-ranked
-content word attaches to the virtual root, enforcing a single root.
+content word attaches to the virtual root, enforcing a single root, and
+sentence-final punctuation is then re-attached to it.
 
 Once the ranking is known every attachment is independent of the others, so
-the whole sentence is decoded as one argmin per row of a dependent-by-head
-cost matrix.
+a sentence is decoded as one argmin per row of a dependent-by-head cost
+matrix.  ``decode_corpus`` groups sentences of equal length into stacks and
+ranks and decodes each stack with one ``(B, n, n)`` solve and one argmin;
+``decode`` runs the same kernel on a stack of one.
 """
+
+from collections import defaultdict
+from typing import Sequence
 
 import numpy as np
 
 from .conllu import DependencyTree, Sentence
-from .ranker import RankedSentence
+from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, RankedSentence,
+                     content_ranks, rule_counts, tag_ids)
 from .rules import DEFAULT_POLICY, DEFAULT_RULESET, TAG_IDS, DirectionPolicy, RuleSet
+
+# Most ``B * n * n`` elements in one stack, which bounds the memory of the
+# stacked arrays; a sentence with more than this many ``n * n`` elements
+# forms a stack of its own.
+_STACK_ELEMENTS = 1 << 16
+
+_PUNCT = TAG_IDS["PUNCT"]
 
 # Head-minus-dependent offsets and the distance part of the cost for the
 # longest sentence decoded so far, rebound as one pair so that concurrent
@@ -35,6 +49,36 @@ def _geometry(n: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets[:n, :n], distance_costs[:n, :n]
 
 
+def decode_corpus(sentences: Sequence[Sentence], ruleset: RuleSet = DEFAULT_RULESET,
+                  policy: DirectionPolicy = DEFAULT_POLICY, mode: str = "udp", *,
+                  teleport: float = DEFAULT_TELEPORT,
+                  predicate_weight: float = DEFAULT_PREDICATE_WEIGHT) -> list[list[int]]:
+    """Rank and decode every sentence; heads per sentence, in input order.
+
+    Gives the heads of ``decode(rank(sentence, ruleset, mode, ...), ruleset,
+    policy)`` for each sentence, computed one stack of equal-length
+    sentences at a time.
+    """
+    by_length: dict[int, list[int]] = defaultdict(list)
+    for position, sentence in enumerate(sentences):
+        by_length[len(sentence)].append(position)
+    heads: list[list[int]] = [[] for _ in sentences]
+    for n, positions in by_length.items():
+        size = max(1, _STACK_ELEMENTS // (n * n))
+        for start in range(0, len(positions), size):
+            stack = positions[start:start + size]
+            members = [sentences[position] for position in stack]
+            tags = tag_ids(members)
+            counts = rule_counts(tags, ruleset)
+            ranks, _ = content_ranks(members, tags, counts, mode, teleport=teleport,
+                                     predicate_weight=predicate_weight)
+            licensed = counts > 0
+            del counts
+            for position, row in zip(stack, _heads(tags, ranks, licensed, policy).tolist()):
+                heads[position] = row
+    return heads
+
+
 def decode(ranked: RankedSentence, ruleset: RuleSet = DEFAULT_RULESET,
            policy: DirectionPolicy = DEFAULT_POLICY) -> DependencyTree:
     """Build the dependency tree for a ranked sentence.
@@ -47,41 +91,35 @@ def decode(ranked: RankedSentence, ruleset: RuleSet = DEFAULT_RULESET,
     wins, then the closer head, then the leftward one on a distance tie.
     The top-ranked content word attaches to the root.  A sentence with no
     content words ranks its fallback predicate first so the function words
-    still have a head.  The final-punctuation heuristic runs last.
+    still have a head.  Sentence-final PUNCT then attaches to the root's
+    dependent, unless it is that word.
     """
-    sentence = ranked.sentence
-    n = len(sentence)
-    tags = np.array([TAG_IDS[token.upos] for token in sentence.tokens])
+    n = len(ranked.sentence)
+    tags = tag_ids([ranked.sentence])
     order = ranked.content_order or (ranked.predicate_index,)
-    ranks = [n] * n  # function words: below every content word
-    for position, index in enumerate(order):
-        ranks[index - 1] = position
-    ranks = np.array(ranks)
-    offsets, distance_costs = _geometry(n)
-
-    directed = policy.sides[tags][:, None] * offsets >= 0
-    licensed = ruleset.matrix[tags, tags[:, None]] > 0
-    # Tier 3 marks heads not ranked above the dependent: never chosen.
-    tiers = np.where(ranks[:, None] <= ranks, 3, 2 - directed * (1 + licensed))
-    heads = ((tiers * (4 * n) + distance_costs).argmin(axis=1) + 1).tolist()
-    heads[order[0] - 1] = 0
-    tree = DependencyTree(dict(zip(range(1, n + 1), heads)))
-    return apply_final_punct_heuristic(tree, sentence)
+    ranks = np.full((1, n), n)
+    ranks[0, np.array(order) - 1] = np.arange(len(order))
+    heads = _heads(tags, ranks, rule_counts(tags, ruleset) > 0, policy)[0]
+    return DependencyTree(dict(zip(range(1, n + 1), heads.tolist())))
 
 
-def apply_final_punct_heuristic(tree: DependencyTree, sentence: Sentence) -> DependencyTree:
-    """Re-attach sentence-final punctuation to the main predicate.
+def _heads(tags: np.ndarray, ranks: np.ndarray, licensed: np.ndarray,
+           policy: DirectionPolicy) -> np.ndarray:
+    """``(B, n)`` 1-based heads (0 for the root) of a decoded stack.
 
-    Only the last token is affected, and only when it is PUNCT.  When that
-    token is itself the root's dependent (a lone punctuation sentence) the
-    tree is left alone.
+    ``ranks`` places each token in its sentence's order, 0 for the word
+    that takes the root; ``licensed[b, d, h]`` says the rules allow head h
+    for dependent d.
     """
-    last = sentence.tokens[-1]
-    if last.upos != "PUNCT":
-        return tree
-    roots = tree.root_dependents()
-    if not roots or roots[0] == last.index:
-        return tree
-    heads = dict(tree.heads)
-    heads[last.index] = roots[0]
-    return DependencyTree(heads)
+    stack, n = tags.shape
+    offsets, distance_costs = _geometry(n)
+    directed = policy.sides[tags][:, :, None] * offsets >= 0
+    # Tier 3 marks heads not ranked above the dependent: never chosen.
+    tiers = np.where(ranks[:, :, None] <= ranks[:, None, :], 3, 2 - directed * (1 + licensed))
+    del directed
+    heads = (tiers * (4 * n) + distance_costs).argmin(axis=2) + 1
+    roots = ranks.argmin(axis=1)
+    heads[np.arange(stack), roots] = 0
+    moved = (tags[:, -1] == _PUNCT) & (roots != n - 1)
+    heads[moved, -1] = roots[moved] + 1
+    return heads

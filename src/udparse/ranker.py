@@ -6,6 +6,10 @@ dependent.  A personalized random walk over this multigraph scores the
 tokens; its stationary distribution is solved exactly as one linear system.
 Content words are then ordered by descending score, or simply by reading
 order when ranking is disabled.
+
+The kernels work on stacks of equal-length sentences: a ``(B, n)`` array of
+tag ids, ``(B, n, n)`` edge counts, and one stacked solve for all B walks.
+``build_graph``, ``pagerank`` and ``rank`` run them on a stack of one.
 """
 
 from dataclasses import dataclass
@@ -70,12 +74,24 @@ class RankedSentence:
     predicate_index: int
 
 
+def tag_ids(sentences: Sequence[Sentence]) -> np.ndarray:
+    """``(B, n)`` ``TAG_IDS`` of a stack of sentences that all have n tokens."""
+    return np.array([[TAG_IDS[token.upos] for token in sentence.tokens]
+                     for sentence in sentences], dtype=np.intp)
+
+
+def rule_counts(tags: np.ndarray, ruleset: RuleSet) -> np.ndarray:
+    """``(B, n, n)`` edge multiplicities ``[sentence, dependent, head]``, one
+    per licensing rule application; a token never heads itself."""
+    counts = ruleset.matrix[tags[:, None, :], tags[:, :, None]]
+    diagonal = np.arange(tags.shape[1])
+    counts[:, diagonal, diagonal] = 0
+    return counts
+
+
 def build_graph(sentence: Sentence, ruleset: RuleSet) -> SentenceGraph:
     """Add one dependent-to-head edge per licensing rule application."""
-    tags = np.array([TAG_IDS[token.upos] for token in sentence.tokens])
-    counts = ruleset.matrix[tags, tags[:, None]]
-    np.fill_diagonal(counts, 0)
-    return SentenceGraph(counts)
+    return SentenceGraph(rule_counts(tag_ids([sentence]), ruleset)[0])
 
 
 def estimate_main_predicate(sentence: Sentence) -> int:
@@ -95,12 +111,31 @@ def personalization_vector(sentence: Sentence, predicate_index: int,
     n = len(sentence)
     if not 1 <= predicate_index <= n:
         raise ValueError(f"predicate index {predicate_index} outside sentence of length {n}")
+    return tuple(_teleport_vectors(np.array([predicate_index - 1]), n, weight)[0].tolist())
+
+
+def _teleport_vectors(predicates: np.ndarray, n: int, weight: float) -> np.ndarray:
+    """``(B, n)`` rows of 1 with ``weight`` at each 0-based predicate, divided
+    by their sum ``(n - 1) + weight``."""
     if weight <= 0:
         raise ValueError(f"personalization weight must be positive, got {weight}")
-    raw = [1.0] * n
-    raw[predicate_index - 1] = float(weight)
-    total = sum(raw)
-    return tuple(value / total for value in raw)
+    raw = np.ones((len(predicates), n))
+    raw[np.arange(len(predicates)), predicates] = weight
+    return raw / ((n - 1) + float(weight))
+
+
+def _walk_scores(counts: np.ndarray, p: np.ndarray, teleport: float) -> np.ndarray:
+    """``(B, n)`` stationary distributions of the B walks, one stacked solve."""
+    out_totals = counts.sum(axis=2, keepdims=True)
+    walk = np.where(out_totals > 0, counts / np.maximum(out_totals, 1), p[:, None, :])
+    system = np.eye(counts.shape[1]) - (1.0 - teleport) * walk.transpose(0, 2, 1)
+    # b keeps an explicit trailing axis: numpy 2 reads a (B, n) b as one matrix.
+    return np.linalg.solve(system, (teleport * p)[..., None])[..., 0]
+
+
+def _check_teleport(teleport: float) -> None:
+    if not 0.0 < teleport < 1.0:
+        raise ValueError(f"teleport probability must be in (0, 1), got {teleport}")
 
 
 def pagerank(graph: SentenceGraph, personalization: Sequence[float],
@@ -115,19 +150,55 @@ def pagerank(graph: SentenceGraph, personalization: Sequence[float],
     is the exact solution of ``(I - (1 - teleport) M^T) s = teleport * p``,
     which is nonsingular for any teleport in (0, 1).
     """
-    if not 0.0 < teleport < 1.0:
-        raise ValueError(f"teleport probability must be in (0, 1), got {teleport}")
+    _check_teleport(teleport)
     n = graph.size
     p = np.asarray(personalization, dtype=float)
     if p.shape != (n,):
         raise ValueError(f"personalization must have one weight per token ({n}), got shape {p.shape}")
     if np.any(p < 0.0) or abs(float(p.sum()) - 1.0) > 1e-9:
         raise ValueError("personalization must be a probability distribution summing to 1")
+    return tuple(_walk_scores(graph.counts[None], p[None], teleport)[0].tolist())
 
-    out_totals = graph.counts.sum(axis=1, keepdims=True)
-    walk = np.where(out_totals > 0, graph.counts / np.maximum(out_totals, 1), p)
-    scores = np.linalg.solve(np.eye(n) - (1.0 - teleport) * walk.T, teleport * p)
-    return tuple(scores.tolist())
+
+# Whether each tag id is a content tag.
+_CONTENT = np.array([is_content(tag) for tag in TAG_IDS])
+
+
+def content_ranks(sentences: Sequence[Sentence], tags: np.ndarray, counts: np.ndarray,
+                  mode: str = "udp", *, teleport: float = DEFAULT_TELEPORT,
+                  predicate_weight: float = DEFAULT_PREDICATE_WEIGHT
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Rank the content words of a stack of equal-length sentences.
+
+    ``tags`` and ``counts`` are the stack's ``tag_ids`` and ``rule_counts``.
+    Returns ``(ranks, scores)``: ``ranks[b, i]`` is the place of token i + 1
+    of sentence b in its content order, and n for function words, except
+    that a sentence with no content words ranks its predicate 0.  ``scores``
+    holds the walk scores in ``udp`` mode and is None in ``udp-nopr`` mode.
+    """
+    stack, n = tags.shape
+    content = _CONTENT[tags]
+    predicates = np.array([estimate_main_predicate(s) for s in sentences]) - 1
+    if mode == "udp":
+        p = _teleport_vectors(predicates, n, predicate_weight)
+        _check_teleport(teleport)
+        scores = _walk_scores(counts, p, teleport)
+        keys = np.zeros((stack, n))
+        keys[content] = [-round(score, _SCORE_DECIMALS) for score in scores[content].tolist()]
+        # Content words first, then descending rounded score; lexsort is
+        # stable, so ties and all function words keep sentence order.
+        order = np.lexsort((keys, ~content))
+    elif mode == "udp-nopr":
+        scores = None
+        order = np.argsort(~content, axis=1, kind="stable")
+    else:
+        raise ValueError(f"unknown ranking mode {mode!r}")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(n), axis=1)
+    ranks[~content] = n
+    no_content = ~content.any(axis=1)
+    ranks[no_content, predicates[no_content]] = 0
+    return ranks, scores
 
 
 def rank(sentence: Sentence, ruleset: RuleSet, mode: str = "udp", *,
@@ -139,18 +210,12 @@ def rank(sentence: Sentence, ruleset: RuleSet, mode: str = "udp", *,
     (after rounding away float noise) broken by sentence position;
     ``udp-nopr`` mode keeps them in sentence order and computes no scores.
     """
-    content = [t.index for t in sentence.tokens if is_content(t.upos)]
+    tags = tag_ids([sentence])
+    ranks, scores = content_ranks([sentence], tags, rule_counts(tags, ruleset), mode,
+                                  teleport=teleport, predicate_weight=predicate_weight)
+    places = ranks[0].tolist()
+    content = sorted((t.index for t in sentence.tokens if is_content(t.upos)),
+                     key=lambda i: places[i - 1])
     function = tuple(t.index for t in sentence.tokens if not is_content(t.upos))
-    predicate = estimate_main_predicate(sentence)
-
-    if mode == "udp":
-        graph = build_graph(sentence, ruleset)
-        weights = personalization_vector(sentence, predicate, weight=predicate_weight)
-        scores = pagerank(graph, weights, teleport)
-        content.sort(key=lambda i: (-round(scores[i - 1], _SCORE_DECIMALS), i))
-    elif mode == "udp-nopr":
-        scores = None
-    else:
-        raise ValueError(f"unknown ranking mode {mode!r}")
-
-    return RankedSentence(sentence, scores, tuple(content), function, predicate)
+    return RankedSentence(sentence, None if scores is None else tuple(scores[0].tolist()),
+                          tuple(content), function, estimate_main_predicate(sentence))

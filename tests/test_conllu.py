@@ -137,6 +137,17 @@ class TestWrite:
         with pytest.raises(ConlluError, match="token 1 .*tab or newline"):
             format_conllu([sentence])
 
+    @pytest.mark.parametrize("meta, comments", [
+        ({"text": "two\nlines"}, ()), ({"text": "carriage\rreturn"}, ()),
+        ({"two\nlines": "key"}, ()), ({}, ("# text = two\nlines",)),
+        ({"text": "fine"}, ("# text = fine", "# note\r"))])
+    def test_comment_with_line_break_is_an_error(self, meta, comments):
+        token = Token(1, "a", "NOUN", pred_head=0)
+        fine = Sentence((token,), meta={"text": "fine"})
+        broken = Sentence((token,), meta=meta, comments=comments)
+        with pytest.raises(ConlluError, match="sentence 2: comment .* line break"):
+            format_conllu([fine, broken])
+
     def test_meta_synthesized_when_no_raw_comments(self):
         sentence = make_sentence(["NOUN"], meta={"genre": "legal"})
         out = format_conllu([replace_pred(sentence, {1: 0})])

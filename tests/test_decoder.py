@@ -1,11 +1,14 @@
 import itertools
 import random
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from udparse.conllu import DependencyTree, validate_tree
-from udparse.decoder import apply_final_punct_heuristic, decode
+from udparse import decoder
+from udparse.cli import parse_corpus
+from udparse.conllu import validate_tree
+from udparse.decoder import decode
 from udparse.ranker import build_graph, rank
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, NAIVE_RULESET,
                            FREE_POLICY, UPOS_TAGS, Direction, is_content)
@@ -129,32 +132,32 @@ class TestFinalPunctHeuristic:
     def test_no_change_when_last_token_not_punct(self):
         tree, _ = decode_tags(["NOUN", "VERB", "NOUN"])
         assert tree.heads[3] == 2  # normal attachment, not the heuristic
-        before = DependencyTree({1: 2, 2: 0, 3: 2})
-        after = apply_final_punct_heuristic(before, make_sentence(["NOUN", "VERB", "NOUN"]))
-        assert after == before
+        # The final DET keeps its closest head although the root is token 1.
+        tree, _ = decode_tags(["VERB", "NOUN", "DET"])
+        assert tree.heads == {1: 0, 2: 1, 3: 2}
 
     def test_initial_punct_is_untouched(self):
         tree, _ = decode_tags(["PUNCT", "NOUN"])
         assert tree.heads == {1: 2, 2: 0}
 
     def test_lone_punct_does_not_self_attach(self):
-        tree = apply_final_punct_heuristic(DependencyTree({1: 0}), make_sentence(["PUNCT"]))
-        assert tree.heads == {1: 0}
+        for mode in ("udp", "udp-nopr"):
+            tree, _ = decode_tags(["PUNCT"], mode=mode)
+            assert tree.heads == {1: 0}
 
     def test_heuristic_applies_to_last_token_only_over_all_tag_pairs(self):
-        # Exhaustive over two-token sentences: the heuristic can only ever
-        # change the final token, and only when that token is PUNCT.
+        # Exhaustive over two tags followed by PUNCT or CONJ.  Neither final
+        # tag takes part in any rule and both attach leftward, so the two
+        # sentences rank and decode alike except for the heuristic, which
+        # may only move the final PUNCT, and only to the root's dependent.
         for first, second in itertools.product(ALL_TAGS, repeat=2):
-            sentence = make_sentence([first, second])
-            ranked = rank(sentence, DEFAULT_RULESET)
-            tree = decode(ranked, DEFAULT_RULESET, ADP_RIGHT)
-            assert validate_tree(sentence, tree) == []
-            undone = apply_final_punct_heuristic(tree, sentence)
-            assert undone == tree  # idempotent
-            if second != "PUNCT":
-                continue
-            roots = tree.root_dependents()
-            assert tree.heads[2] == roots[0] or 2 == roots[0]
+            punct, sentence = decode_tags([first, second, "PUNCT"])
+            conj, _ = decode_tags([first, second, "CONJ"])
+            assert validate_tree(sentence, punct) == []
+            assert punct.heads[1] == conj.heads[1] and punct.heads[2] == conj.heads[2]
+            roots = punct.root_dependents()
+            assert len(roots) == 1 and roots[0] != 3
+            assert punct.heads[3] == roots[0]
 
 
 @given(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=12))
@@ -194,3 +197,47 @@ def test_decode_matches_sequential_oracle(tags):
                                            ranked.predicate_index, ruleset.pairs, directions)
             assert tuple(tree.heads[i] for i in range(1, len(used) + 1)) == expected, \
                 (used, policy, mode)
+
+
+# parse_corpus ranks and decodes a stack of equal-length sentences at a
+# time; per sentence its heads must be the sequential decode of the
+# one-sentence ranking.  Corpora mix repeated and interleaved lengths.  With
+# a cap of 32 stacked elements, 4-token sentences go two to a stack, 3-token
+# ones three, and from 6 tokens on one, so stack boundaries and the restore
+# of input order are crossed too.
+SMALL_STACKS = 32
+CORPUS_SETTINGS = (
+    (DEFAULT_RULESET, ADP_RIGHT, "right", False),
+    (DEFAULT_RULESET, ADP_LEFT, "left", False),
+    (NAIVE_RULESET, FREE_POLICY, "right", True),
+)
+
+
+@given(st.lists(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=8),
+                min_size=1, max_size=16))
+@example(corpus=[["PUNCT"], ["NOUN", "VERB", "PUNCT"], ["DET", "PUNCT"], ["VERB"],
+                 ["ADP", "AUX", "DET"], ["PROPN", "ADP", "NOUN", "PUNCT"], ["PUNCT"],
+                 ["DET", "NOUN", "VERB", "PUNCT"], ["ADJ", "NOUN", "NOUN"],
+                 ["NOUN", "ADP", "PROPN", "PUNCT"], ["SCONJ", "PRON", "VERB", "ADV"],
+                 ["CONJ", "PART", "SYM", "INTJ", "NUM", "X"], ["NOUN", "NOUN", "NOUN", "NOUN"],
+                 ["DET", "PUNCT"], ["ADV", "ADJ", "NOUN", "VERB", "PUNCT"]])
+@settings(derandomize=True, max_examples=120, deadline=None)
+def test_parse_corpus_matches_sequential_oracle_per_sentence(corpus):
+    for ruleset, policy, adp_direction, naive in CORPUS_SETTINGS:
+        used = [["CONTENT" if is_content(tag) else "FUNCTION" for tag in tags]
+                for tags in corpus] if naive else corpus
+        sentences = [make_sentence(tags) for tags in used]
+        directions = {tag: side.value for tag, side in policy.directions.items()}
+        for mode in ("udp", "udp-nopr"):
+            expected = []
+            for tags, sentence in zip(used, sentences):
+                ranked = rank(sentence, ruleset, mode)
+                expected.append(closest_first_heads(
+                    tags, ranked.content_order, ranked.function_order,
+                    ranked.predicate_index, ruleset.pairs, directions))
+            for cap in (decoder._STACK_ELEMENTS, SMALL_STACKS):
+                with mock.patch.object(decoder, "_STACK_ELEMENTS", cap):
+                    parsed = parse_corpus(sentences, mode=mode, adp_direction=adp_direction,
+                                          ruleset=ruleset, policy=policy)
+                got = [tuple(token.pred_head for token in sentence) for sentence in parsed]
+                assert got == expected, (used, policy, mode, cap)

@@ -1,7 +1,10 @@
-"""Byte-for-byte pins of ``udparse parse`` on the bundled sample.
+"""Byte-for-byte pins of ``udparse parse`` on the bundled corpora.
 
 Each case pins the sha256 of stdout, which holds relation labels, comments,
 and range and empty-node lines as well as heads, and the exact stderr text.
+``mixed_lengths.conllu`` holds 40 sentences of 1 to 17 tokens whose lengths
+repeat out of order, so a parser that groups sentences by length and writes
+them back in another order changes its pins.
 """
 
 import hashlib
@@ -13,6 +16,7 @@ from udparse.cli import main
 
 DATA = Path(__file__).parent / "data"
 SAMPLE_PATH = DATA / "sample.conllu"
+MIXED_PATH = DATA / "mixed_lengths.conllu"
 
 _BASELINE_LINE = "baseline well-formed trees: 3/3 (100.00)\n"
 
@@ -50,3 +54,23 @@ def test_parse_output_is_byte_identical(case, capsys):
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha256, \
         captured.out
     assert captured.err == stderr
+
+
+MIXED_GOLDEN = {
+    "udp": (["--mode", "udp"],
+            "b2aca63f41c7e0ed4b799a8eeeee17f267794a57d5b178a9b60bb1c600862bad"),
+    "udp-nopr": (["--mode", "udp-nopr"],
+                 "b8c03f6ad6b109626e94dafc7b5550332cb37eab2025a437041c277d0203344f"),
+    "naive": (["--pos", "naive"],
+              "c961651a4ba9bfc79f9ba801aca9403aafa24a88392c69d4a0ccdd893404a5f0"),
+}
+
+
+@pytest.mark.parametrize("case", list(MIXED_GOLDEN))
+def test_mixed_lengths_output_is_byte_identical(case, capsys):
+    options, stdout_sha256 = MIXED_GOLDEN[case]
+    assert main(["parse", str(MIXED_PATH), *options]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha256, \
+        captured.out
+    assert captured.err == ""
