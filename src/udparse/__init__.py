@@ -11,13 +11,11 @@ from .cli import best_baseline_direction, main, parse_corpus
 from .conllu import (ConlluError, DependencyTree, Sentence, Token,
                      format_conllu, parse_conllu, read_conllu, validate_tree,
                      write_conllu)
-from .decoder import decode, decode_corpus
+from .decoder import decode_corpus
 from .direction import AdpDirectionEstimate, estimate_adp_direction
 from .evaluation import (AlignmentError, DomainReport, EvalReport,
                          domain_report, error_propagation, uas)
-from .ranker import (RankedSentence, SentenceGraph, build_graph,
-                     estimate_main_predicate, pagerank, personalization_vector,
-                     rank)
+from .ranker import estimate_main_predicate
 from .rules import (CONTENT_TAGS, DEFAULT_POLICY, DEFAULT_RULESET,
                     FREE_POLICY, KNOWN_TAGS, NAIVE_RULESET, NOMINAL_TAGS,
                     UPOS_TAGS, Direction, DirectionPolicy, RuleSet,

@@ -107,8 +107,8 @@ def _probability(text: str) -> float:
 
 def _positive(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text}")
     return value
 
 

@@ -15,8 +15,10 @@ from typing import Iterable, Iterator, Mapping, TextIO
 
 from .rules import KNOWN_TAGS, is_content
 
-_RANGE_ID = re.compile(r"\d+-\d+")
-_EMPTY_NODE_ID = re.compile(r"\d+\.\d+")
+# ASCII digits only, here and in the isascii-and-isdigit checks of ids and
+# heads: ``\d`` and ``str.isdigit`` alone also take other scripts' digits.
+_RANGE_ID = re.compile(r"[0-9]+-[0-9]+")
+_EMPTY_NODE_ID = re.compile(r"[0-9]+\.[0-9]+")
 
 
 class ConlluError(ValueError):
@@ -156,7 +158,7 @@ def read_conllu(source: TextIO | Iterable[str]) -> list[Sentence]:
         if _RANGE_ID.fullmatch(token_id) or _EMPTY_NODE_ID.fullmatch(token_id):
             extras.append((len(tokens), line))
             continue
-        if not token_id.isdigit():
+        if not (token_id.isascii() and token_id.isdigit()):
             raise ConlluError(f"line {line_no}: invalid token id {token_id!r}")
         index = int(token_id)
         if index != len(tokens) + 1:
@@ -169,7 +171,7 @@ def read_conllu(source: TextIO | Iterable[str]) -> list[Sentence]:
         head_column = columns[6]
         if head_column == "_":
             gold_head = None
-        elif head_column.isdigit():
+        elif head_column.isascii() and head_column.isdigit():
             gold_head = int(head_column)
         else:
             raise ConlluError(

@@ -10,9 +10,9 @@ sentence-final punctuation is then re-attached to it.
 
 Once the ranking is known every attachment is independent of the others, so
 a sentence is decoded as one argmin per row of a dependent-by-head cost
-matrix.  ``decode_corpus`` groups sentences of equal length into stacks and
-ranks and decodes each stack with one ``(B, n, n)`` solve and one argmin;
-``decode`` runs the same kernel on a stack of one.
+matrix.  ``decode_corpus``, the one entry to ranking and decoding, groups
+sentences of equal length into stacks and ranks and decodes each stack with
+one ``(B, n, n)`` solve and one argmin; a single sentence is a stack of one.
 """
 
 from collections import defaultdict
@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .conllu import DependencyTree, Sentence
-from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, RankedSentence,
-                     content_ranks, rule_counts, tag_ids)
+from .conllu import Sentence
+from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, content_ranks,
+                     rule_counts, tag_ids)
 from .rules import DEFAULT_POLICY, DEFAULT_RULESET, TAG_IDS, DirectionPolicy, RuleSet
 
 # Most ``B * n * n`` elements in one stack, which bounds the memory of the
@@ -55,9 +55,11 @@ def decode_corpus(sentences: Sequence[Sentence], ruleset: RuleSet = DEFAULT_RULE
                   predicate_weight: float = DEFAULT_PREDICATE_WEIGHT) -> list[list[int]]:
     """Rank and decode every sentence; heads per sentence, in input order.
 
-    Gives the heads of ``decode(rank(sentence, ruleset, mode, ...), ruleset,
-    policy)`` for each sentence, computed one stack of equal-length
-    sentences at a time.
+    The one entry to ranking and decoding, also for a single sentence
+    (``decode_corpus([sentence], ...)[0]``).  Sentences are ranked by
+    ``ranker.content_ranks`` in ``mode`` and decoded by ``_heads`` under the
+    cost rule it documents, one stack of equal-length sentences at a time.
+    Heads are 1-based, 0 for the root.
     """
     by_length: dict[int, list[int]] = defaultdict(list)
     for position, sentence in enumerate(sentences):
@@ -70,8 +72,8 @@ def decode_corpus(sentences: Sequence[Sentence], ruleset: RuleSet = DEFAULT_RULE
             members = [sentences[position] for position in stack]
             tags = tag_ids(members)
             counts = rule_counts(tags, ruleset)
-            ranks, _ = content_ranks(members, tags, counts, mode, teleport=teleport,
-                                     predicate_weight=predicate_weight)
+            ranks = content_ranks(members, tags, counts, mode, teleport=teleport,
+                                  predicate_weight=predicate_weight)
             licensed = counts > 0
             del counts
             for position, row in zip(stack, _heads(tags, ranks, licensed, policy).tolist()):
@@ -79,42 +81,30 @@ def decode_corpus(sentences: Sequence[Sentence], ruleset: RuleSet = DEFAULT_RULE
     return heads
 
 
-def decode(ranked: RankedSentence, ruleset: RuleSet = DEFAULT_RULESET,
-           policy: DirectionPolicy = DEFAULT_POLICY) -> DependencyTree:
-    """Build the dependency tree for a ranked sentence.
-
-    Each word attaches to the cheapest head among the content words ranked
-    above it; function words may attach to any content word.  The cost of
-    head h for dependent d is ``tier * 4n + 2|h - d| + [h > d]``: tier 0
-    when the rules license the pair and h lies on d's allowed side, tier 1
-    when only the side holds, tier 2 otherwise.  So a lower tier always
-    wins, then the closer head, then the leftward one on a distance tie.
-    The top-ranked content word attaches to the root.  A sentence with no
-    content words ranks its fallback predicate first so the function words
-    still have a head.  Sentence-final PUNCT then attaches to the root's
-    dependent, unless it is that word.
-    """
-    n = len(ranked.sentence)
-    tags = tag_ids([ranked.sentence])
-    order = ranked.content_order or (ranked.predicate_index,)
-    ranks = np.full((1, n), n)
-    ranks[0, np.array(order) - 1] = np.arange(len(order))
-    heads = _heads(tags, ranks, rule_counts(tags, ruleset) > 0, policy)[0]
-    return DependencyTree(dict(zip(range(1, n + 1), heads.tolist())))
-
-
 def _heads(tags: np.ndarray, ranks: np.ndarray, licensed: np.ndarray,
            policy: DirectionPolicy) -> np.ndarray:
     """``(B, n)`` 1-based heads (0 for the root) of a decoded stack.
 
-    ``ranks`` places each token in its sentence's order, 0 for the word
-    that takes the root; ``licensed[b, d, h]`` says the rules allow head h
-    for dependent d.
+    ``ranks`` places each token in its sentence's order (``content_ranks``),
+    0 for the word that takes the root; ``licensed[b, d, h]`` says the rules
+    allow head h for dependent d.
+
+    Each word attaches to the cheapest head among the content words ranked
+    above it; function words rank n, so they may attach to any content word
+    and never head one.  The cost of head h for dependent d is
+    ``tier * 4n + 2|h - d| + [h > d]``: tier 0 when the rules license the
+    pair and h lies on d's allowed side, tier 1 when only the side holds,
+    tier 2 otherwise, and tier 3 (never chosen) when h is not ranked above
+    d.  So a lower tier always wins, then the closer head, then the
+    leftward one on a distance tie.  The word ranked 0 attaches to the root:
+    the top content word, or, in a sentence with no content words, its
+    fallback predicate, so the function words still have a head.
+    Sentence-final PUNCT then attaches to the root's dependent, unless it
+    is that word.
     """
     stack, n = tags.shape
     offsets, distance_costs = _geometry(n)
     directed = policy.sides[tags][:, :, None] * offsets >= 0
-    # Tier 3 marks heads not ranked above the dependent: never chosen.
     tiers = np.where(ranks[:, :, None] <= ranks[:, None, :], 3, 2 - directed * (1 + licensed))
     del directed
     heads = (tiers * (4 * n) + distance_costs).argmin(axis=2) + 1

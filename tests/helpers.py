@@ -1,6 +1,8 @@
 """Shared fixtures: quick sentence construction and the worked example."""
 
 from udparse.conllu import Sentence, Token
+from udparse.ranker import estimate_main_predicate
+from udparse.rules import is_content
 
 EXAMPLE_TAGS = ("PRON", "ADV", "VERB", "DET", "ADJ", "NOUN", "ADP", "DET", "NOUN")
 EXAMPLE_FORMS = ("They", "also", "had", "a", "special", "connection",
@@ -18,6 +20,16 @@ def make_sentence(tags, forms=None, heads=None, meta=None) -> Sentence:
         Token(index=i + 1, form=forms[i], upos=tags[i], gold_head=heads[i])
         for i in range(len(tags)))
     return Sentence(tokens, meta=dict(meta or {}))
+
+
+def rank_orders(sentence, ranks):
+    """``(content_order, function_order, predicate)`` of one sentence's row
+    of ``ranker.content_ranks``, as ``oracles.closest_first_heads`` takes
+    them: content indices by rank, function indices in sentence order."""
+    content = sorted((t.index for t in sentence if is_content(t.upos)),
+                     key=lambda index: ranks[index - 1])
+    function = tuple(t.index for t in sentence if not is_content(t.upos))
+    return tuple(content), function, estimate_main_predicate(sentence)
 
 
 def example_sentence() -> Sentence:

@@ -10,21 +10,22 @@ import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from udparse.baselines import baseline_parse
 from udparse.cli import main, parse_corpus
-from udparse.conllu import parse_conllu, validate_tree
-from udparse.decoder import decode
+from udparse.conllu import DependencyTree, parse_conllu, validate_tree
+from udparse.decoder import decode_corpus
 from udparse.direction import estimate_adp_direction
 from udparse.evaluation import domain_report, error_propagation, uas
-from udparse.ranker import (build_graph, estimate_main_predicate,
-                            personalization_vector, rank)
+from udparse.ranker import (_teleport_vectors, _walk_scores, content_ranks,
+                            estimate_main_predicate, rule_counts, tag_ids)
 from udparse.rules import DEFAULT_POLICY, DEFAULT_RULESET, UPOS_TAGS, Direction
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FORMS, EXAMPLE_HEADS,
                      EXAMPLE_IN_DEGREES, example_conllu, example_sentence,
-                     make_sentence)
+                     make_sentence, rank_orders)
 from oracles import (attachment_counts, mean_and_population_std,
                      per_pos_counts, power_iteration, rule_edges)
 
@@ -71,22 +72,28 @@ def test_criterion_1_golden_tree_end_to_end(tmp_path, capsys):
 
 
 def test_criterion_2_golden_graph_in_degrees():
-    graph = build_graph(example_sentence(), DEFAULT_RULESET)
-    assert graph.in_degrees == EXAMPLE_IN_DEGREES
-    report_pass(2, f"in-degrees {graph.in_degrees} match the reference row")
+    counts = rule_counts(tag_ids([example_sentence()]), DEFAULT_RULESET)[0]
+    in_degrees = tuple(counts.sum(axis=0).tolist())
+    assert in_degrees == EXAMPLE_IN_DEGREES
+    report_pass(2, f"in-degrees {in_degrees} match the reference row")
 
 
 def test_criterion_3_golden_ranking_and_score_agreement():
     sentence = example_sentence()
-    ranked = rank(sentence, DEFAULT_RULESET, teleport=0.05, predicate_weight=5.0)
-    assert ranked.content_order == EXAMPLE_CONTENT_ORDER
-    content_forms = [EXAMPLE_FORMS[i - 1] for i in ranked.content_order]
+    tags = tag_ids([sentence])
+    counts = rule_counts(tags, DEFAULT_RULESET)
+    ranks = content_ranks([sentence], tags, counts, teleport=0.05, predicate_weight=5.0)
+    content_order = rank_orders(sentence, ranks[0].tolist())[0]
+    assert content_order == EXAMPLE_CONTENT_ORDER
+    content_forms = [EXAMPLE_FORMS[i - 1] for i in content_order]
     assert content_forms == ["had", "connection", "extremists", "special"]
 
-    weights = personalization_vector(sentence, estimate_main_predicate(sentence))
+    predicate = estimate_main_predicate(sentence) - 1
+    scores = _walk_scores(counts, _teleport_vectors(np.array([predicate]), 9, 5.0), 0.05)
+    weights = [(5.0 if i == predicate else 1.0) / 13 for i in range(9)]
     edges = rule_edges([t.upos for t in sentence], DEFAULT_RULESET.pairs)
     reference = power_iteration(len(sentence), edges, weights)
-    worst = max(abs(a - b) for a, b in zip(ranked.scores, reference))
+    worst = max(abs(a - b) for a, b in zip(scores[0].tolist(), reference))
     assert worst < 1e-10, f"scores diverge from dense power iteration by {worst}"
     report_pass(3, f"content ranking reproduced; score gap vs oracle {worst:.2e}")
 
@@ -109,12 +116,13 @@ def test_criterion_4_structural_suite_over_ten_thousand_sentences():
     for case_number, tags in enumerate(cases):
         sentence = make_sentence(tags)
         policy = policies[case_number % len(policies)]
-        tree = decode(rank(sentence, DEFAULT_RULESET), DEFAULT_RULESET, policy)
+        (heads,) = decode_corpus([sentence], DEFAULT_RULESET, policy)
+        tree = DependencyTree(dict(enumerate(heads, start=1)))
         assert validate_tree(sentence, tree) == [], f"invalid tree for tags {tags}"
         if case_number % 7 == 0:
             renamed = make_sentence(tags, forms=tuple(f"alt{i}" for i in range(len(tags))))
-            again = decode(rank(renamed, DEFAULT_RULESET), DEFAULT_RULESET, policy)
-            assert again.heads == tree.heads, f"nondeterministic decode for {tags}"
+            assert decode_corpus([renamed], DEFAULT_RULESET, policy) == [heads], \
+                f"nondeterministic decode for {tags}"
         checked += 1
     elapsed = time.perf_counter() - started
     assert checked >= 10_000

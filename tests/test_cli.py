@@ -208,6 +208,13 @@ class TestParseCommand:
         code, _, _ = run(["parse", "--teleport", "1.5"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("weight", ["inf", "nan", "0"])
+    def test_bad_personalization_weight_exits_one(self, weight, capsys):
+        code, _, err = run(["parse", str(SAMPLE_PATH), "--personalization-weight", weight],
+                           capsys)
+        assert code == 1
+        assert "personalization-weight" in err
+
 
 class TestEvalCommand:
     def test_identical_files_print_one_hundred(self, tmp_path, capsys):
@@ -323,6 +330,11 @@ class TestLibraryPipeline:
     def test_parse_corpus_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             parse_corpus([make_sentence(["NOUN"])], mode="bogus")
+
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+    def test_parse_corpus_rejects_non_finite_personalization_weight(self, weight):
+        with pytest.raises(ValueError, match="personalization weight"):
+            parse_corpus([make_sentence(["NOUN", "VERB"])], personalization_weight=weight)
 
     def test_backoff_direction_enum(self):
         corpus = [make_sentence(["NOUN", "VERB", "NOUN"])]

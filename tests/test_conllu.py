@@ -72,6 +72,12 @@ class TestRead:
         ("1\tx\t_\tBOGUS\t_\t_\t0\t_\t_\t_", "UPOS"),
         ("1\tx\t_\tNOUN\t_\t_\t-1\t_\t_\t_", "head"),
         ("1\tx\t_\tNOUN\t_\t_\t3.5\t_\t_\t_", "head"),
+        # Only ASCII digits are ids and heads: an Arabic-Indic one, an
+        # Arabic-Indic zero and a superscript two are not.
+        ("\u0661\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_", "token id"),
+        ("\u0661-2\tx\t_\t_\t_\t_\t_\t_\t_\t_", "token id"),
+        ("1\tx\t_\tNOUN\t_\t_\t\u0660\t_\t_\t_", "head"),
+        ("1\tx\t_\tNOUN\t_\t_\t\u00b2\t_\t_\t_", "head"),
     ])
     def test_malformed_lines_name_the_line(self, bad_line, fragment):
         text = "1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n" + bad_line + "\n"

@@ -2,18 +2,19 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udparse import decoder
 from udparse.cli import parse_corpus
-from udparse.conllu import validate_tree
-from udparse.decoder import decode
-from udparse.ranker import build_graph, rank
+from udparse.conllu import DependencyTree, validate_tree
+from udparse.decoder import decode_corpus
+from udparse.ranker import content_ranks, rule_counts, tag_ids
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, NAIVE_RULESET,
                            FREE_POLICY, UPOS_TAGS, Direction, is_content)
 
-from helpers import EXAMPLE_HEADS, example_sentence, make_sentence
+from helpers import EXAMPLE_HEADS, example_sentence, make_sentence, rank_orders
 from oracles import closest_first_heads, rule_edges
 
 ADP_RIGHT = DEFAULT_POLICY.with_direction("ADP", Direction.RIGHT)
@@ -21,9 +22,22 @@ ADP_LEFT = DEFAULT_POLICY.with_direction("ADP", Direction.LEFT)
 ALL_TAGS = sorted(UPOS_TAGS)
 
 
+def decode_one(sentence, policy=ADP_RIGHT, mode="udp", ruleset=DEFAULT_RULESET):
+    """One sentence's tree, decoded as a stack of one."""
+    (heads,) = decode_corpus([sentence], ruleset, policy, mode)
+    return DependencyTree(dict(enumerate(heads, start=1)))
+
+
 def decode_tags(tags, policy=ADP_RIGHT, mode="udp", forms=None):
     sentence = make_sentence(tags, forms)
-    return decode(rank(sentence, DEFAULT_RULESET, mode), DEFAULT_RULESET, policy), sentence
+    return decode_one(sentence, policy, mode), sentence
+
+
+def orders_of(sentence, ruleset=DEFAULT_RULESET, mode="udp"):
+    """``rank_orders`` of one sentence ranked as a stack of one."""
+    tags = tag_ids([sentence])
+    ranks = content_ranks([sentence], tags, rule_counts(tags, ruleset), mode)
+    return rank_orders(sentence, ranks[0].tolist())
 
 
 class TestAttach:
@@ -31,14 +45,13 @@ class TestAttach:
 
     def test_det_skips_left_heads_and_takes_closest_right(self):
         # DET 4 may take any content word; 3 lies on its forbidden left side.
-        tree = decode(rank(example_sentence(), DEFAULT_RULESET), DEFAULT_RULESET, ADP_RIGHT)
+        tree = decode_one(example_sentence())
         assert tree.heads[4] == 6
 
     def test_closest_licensed_head_wins(self):
         # NOUN 9 ranks third, after 3 and 6; both license it, 6 is closer.
-        ranked = rank(example_sentence(), DEFAULT_RULESET)
-        assert ranked.content_order[:3] == (3, 6, 9)
-        assert decode(ranked, DEFAULT_RULESET, ADP_RIGHT).heads[9] == 6
+        assert orders_of(example_sentence())[0][:3] == (3, 6, 9)
+        assert decode_one(example_sentence()).heads[9] == 6
 
     def test_lone_punct_reaches_root_through_backoff(self):
         tree, _ = decode_tags(["PUNCT"], DEFAULT_POLICY)
@@ -102,16 +115,16 @@ class TestDecode:
         for _ in range(200):
             tags = [rng.choice(ALL_TAGS) for _ in range(rng.randint(1, 14))]
             sentence = make_sentence(tags)
-            ranked = rank(sentence, DEFAULT_RULESET)
-            tree = decode(ranked, DEFAULT_RULESET, ADP_RIGHT)
-            order = {index: position for position, index in enumerate(ranked.content_order)}
-            for position, index in enumerate(ranked.content_order):
+            content_order = orders_of(sentence)[0]
+            tree = decode_one(sentence)
+            order = {index: position for position, index in enumerate(content_order)}
+            for position, index in enumerate(content_order):
                 head = tree.heads[index]
                 assert head == 0 or order[head] < position
 
     def test_naive_tags_decode_with_naive_tables(self):
         sentence = make_sentence(["FUNCTION", "CONTENT", "CONTENT", "FUNCTION"])
-        tree = decode(rank(sentence, NAIVE_RULESET), NAIVE_RULESET, FREE_POLICY)
+        tree = decode_one(sentence, FREE_POLICY, ruleset=NAIVE_RULESET)
         assert validate_tree(sentence, tree) == []
 
     def test_known_non_projective_output_is_kept(self):
@@ -164,9 +177,8 @@ class TestFinalPunctHeuristic:
 @settings(max_examples=150, deadline=None)
 def test_reading_order_decode_always_yields_valid_trees(tags):
     sentence = make_sentence(tags)
-    ranked = rank(sentence, DEFAULT_RULESET, "udp-nopr")
     for policy in (ADP_RIGHT, ADP_LEFT, DEFAULT_POLICY):
-        tree = decode(ranked, DEFAULT_RULESET, policy)
+        tree = decode_one(sentence, policy, "udp-nopr")
         assert validate_tree(sentence, tree) == []
 
 
@@ -188,15 +200,16 @@ def test_decode_matches_sequential_oracle(tags):
     for ruleset, policy, naive in ORACLE_SETTINGS:
         used = ["CONTENT" if is_content(tag) else "FUNCTION" for tag in tags] if naive else tags
         sentence = make_sentence(used)
-        assert build_graph(sentence, ruleset).edges == tuple(rule_edges(used, ruleset.pairs))
+        edges = np.zeros((len(used), len(used)), dtype=int)
+        for dependent, head in rule_edges(used, ruleset.pairs):
+            edges[dependent - 1, head - 1] += 1
+        assert (rule_counts(tag_ids([sentence]), ruleset)[0] == edges).all()
         directions = {tag: side.value for tag, side in policy.directions.items()}
         for mode in ("udp", "udp-nopr"):
-            ranked = rank(sentence, ruleset, mode)
-            tree = decode(ranked, ruleset, policy)
-            expected = closest_first_heads(used, ranked.content_order, ranked.function_order,
-                                           ranked.predicate_index, ruleset.pairs, directions)
-            assert tuple(tree.heads[i] for i in range(1, len(used) + 1)) == expected, \
-                (used, policy, mode)
+            (heads,) = decode_corpus([sentence], ruleset, policy, mode)
+            expected = closest_first_heads(used, *orders_of(sentence, ruleset, mode),
+                                           ruleset.pairs, directions)
+            assert tuple(heads) == expected, (used, policy, mode)
 
 
 # parse_corpus ranks and decodes a stack of equal-length sentences at a
@@ -231,10 +244,8 @@ def test_parse_corpus_matches_sequential_oracle_per_sentence(corpus):
         for mode in ("udp", "udp-nopr"):
             expected = []
             for tags, sentence in zip(used, sentences):
-                ranked = rank(sentence, ruleset, mode)
                 expected.append(closest_first_heads(
-                    tags, ranked.content_order, ranked.function_order,
-                    ranked.predicate_index, ruleset.pairs, directions))
+                    tags, *orders_of(sentence, ruleset, mode), ruleset.pairs, directions))
             for cap in (decoder._STACK_ELEMENTS, SMALL_STACKS):
                 with mock.patch.object(decoder, "_STACK_ELEMENTS", cap):
                     parsed = parse_corpus(sentences, mode=mode, adp_direction=adp_direction,

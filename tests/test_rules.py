@@ -2,8 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from udparse.decoder import decode
-from udparse.ranker import rank
+from udparse.decoder import decode_corpus
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY,
                            NAIVE_RULESET, TAG_IDS, UPOS_TAGS,
                            Direction, DirectionPolicy, RuleSet, is_content,
@@ -87,9 +86,8 @@ class TestKappa:
         # The root is not subject to sides: whatever its tag, a one-word
         # sentence attaches to it.
         for tag in ("DET", "PUNCT", "NOUN", "SCONJ"):
-            tree = decode(rank(make_sentence([tag]), DEFAULT_RULESET),
-                          DEFAULT_RULESET, DEFAULT_POLICY)
-            assert tree.heads == {1: 0}
+            heads = decode_corpus([make_sentence([tag])], DEFAULT_RULESET, DEFAULT_POLICY)
+            assert heads == [[0]]
 
     @given(head=st.integers(1, 40), dep=st.integers(1, 40),
            tag=st.sampled_from(sorted(UPOS_TAGS)))
