@@ -6,7 +6,7 @@ words are leaves.  Ships with closest-head and adjacency baselines, a naive
 two-tag POS scenario, and attachment-score evaluation.
 """
 
-from .baselines import adjacency_parse, baseline_parse, naive_pos_tag
+from .baselines import naive_pos_tag
 from .cli import best_baseline_direction, main, parse_corpus
 from .conllu import (ConlluError, DependencyTree, Sentence, Token,
                      format_conllu, parse_conllu, read_conllu, validate_tree,
@@ -15,7 +15,6 @@ from .decoder import decode_corpus
 from .direction import AdpDirectionEstimate, estimate_adp_direction
 from .evaluation import (AlignmentError, DomainReport, EvalReport,
                          domain_report, error_propagation, uas)
-from .ranker import estimate_main_predicate
 from .rules import (CONTENT_TAGS, DEFAULT_POLICY, DEFAULT_RULESET,
                     FREE_POLICY, KNOWN_TAGS, NAIVE_RULESET, NOMINAL_TAGS,
                     UPOS_TAGS, Direction, DirectionPolicy, RuleSet,

@@ -1,11 +1,9 @@
-"""Comparison systems.
+"""Support for the comparison systems.
 
-* closest-head parsing: every word attaches to the nearest token whose tag
-  may head it, falling back to a neighbor; single-rooted but not guaranteed
-  connected;
-* adjacency chains: every word attaches to its left or right neighbor;
-* naive two-tag POS: the 100 most frequent word forms of the input become
-  FUNCTION, everything else CONTENT.
+The closest-head and adjacency baselines are ``decoder.decode_corpus``
+modes.  Here live the check that tells whether a baseline's heads form a
+tree, and the naive two-tag POS scenario: the 100 most frequent word forms
+of the input become FUNCTION, everything else CONTENT.
 """
 
 from collections import Counter
@@ -13,8 +11,6 @@ from dataclasses import replace
 from typing import Sequence
 
 from .conllu import DependencyTree, Sentence, validate_tree
-from .ranker import estimate_main_predicate
-from .rules import Direction, RuleSet
 
 FUNCTION_FORM_COUNT = 100
 
@@ -29,59 +25,6 @@ def forms_tree(sentence: Sentence, heads: dict[int, int]) -> bool:
     """
     violations = validate_tree(sentence, DependencyTree(heads))
     return not any(v in _TREE_CONSTRAINTS for v in violations)
-
-
-def _checked_direction(direction: Direction) -> Direction:
-    if direction not in (Direction.LEFT, Direction.RIGHT):
-        raise ValueError(f"direction must be LEFT or RIGHT, got {direction}")
-    return direction
-
-
-def _neighbor(index: int, n: int, direction: Direction) -> int:
-    # Clamped to the existing neighbor at sentence edges.
-    if direction is Direction.RIGHT:
-        return index + 1 if index < n else index - 1
-    return index - 1 if index > 1 else index + 1
-
-
-def baseline_parse(sentence: Sentence, ruleset: RuleSet,
-                   backoff_direction: Direction = Direction.RIGHT) -> DependencyTree:
-    """Attach every token to its closest rule-licensed head.
-
-    The first verb (else first content word, else the first token) becomes
-    the root's dependent.  Tokens with no licensed head available attach to
-    their immediate neighbor in ``backoff_direction``.  Distance ties go
-    leftward.  The output is single-rooted but may contain cycles among
-    backoff attachments; ``forms_tree`` tells whether it is a tree.
-    """
-    _checked_direction(backoff_direction)
-    n = len(sentence)
-    predicate = estimate_main_predicate(sentence)
-    heads: dict[int, int] = {}
-    for token in sentence.tokens:
-        if token.index == predicate:
-            heads[token.index] = 0
-            continue
-        candidates = [other.index for other in sentence.tokens
-                      if other.index != token.index and ruleset.licenses(other.upos, token.upos)]
-        if candidates:
-            heads[token.index] = min(candidates,
-                                     key=lambda h: (abs(h - token.index), h))
-        else:
-            heads[token.index] = _neighbor(token.index, n, backoff_direction)
-    return DependencyTree(heads)
-
-
-def adjacency_parse(sentence: Sentence,
-                    direction: Direction = Direction.RIGHT) -> DependencyTree:
-    """Attach every token to its neighbor; the edge token takes the root."""
-    _checked_direction(direction)
-    n = len(sentence)
-    if direction is Direction.RIGHT:
-        heads = {i: i + 1 if i < n else 0 for i in range(1, n + 1)}
-    else:
-        heads = {i: i - 1 for i in range(1, n + 1)}
-    return DependencyTree(heads)
 
 
 def naive_pos_tag(corpus: Sequence[Sentence]) -> list[Sentence]:

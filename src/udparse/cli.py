@@ -2,7 +2,8 @@
 
 The parser is training-free, so ``parse`` makes two passes over its input:
 one to estimate the adposition attachment direction from tag bigrams, one to
-rank and decode the sentences, a stack of equal-length ones at a time.  Exit
+parse the sentences, a stack of equal-length ones at a time; the baselines
+skip the first pass and take the second, through the same stacks.  Exit
 status is 0 on success, 1 for usage errors, 2 for data errors.
 """
 
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .baselines import adjacency_parse, baseline_parse, forms_tree, naive_pos_tag
+from .baselines import forms_tree, naive_pos_tag
 from .conllu import Sentence, read_conllu, write_conllu
 from .decoder import decode_corpus
 from .direction import estimate_adp_direction
@@ -22,6 +23,7 @@ from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY,
                     parse_rules)
 
 MODES = ("udp", "udp-nopr", "baseline", "adjacency")
+ADP_DIRECTIONS = ("auto", "left", "right")
 _RANKED_MODES = ("udp", "udp-nopr")
 
 
@@ -34,12 +36,15 @@ def parse_corpus(sentences: Sequence[Sentence], *, mode: str = "udp",
                  policy: DirectionPolicy | None = None) -> list[Sentence]:
     """Run the full pipeline over a corpus; returns sentences with heads set.
 
+    Every mode takes one route: tags, then ``decode_corpus``, then heads.
     ``adp_direction`` is ``auto`` (estimate from the corpus), ``left``, or
-    ``right``; it only matters for the rule-driven modes under the standard
-    tag set, where the direction policy gains an ADP entry.
+    ``right``; it only matters for the ranked modes under the standard tag
+    set, where the direction policy gains an ADP entry.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if adp_direction not in ADP_DIRECTIONS:
+        raise ValueError(f"unknown ADP direction {adp_direction!r}")
     sentences = list(sentences)
     if pos_source == "naive":
         sentences = naive_pos_tag(sentences)
@@ -57,19 +62,11 @@ def parse_corpus(sentences: Sequence[Sentence], *, mode: str = "udp",
     else:
         raise ValueError(f"unknown POS source {pos_source!r}")
 
-    if mode in _RANKED_MODES:
-        heads = decode_corpus(sentences, active_rules, active_policy, mode,
-                              teleport=teleport, predicate_weight=personalization_weight)
-        return [sentence.with_heads(dict(enumerate(row, start=1)))
-                for sentence, row in zip(sentences, heads)]
-    parsed = []
-    for sentence in sentences:
-        if mode == "baseline":
-            tree = baseline_parse(sentence, active_rules, backoff_direction)
-        else:
-            tree = adjacency_parse(sentence, backoff_direction)
-        parsed.append(sentence.with_heads(tree.heads))
-    return parsed
+    heads = decode_corpus(sentences, active_rules, active_policy, mode,
+                          teleport=teleport, predicate_weight=personalization_weight,
+                          backoff_direction=backoff_direction)
+    return [sentence.with_heads(dict(enumerate(row, start=1)))
+            for sentence, row in zip(sentences, heads)]
 
 
 def best_baseline_direction(corpus: Sequence[Sentence], *,
@@ -126,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--mode", choices=MODES, default="udp")
     cmd.add_argument("--pos", choices=("gold-column", "naive"), default="gold-column",
                      help="use the UPOS column or retag by form frequency")
-    cmd.add_argument("--adp-direction", choices=("auto", "left", "right"),
+    cmd.add_argument("--adp-direction", choices=ADP_DIRECTIONS,
                      default="auto", help="adposition attachment side")
     cmd.add_argument("--teleport", type=_probability, default=DEFAULT_TELEPORT)
     cmd.add_argument("--personalization-weight", type=_positive,

@@ -102,9 +102,6 @@ class DependencyTree:
 
     heads: dict[int, int]
 
-    def root_dependents(self) -> tuple[int, ...]:
-        return tuple(sorted(d for d, h in self.heads.items() if h == 0))
-
 
 def read_conllu(source: TextIO | Iterable[str]) -> list[Sentence]:
     """Read CoNLL-U from a line iterable into sentences.

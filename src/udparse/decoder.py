@@ -1,4 +1,4 @@
-"""Two-step tree decoding.
+"""Two-step tree decoding, and the two comparison parsers.
 
 Content words are attached in rank order, each to a content word ranked
 above it; function words then attach to content words only, which keeps
@@ -10,9 +10,11 @@ sentence-final punctuation is then re-attached to it.
 
 Once the ranking is known every attachment is independent of the others, so
 a sentence is decoded as one argmin per row of a dependent-by-head cost
-matrix.  ``decode_corpus``, the one entry to ranking and decoding, groups
+matrix.  ``decode_corpus``, the one entry to parsing in every mode, groups
 sentences of equal length into stacks and ranks and decodes each stack with
 one ``(B, n, n)`` solve and one argmin; a single sentence is a stack of one.
+The closest-head baseline is one argmin over the same distance grid, and an
+adjacency chain is one constant head row per length.
 """
 
 from collections import defaultdict
@@ -21,9 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from .conllu import Sentence
-from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, content_ranks,
-                     rule_counts, tag_ids)
-from .rules import DEFAULT_POLICY, DEFAULT_RULESET, TAG_IDS, DirectionPolicy, RuleSet
+from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, check_walk,
+                     content_ranks, main_predicates, rule_counts, tag_ids)
+from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, TAG_IDS, Direction,
+                    DirectionPolicy, RuleSet)
 
 # Most ``B * n * n`` elements in one stack, which bounds the memory of the
 # stacked arrays; a sentence with more than this many ``n * n`` elements
@@ -31,6 +34,9 @@ from .rules import DEFAULT_POLICY, DEFAULT_RULESET, TAG_IDS, DirectionPolicy, Ru
 _STACK_ELEMENTS = 1 << 16
 
 _PUNCT = TAG_IDS["PUNCT"]
+
+# Index step towards the neighbor on each backoff side.
+_STEPS = {Direction.RIGHT: 1, Direction.LEFT: -1}
 
 # Head-minus-dependent offsets and the distance part of the cost for the
 # longest sentence decoded so far, rebound as one pair so that concurrent
@@ -52,15 +58,22 @@ def _geometry(n: int) -> tuple[np.ndarray, np.ndarray]:
 def decode_corpus(sentences: Sequence[Sentence], ruleset: RuleSet = DEFAULT_RULESET,
                   policy: DirectionPolicy = DEFAULT_POLICY, mode: str = "udp", *,
                   teleport: float = DEFAULT_TELEPORT,
-                  predicate_weight: float = DEFAULT_PREDICATE_WEIGHT) -> list[list[int]]:
-    """Rank and decode every sentence; heads per sentence, in input order.
+                  predicate_weight: float = DEFAULT_PREDICATE_WEIGHT,
+                  backoff_direction: Direction = Direction.RIGHT) -> list[list[int]]:
+    """Parse every sentence in ``mode``; heads per sentence, in input order.
 
-    The one entry to ranking and decoding, also for a single sentence
-    (``decode_corpus([sentence], ...)[0]``).  Sentences are ranked by
-    ``ranker.content_ranks`` in ``mode`` and decoded by ``_heads`` under the
-    cost rule it documents, one stack of equal-length sentences at a time.
-    Heads are 1-based, 0 for the root.
+    The one entry to parsing, also for a single sentence
+    (``decode_corpus([sentence], ...)[0]``), one stack of equal-length
+    sentences at a time.  ``udp`` and ``udp-nopr`` rank by
+    ``ranker.content_ranks`` in that mode and decode by ``_heads`` under the
+    cost rule it documents; ``baseline`` attaches by ``_closest_heads`` and
+    ``adjacency`` chains neighbors, both towards ``backoff_direction``
+    (LEFT or RIGHT).  Walk parameters that ``ranker.check_walk`` refuses
+    are refused in every mode.  Heads are 1-based, 0 for the root.
     """
+    check_walk(teleport, predicate_weight)
+    if mode in ("baseline", "adjacency") and backoff_direction not in _STEPS:
+        raise ValueError(f"backoff direction must be LEFT or RIGHT, got {backoff_direction}")
     by_length: dict[int, list[int]] = defaultdict(list)
     for position, sentence in enumerate(sentences):
         by_length[len(sentence)].append(position)
@@ -69,15 +82,51 @@ def decode_corpus(sentences: Sequence[Sentence], ruleset: RuleSet = DEFAULT_RULE
         size = max(1, _STACK_ELEMENTS // (n * n))
         for start in range(0, len(positions), size):
             stack = positions[start:start + size]
-            members = [sentences[position] for position in stack]
-            tags = tag_ids(members)
-            counts = rule_counts(tags, ruleset)
-            ranks = content_ranks(members, tags, counts, mode, teleport=teleport,
-                                  predicate_weight=predicate_weight)
-            licensed = counts > 0
-            del counts
-            for position, row in zip(stack, _heads(tags, ranks, licensed, policy).tolist()):
+            if mode == "adjacency":
+                neighbors, edge = _neighbors(n, backoff_direction)
+                neighbors[edge] = 0
+                rows = np.broadcast_to(neighbors, (len(stack), n))
+            else:
+                tags = tag_ids([sentences[position] for position in stack])
+                counts = rule_counts(tags, ruleset)
+                if mode == "baseline":
+                    rows = _closest_heads(tags, counts > 0, backoff_direction)
+                else:
+                    ranks = content_ranks(tags, counts, mode, teleport=teleport,
+                                          predicate_weight=predicate_weight)
+                    licensed = counts > 0
+                    del counts
+                    rows = _heads(tags, ranks, licensed, policy)
+            for position, row in zip(stack, rows.tolist()):
                 heads[position] = row
+    return heads
+
+
+def _neighbors(n: int, direction: Direction) -> tuple[np.ndarray, int]:
+    """1-based neighbor of every token on the ``direction`` side, and the
+    0-based edge token that has none there; it takes its other neighbor."""
+    step = _STEPS[direction]
+    edge = n - 1 if step == 1 else 0
+    neighbors = np.arange(1 + step, n + 1 + step)
+    neighbors[edge] -= 2 * step
+    return neighbors, edge
+
+
+def _closest_heads(tags: np.ndarray, licensed: np.ndarray,
+                   direction: Direction) -> np.ndarray:
+    """``(B, n)`` closest-head baseline heads of a stack.
+
+    Every token attaches to the closest head the rules license for it,
+    leftward on a distance tie, or to its ``direction`` neighbor when no
+    token may head it; the main predicate (``ranker.main_predicates``)
+    attaches to the root.  The output is single-rooted but may contain
+    cycles among neighbor attachments, so it need not be a tree.
+    """
+    stack, n = tags.shape
+    _, distance_costs = _geometry(n)
+    closest = np.where(licensed, distance_costs, 2 * n).argmin(axis=2) + 1
+    heads = np.where(licensed.any(axis=2), closest, _neighbors(n, direction)[0])
+    heads[np.arange(stack), main_predicates(tags)] = 0
     return heads
 
 

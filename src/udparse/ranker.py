@@ -44,17 +44,6 @@ def rule_counts(tags: np.ndarray, ruleset: RuleSet) -> np.ndarray:
     return counts
 
 
-def estimate_main_predicate(sentence: Sentence) -> int:
-    """Index of the first verb, else the first content word, else token 1."""
-    for token in sentence.tokens:
-        if token.upos == "VERB":
-            return token.index
-    for token in sentence.tokens:
-        if is_content(token.upos):
-            return token.index
-    return 1
-
-
 def _teleport_vectors(predicates: np.ndarray, n: int, weight: float) -> np.ndarray:
     """``(B, n)`` rows of 1 with ``weight`` at each 0-based predicate, divided
     by their sum ``(n - 1) + weight``."""
@@ -89,28 +78,46 @@ def _walk_scores(counts: np.ndarray, p: np.ndarray, teleport: float) -> np.ndarr
 
 # Whether each tag id is a content tag.
 _CONTENT = np.array([is_content(tag) for tag in TAG_IDS])
+_VERB = TAG_IDS["VERB"]
 
 
-def content_ranks(sentences: Sequence[Sentence], tags: np.ndarray, counts: np.ndarray,
-                  mode: str = "udp", *, teleport: float = DEFAULT_TELEPORT,
+def main_predicates(tags: np.ndarray) -> np.ndarray:
+    """``(B,)`` 0-based main predicate of each sentence of a stack: its first
+    verb, else its first content word, else its first token."""
+    verbs = tags == _VERB
+    return np.where(verbs.any(axis=1), verbs.argmax(axis=1), _CONTENT[tags].argmax(axis=1))
+
+
+def check_walk(teleport: float, predicate_weight: float) -> None:
+    """Refuse a teleport probability outside (0, 1) and a predicate weight
+    that is not positive and finite."""
+    if not 0.0 < teleport < 1.0:
+        raise ValueError(f"teleport probability must be in (0, 1), got {teleport}")
+    if not 0.0 < predicate_weight < np.inf:
+        raise ValueError("personalization weight must be positive and finite, "
+                         f"got {predicate_weight}")
+
+
+def content_ranks(tags: np.ndarray, counts: np.ndarray, mode: str = "udp", *,
+                  teleport: float = DEFAULT_TELEPORT,
                   predicate_weight: float = DEFAULT_PREDICATE_WEIGHT) -> np.ndarray:
     """Rank the content words of a stack of equal-length sentences.
 
     ``tags`` and ``counts`` are the stack's ``tag_ids`` and ``rule_counts``.
     ``ranks[b, i]`` is the place of token i + 1 of sentence b in its content
     order, and n for function words, except that a sentence with no content
-    words ranks its predicate 0.  ``udp`` mode orders content words by
-    descending walk score, with ties (after rounding away float noise)
-    broken by sentence position; ``udp-nopr`` mode keeps them in sentence
-    order and computes no scores.
+    words ranks its predicate (``main_predicates``) 0.  ``udp`` mode orders
+    content words by descending walk score, with ties (after rounding away
+    float noise) broken by sentence position; ``udp-nopr`` mode keeps them
+    in sentence order and computes no scores.  Both modes refuse the walk
+    parameters that ``check_walk`` refuses.
     """
+    check_walk(teleport, predicate_weight)
     stack, n = tags.shape
     content = _CONTENT[tags]
-    predicates = np.array([estimate_main_predicate(s) for s in sentences]) - 1
+    predicates = main_predicates(tags)
     if mode == "udp":
         p = _teleport_vectors(predicates, n, predicate_weight)
-        if not 0.0 < teleport < 1.0:
-            raise ValueError(f"teleport probability must be in (0, 1), got {teleport}")
         scores = _walk_scores(counts, p, teleport)
         keys = np.zeros((stack, n))
         keys[content] = [-round(score, _SCORE_DECIMALS) for score in scores[content].tolist()]

@@ -1,8 +1,9 @@
 """Shared fixtures: quick sentence construction and the worked example."""
 
 from udparse.conllu import Sentence, Token
-from udparse.ranker import estimate_main_predicate
 from udparse.rules import is_content
+
+from oracles import estimate_main_predicate
 
 EXAMPLE_TAGS = ("PRON", "ADV", "VERB", "DET", "ADJ", "NOUN", "ADP", "DET", "NOUN")
 EXAMPLE_FORMS = ("They", "also", "had", "a", "special", "connection",
@@ -29,7 +30,8 @@ def rank_orders(sentence, ranks):
     content = sorted((t.index for t in sentence if is_content(t.upos)),
                      key=lambda index: ranks[index - 1])
     function = tuple(t.index for t in sentence if not is_content(t.upos))
-    return tuple(content), function, estimate_main_predicate(sentence)
+    return (tuple(content), function,
+            estimate_main_predicate([t.upos for t in sentence]))
 
 
 def example_sentence() -> Sentence:

@@ -117,6 +117,50 @@ def closest_first_heads(tags, content_order, function_order, predicate,
     return tuple(heads[i] for i in range(1, last + 1))
 
 
+def estimate_main_predicate(tags):
+    """1-based index of the first VERB, else of the first content tag, else 1."""
+    content = {"ADJ", "NOUN", "PROPN", "VERB", "CONTENT"}
+    for wanted in ({"VERB"}, content):
+        for index, tag in enumerate(tags, start=1):
+            if tag in wanted:
+                return index
+    return 1
+
+
+def baseline_parse(tags, pairs, backoff_direction="right"):
+    """Heads of the closest-head baseline, one per token in order.
+
+    The main predicate takes the root.  Every other token attaches to the
+    closest token (leftward on a distance tie) that ``pairs`` license to
+    head it, else to its neighbor on the ``backoff_direction`` side
+    ("left" or "right"), clamped to the other neighbor at sentence edges.
+    """
+    licensed = set(pairs)
+    n = len(tags)
+    predicate = estimate_main_predicate(tags)
+    heads = []
+    for dependent, tag in enumerate(tags, start=1):
+        candidates = [head for head, head_tag in enumerate(tags, start=1)
+                      if head != dependent and (head_tag, tag) in licensed]
+        if dependent == predicate:
+            heads.append(0)
+        elif candidates:
+            heads.append(min(candidates, key=lambda h: (abs(h - dependent), h)))
+        elif backoff_direction == "right":
+            heads.append(dependent + 1 if dependent < n else dependent - 1)
+        else:
+            heads.append(dependent - 1 if dependent > 1 else dependent + 1)
+    return tuple(heads)
+
+
+def adjacency_parse(n, direction="right"):
+    """Heads of an n-token neighbor chain towards ``direction``; the token
+    at the end of the chain takes the root."""
+    if direction == "right":
+        return tuple(i + 1 if i < n else 0 for i in range(1, n + 1))
+    return tuple(range(n))
+
+
 def content_ranking(indices, scores):
     """Descending-score order with float noise rounded away, ties leftward."""
     return tuple(sorted(indices, key=lambda i: (-round(scores[i - 1], 8), i)))

@@ -13,21 +13,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from udparse.baselines import baseline_parse
 from udparse.cli import main, parse_corpus
 from udparse.conllu import DependencyTree, parse_conllu, validate_tree
 from udparse.decoder import decode_corpus
 from udparse.direction import estimate_adp_direction
 from udparse.evaluation import domain_report, error_propagation, uas
 from udparse.ranker import (_teleport_vectors, _walk_scores, content_ranks,
-                            estimate_main_predicate, rule_counts, tag_ids)
+                            rule_counts, tag_ids)
 from udparse.rules import DEFAULT_POLICY, DEFAULT_RULESET, UPOS_TAGS, Direction
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FORMS, EXAMPLE_HEADS,
                      EXAMPLE_IN_DEGREES, example_conllu, example_sentence,
                      make_sentence, rank_orders)
-from oracles import (attachment_counts, mean_and_population_std,
-                     per_pos_counts, power_iteration, rule_edges)
+from oracles import (attachment_counts, estimate_main_predicate,
+                     mean_and_population_std, per_pos_counts, power_iteration,
+                     rule_edges)
 
 ALL_TAGS = sorted(UPOS_TAGS)
 
@@ -82,13 +82,13 @@ def test_criterion_3_golden_ranking_and_score_agreement():
     sentence = example_sentence()
     tags = tag_ids([sentence])
     counts = rule_counts(tags, DEFAULT_RULESET)
-    ranks = content_ranks([sentence], tags, counts, teleport=0.05, predicate_weight=5.0)
+    ranks = content_ranks(tags, counts, teleport=0.05, predicate_weight=5.0)
     content_order = rank_orders(sentence, ranks[0].tolist())[0]
     assert content_order == EXAMPLE_CONTENT_ORDER
     content_forms = [EXAMPLE_FORMS[i - 1] for i in content_order]
     assert content_forms == ["had", "connection", "extremists", "special"]
 
-    predicate = estimate_main_predicate(sentence) - 1
+    predicate = estimate_main_predicate([t.upos for t in sentence]) - 1
     scores = _walk_scores(counts, _teleport_vectors(np.array([predicate]), 9, 5.0), 0.05)
     weights = [(5.0 if i == predicate else 1.0) / 13 for i in range(9)]
     edges = rule_edges([t.upos for t in sentence], DEFAULT_RULESET.pairs)
@@ -175,8 +175,7 @@ def test_criterion_7_ud_english_treebank_scores():
     udp_score = uas(gold, parsed).uas * 100
     assert udp_score == pytest.approx(53.0, abs=2.0)
 
-    baseline = [s.with_heads(baseline_parse(s, DEFAULT_RULESET, Direction.RIGHT).heads)
-                for s in gold]
+    baseline = parse_corpus(gold, mode="baseline", backoff_direction=Direction.RIGHT)
     bl_score = uas(gold, baseline).uas * 100
     assert bl_score == pytest.approx(46.2, abs=2.0)
     report_pass(7, f"treebank scores UDP {udp_score:.1f} / baseline {bl_score:.1f}")

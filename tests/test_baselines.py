@@ -1,17 +1,33 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from udparse.baselines import (adjacency_parse, baseline_parse, forms_tree,
-                               naive_pos_tag)
+from udparse import decoder
+from udparse.baselines import forms_tree, naive_pos_tag
 from udparse.cli import best_baseline_direction
-from udparse.conllu import DependencyTree
-from udparse.rules import DEFAULT_RULESET, UPOS_TAGS, Direction
+from udparse.decoder import decode_corpus
+from udparse.rules import DEFAULT_RULESET, NAIVE_RULESET, UPOS_TAGS, Direction, is_content
 
 from helpers import make_sentence
-from oracles import top_frequency_forms
+from oracles import adjacency_parse, baseline_parse, top_frequency_forms
 
 ALL_TAGS = sorted(UPOS_TAGS)
+
+
+def baseline_heads(sentence, direction=Direction.RIGHT):
+    """One sentence's closest-head baseline, ``{index: head}``."""
+    (heads,) = decode_corpus([sentence], DEFAULT_RULESET, mode="baseline",
+                             backoff_direction=direction)
+    return dict(enumerate(heads, start=1))
+
+
+def adjacency_heads(sentence, direction=Direction.RIGHT):
+    """One sentence's adjacency chain, ``{index: head}``."""
+    (heads,) = decode_corpus([sentence], mode="adjacency", backoff_direction=direction)
+    return dict(enumerate(heads, start=1))
 
 
 class TestBaselineParse:
@@ -19,76 +35,67 @@ class TestBaselineParse:
         # Closest licensed heads: DET under the NOUN, NOUN under the VERB;
         # the VERB takes the root.
         sentence = make_sentence(["DET", "NOUN", "VERB"])
-        result = baseline_parse(sentence, DEFAULT_RULESET)
-        assert result.heads == {1: 2, 2: 3, 3: 0}
-        assert forms_tree(sentence, result.heads)
+        heads = baseline_heads(sentence)
+        assert heads == {1: 2, 2: 3, 3: 0}
+        assert forms_tree(sentence, heads)
 
     def test_single_uncovered_token_is_the_predicate(self):
         sentence = make_sentence(["X"])
-        result = baseline_parse(sentence, DEFAULT_RULESET)
-        assert result.heads == {1: 0}
-        assert forms_tree(sentence, result.heads)
+        for direction in (Direction.LEFT, Direction.RIGHT):
+            heads = baseline_heads(sentence, direction)
+            assert heads == {1: 0}
+            assert forms_tree(sentence, heads)
 
     def test_sym_attaches_to_right_neighbor(self):
-        result = baseline_parse(make_sentence(["SYM", "NOUN"]), DEFAULT_RULESET,
-                                Direction.RIGHT)
-        assert result.heads == {1: 2, 2: 0}
+        assert baseline_heads(make_sentence(["SYM", "NOUN"]), Direction.RIGHT) == {1: 2, 2: 0}
 
     def test_backoff_clamps_at_sentence_edge(self):
         # Final X with right backoff has no right neighbor, so it clamps left.
-        result = baseline_parse(make_sentence(["NOUN", "X"]), DEFAULT_RULESET,
-                                Direction.RIGHT)
-        assert result.heads == {1: 0, 2: 1}
-        left = baseline_parse(make_sentence(["X", "NOUN"]), DEFAULT_RULESET,
-                              Direction.LEFT)
-        assert left.heads == {1: 2, 2: 0}
+        assert baseline_heads(make_sentence(["NOUN", "X"]), Direction.RIGHT) == {1: 0, 2: 1}
+        assert baseline_heads(make_sentence(["X", "NOUN"]), Direction.LEFT) == {1: 2, 2: 0}
 
     def test_secondary_verb_falls_back_to_neighbor(self):
         # No rule lets anything head a VERB, so the non-predicate verb uses
         # the neighbor backoff.
-        result = baseline_parse(make_sentence(["VERB", "VERB"]), DEFAULT_RULESET,
-                                Direction.RIGHT)
-        assert result.heads == {1: 0, 2: 1}
+        assert baseline_heads(make_sentence(["VERB", "VERB"]), Direction.RIGHT) == {1: 0, 2: 1}
 
     def test_distance_tie_goes_leftward(self):
-        result = baseline_parse(make_sentence(["NOUN", "ADJ", "NOUN", "VERB"]),
-                                DEFAULT_RULESET)
-        assert result.heads[2] == 1
+        assert baseline_heads(make_sentence(["NOUN", "ADJ", "NOUN", "VERB"]))[2] == 1
 
     def test_cycles_possible_and_flag_truthful(self):
         sentence = make_sentence(["PUNCT", "PUNCT", "PUNCT"])
-        result = baseline_parse(sentence, DEFAULT_RULESET, Direction.RIGHT)
-        assert result.heads == {1: 0, 2: 3, 3: 2}
-        assert not forms_tree(sentence, result.heads)
+        heads = baseline_heads(sentence, Direction.RIGHT)
+        assert heads == {1: 0, 2: 3, 3: 2}
+        assert not forms_tree(sentence, heads)
 
     def test_single_root_always(self):
         rng = random.Random(33)
         for _ in range(300):
             tags = [rng.choice(ALL_TAGS) for _ in range(rng.randint(1, 15))]
-            sentence = make_sentence(tags)
             direction = rng.choice((Direction.LEFT, Direction.RIGHT))
-            result = baseline_parse(sentence, DEFAULT_RULESET, direction)
-            assert sorted(result.heads) == list(range(1, len(tags) + 1))
-            assert sum(1 for h in result.heads.values() if h == 0) == 1
-            assert isinstance(result, DependencyTree)
+            heads = baseline_heads(make_sentence(tags), direction)
+            assert sorted(heads) == list(range(1, len(tags) + 1))
+            assert sum(1 for h in heads.values() if h == 0) == 1
 
     def test_free_direction_rejected(self):
-        with pytest.raises(ValueError):
-            baseline_parse(make_sentence(["X", "X"]), DEFAULT_RULESET, Direction.FREE)
+        for mode in ("baseline", "adjacency"):
+            with pytest.raises(ValueError, match="backoff direction"):
+                decode_corpus([make_sentence(["X", "X"])], DEFAULT_RULESET, mode=mode,
+                              backoff_direction=Direction.FREE)
 
 
 class TestAdjacencyParse:
     def test_right_chain(self):
-        result = adjacency_parse(make_sentence(["NOUN", "VERB", "NOUN"]), Direction.RIGHT)
-        assert [result.heads[i] for i in (1, 2, 3)] == [2, 3, 0]
+        heads = adjacency_heads(make_sentence(["NOUN", "VERB", "NOUN"]), Direction.RIGHT)
+        assert [heads[i] for i in (1, 2, 3)] == [2, 3, 0]
 
     def test_left_chain(self):
-        result = adjacency_parse(make_sentence(["NOUN", "VERB", "NOUN"]), Direction.LEFT)
-        assert [result.heads[i] for i in (1, 2, 3)] == [0, 1, 2]
+        heads = adjacency_heads(make_sentence(["NOUN", "VERB", "NOUN"]), Direction.LEFT)
+        assert [heads[i] for i in (1, 2, 3)] == [0, 1, 2]
 
     def test_single_token(self):
         for direction in (Direction.LEFT, Direction.RIGHT):
-            assert adjacency_parse(make_sentence(["X"]), direction).heads == {1: 0}
+            assert adjacency_heads(make_sentence(["X"]), direction) == {1: 0}
 
     def test_chains_are_always_well_formed(self):
         rng = random.Random(34)
@@ -96,7 +103,37 @@ class TestAdjacencyParse:
             tags = [rng.choice(ALL_TAGS) for _ in range(rng.randint(1, 12))]
             for direction in (Direction.LEFT, Direction.RIGHT):
                 sentence = make_sentence(tags)
-                assert forms_tree(sentence, adjacency_parse(sentence, direction).heads)
+                assert forms_tree(sentence, adjacency_heads(sentence, direction))
+
+
+# Both baselines against the per-sentence loops they replaced, over the
+# standard tags and the two-tag scenario and both backoff directions.  The
+# corpora mix repeated and interleaved lengths; with a cap of 32 stacked
+# elements, 4-token sentences go two to a stack and from 6 tokens on one,
+# so stack boundaries and the restore of input order are crossed too.
+SMALL_STACKS = 32
+
+
+@given(st.lists(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=12),
+                min_size=1, max_size=16))
+@example(corpus=[[tag] * 3 for tag in ALL_TAGS])
+@example(corpus=[["X"], ["VERB", "VERB"], ["PUNCT", "PUNCT", "PUNCT"], ["X"],
+                 ["NOUN", "ADJ", "NOUN", "VERB"], ["SYM", "NOUN"], ["NOUN", "X"],
+                 ["X", "NOUN"], ["DET", "NOUN", "VERB"], ALL_TAGS[:12]])
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_baselines_match_sequential_oracles(corpus):
+    naive = [["CONTENT" if is_content(tag) else "FUNCTION" for tag in tags] for tags in corpus]
+    for ruleset, used in ((DEFAULT_RULESET, corpus), (NAIVE_RULESET, naive)):
+        sentences = [make_sentence(tags) for tags in used]
+        for direction in (Direction.LEFT, Direction.RIGHT):
+            closest = [baseline_parse(tags, ruleset.pairs, direction.value) for tags in used]
+            chains = [adjacency_parse(len(tags), direction.value) for tags in used]
+            for cap in (decoder._STACK_ELEMENTS, SMALL_STACKS):
+                with mock.patch.object(decoder, "_STACK_ELEMENTS", cap):
+                    for mode, expected in (("baseline", closest), ("adjacency", chains)):
+                        heads = decode_corpus(sentences, ruleset, mode=mode,
+                                              backoff_direction=direction)
+                        assert list(map(tuple, heads)) == expected, (used, mode, direction, cap)
 
 
 class TestNaivePosTag:

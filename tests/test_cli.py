@@ -336,6 +336,20 @@ class TestLibraryPipeline:
         with pytest.raises(ValueError, match="personalization weight"):
             parse_corpus([make_sentence(["NOUN", "VERB"])], personalization_weight=weight)
 
+    # Every mode refuses what the ranked ``udp`` mode refuses, also with
+    # the naive tags, whether or not the mode uses the argument.
+    BAD_ARGUMENTS = ({"teleport": 5.0}, {"teleport": 0.0},
+                     {"personalization_weight": float("nan")},
+                     {"personalization_weight": -1.0}, {"adp_direction": "sideways"})
+
+    @pytest.mark.parametrize("mode", ["udp", "udp-nopr", "baseline", "adjacency"])
+    @pytest.mark.parametrize("pos_source", ["gold-column", "naive"])
+    def test_parse_corpus_rejects_bad_arguments_in_every_mode(self, mode, pos_source):
+        corpus = parse_conllu(SAMPLE_PATH.read_text(encoding="utf-8"))
+        for bad in self.BAD_ARGUMENTS:
+            with pytest.raises(ValueError):
+                parse_corpus(corpus, mode=mode, pos_source=pos_source, **bad)
+
     def test_backoff_direction_enum(self):
         corpus = [make_sentence(["NOUN", "VERB", "NOUN"])]
         parsed = parse_corpus(corpus, mode="adjacency",

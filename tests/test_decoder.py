@@ -36,7 +36,7 @@ def decode_tags(tags, policy=ADP_RIGHT, mode="udp", forms=None):
 def orders_of(sentence, ruleset=DEFAULT_RULESET, mode="udp"):
     """``rank_orders`` of one sentence ranked as a stack of one."""
     tags = tag_ids([sentence])
-    ranks = content_ranks([sentence], tags, rule_counts(tags, ruleset), mode)
+    ranks = content_ranks(tags, rule_counts(tags, ruleset), mode)
     return rank_orders(sentence, ranks[0].tolist())
 
 
@@ -168,7 +168,7 @@ class TestFinalPunctHeuristic:
             conj, _ = decode_tags([first, second, "CONJ"])
             assert validate_tree(sentence, punct) == []
             assert punct.heads[1] == conj.heads[1] and punct.heads[2] == conj.heads[2]
-            roots = punct.root_dependents()
+            roots = [d for d, h in punct.heads.items() if h == 0]
             assert len(roots) == 1 and roots[0] != 3
             assert punct.heads[3] == roots[0]
 

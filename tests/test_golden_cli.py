@@ -58,19 +58,29 @@ def test_parse_output_is_byte_identical(case, capsys):
 
 MIXED_GOLDEN = {
     "udp": (["--mode", "udp"],
-            "b2aca63f41c7e0ed4b799a8eeeee17f267794a57d5b178a9b60bb1c600862bad"),
+            "b2aca63f41c7e0ed4b799a8eeeee17f267794a57d5b178a9b60bb1c600862bad", ""),
     "udp-nopr": (["--mode", "udp-nopr"],
-                 "b8c03f6ad6b109626e94dafc7b5550332cb37eab2025a437041c277d0203344f"),
+                 "b8c03f6ad6b109626e94dafc7b5550332cb37eab2025a437041c277d0203344f", ""),
     "naive": (["--pos", "naive"],
-              "c961651a4ba9bfc79f9ba801aca9403aafa24a88392c69d4a0ccdd893404a5f0"),
+              "c961651a4ba9bfc79f9ba801aca9403aafa24a88392c69d4a0ccdd893404a5f0", ""),
+    "baseline": (["--mode", "baseline"],
+                 "8e1b4258f9b78362352a9243b0a26986b77d844f98713ce978ec97e7e0b2655f",
+                 "baseline well-formed trees: 21/40 (52.50)\n"),
+    "baseline-left": (["--mode", "baseline", "--backoff-direction", "left"],
+                      "bd4a5a8c9535b6bc155286560809fb1f0964622df2669a0968bb259b61ef0e50",
+                      "baseline well-formed trees: 34/40 (85.00)\n"),
+    "adjacency": (["--mode", "adjacency"],
+                  "60eed759075fc3bbb30846afc449dfa969f0001baa71fcee719e8348816a473c", ""),
+    "adjacency-left": (["--mode", "adjacency", "--backoff-direction", "left"],
+                       "f278b02944f079b5fbcc4127714af1a4fa0a35e673afd8d5dc9cafd9087a6981", ""),
 }
 
 
 @pytest.mark.parametrize("case", list(MIXED_GOLDEN))
 def test_mixed_lengths_output_is_byte_identical(case, capsys):
-    options, stdout_sha256 = MIXED_GOLDEN[case]
+    options, stdout_sha256, stderr = MIXED_GOLDEN[case]
     assert main(["parse", str(MIXED_PATH), *options]) == 0
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == stdout_sha256, \
         captured.out
-    assert captured.err == ""
+    assert captured.err == stderr

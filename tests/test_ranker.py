@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from udparse.ranker import (_teleport_vectors, _walk_scores, content_ranks,
-                            estimate_main_predicate, rule_counts, tag_ids)
+                            main_predicates, rule_counts, tag_ids)
 from udparse.rules import DEFAULT_RULESET, RuleSet, UPOS_TAGS, is_content
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FUNCTION_ORDER,
                      EXAMPLE_IN_DEGREES, EXAMPLE_TAGS, example_sentence,
                      make_sentence, rank_orders)
-from oracles import content_ranking, power_iteration, rule_edges
+from oracles import (content_ranking, estimate_main_predicate, power_iteration,
+                     rule_edges)
 
 # Stationary scores for the example sentence, frozen from the dense
 # power-iteration reference (cross-checked against a direct linear solve,
@@ -40,12 +41,11 @@ def scores_of(sentence, personalization, ruleset=DEFAULT_RULESET, teleport=0.05)
 def ranks_of(sentence, mode="udp", ruleset=DEFAULT_RULESET, **options):
     """One sentence's row of ``content_ranks``."""
     tags = tag_ids([sentence])
-    return content_ranks([sentence], tags, rule_counts(tags, ruleset), mode,
-                         **options)[0].tolist()
+    return content_ranks(tags, rule_counts(tags, ruleset), mode, **options)[0].tolist()
 
 
 def predicate_vector(sentence):
-    predicate = estimate_main_predicate(sentence) - 1
+    predicate = estimate_main_predicate([t.upos for t in sentence]) - 1
     return _teleport_vectors(np.array([predicate]), len(sentence), 5.0)[0]
 
 
@@ -92,18 +92,26 @@ class TestBuildGraph:
         assert scores["doubled"][2] > scores["single"][2]
 
 
+def predicate_of(tags):
+    """The package's 1-based main predicate of one sentence, checked
+    against the oracle's."""
+    predicate = int(main_predicates(tag_ids([make_sentence(tags)]))[0]) + 1
+    assert predicate == estimate_main_predicate(tags)
+    return predicate
+
+
 class TestMainPredicate:
     def test_example_predicate_is_the_verb(self):
-        assert estimate_main_predicate(example_sentence()) == 3
+        assert predicate_of(EXAMPLE_TAGS) == 3
 
     def test_first_content_word_when_no_verb(self):
-        assert estimate_main_predicate(make_sentence(["DET", "NOUN"])) == 2
+        assert predicate_of(["DET", "NOUN"]) == 2
 
     def test_first_token_when_no_content(self):
-        assert estimate_main_predicate(make_sentence(["PUNCT", "PUNCT"])) == 1
+        assert predicate_of(["PUNCT", "PUNCT"]) == 1
 
     def test_first_of_several_verbs(self):
-        assert estimate_main_predicate(make_sentence(["NOUN", "VERB", "VERB"])) == 2
+        assert predicate_of(["NOUN", "VERB", "VERB"]) == 2
 
 
 class TestPersonalization:
@@ -217,7 +225,7 @@ class TestRank:
             n = rng.randint(1, 15)
             tags = [rng.choice(ALL_TAGS) for _ in range(n)]
             sentence = make_sentence(tags)
-            predicate = estimate_main_predicate(sentence)
+            predicate = estimate_main_predicate(tags)
             weights = [(5.0 if i == predicate else 1.0) / (n + 4) for i in range(1, n + 1)]
             reference = power_iteration(n, rule_edges(tags, DEFAULT_RULESET.pairs), weights)
             scores = scores_of(sentence, weights)
