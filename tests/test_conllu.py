@@ -1,12 +1,18 @@
+import contextlib
+import io
+import re
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from udparse.cli import main
 from udparse.conllu import (ConlluError, DependencyTree, Sentence, Token,
                             format_conllu, parse_conllu, validate_tree)
+from udparse.rules import KNOWN_TAGS
 
 from helpers import (EXAMPLE_HEADS, EXAMPLE_TAGS, example_conllu,
                      example_sentence, make_sentence)
@@ -273,3 +279,70 @@ def copy_gold_to_pred(sentence: Sentence) -> Sentence:
 def replace_pred(sentence: Sentence, heads: dict[int, int]) -> Sentence:
     tokens = tuple(replace(t, pred_head=heads[t.index]) for t in sentence.tokens)
     return replace(sentence, tokens=tokens)
+
+
+# Regression nets for the reader and writer.  ``valid_conllu`` draws whole
+# files: comments (some of them ``key = value``), multiword-token ranges and
+# empty nodes between and around the tokens, and sometimes a leading
+# byte-order mark, which reading skips and writing does not restore.
+FIELD = st.text(alphabet="abcXYZ019=|:.,'-_", min_size=1, max_size=4)
+
+
+@st.composite
+def valid_conllu(draw):
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        lines = [f"# {key} = {value}" if key else f"# {value}"
+                 for key, value in draw(st.lists(st.tuples(st.sampled_from(["", "id", "genre"]),
+                                                           FIELD), max_size=3))]
+        n = draw(st.integers(1, 6))
+        for position in range(n + 1):
+            if position and draw(st.booleans()):
+                lines.append(f"{position}.1\t{draw(FIELD)}\t_\t_\t_\t_\t_\t_\t{position}:dep\t_")
+            if position < n:
+                if draw(st.integers(0, 3)) == 0:
+                    lines.append(f"{position + 1}-{position + 2}\t{draw(FIELD)}\t_\t_\t_\t_\t_\t_\t_\t_")
+                fields = draw(st.lists(FIELD, min_size=6, max_size=6))
+                head = draw(st.integers(0, n))
+                deprel = draw(st.sampled_from(["nsubj", "obj", "punct", "root"]))
+                lines.append("\t".join((str(position + 1), fields[0], fields[1],
+                                        draw(st.sampled_from(sorted(KNOWN_TAGS))), fields[2],
+                                        fields[3], str(head), deprel, fields[4], fields[5])))
+        blocks.append("\n".join(lines) + "\n\n")
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(blocks)
+
+
+@given(valid_conllu())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_read_write_read_is_the_identity(text):
+    corpus = parse_conllu(text)
+    written = format_conllu([copy_gold_to_pred(s) for s in corpus])
+    assert written == text.removeprefix("\ufeff")
+    assert parse_conllu(written) == corpus
+
+
+# Lines made of CoNLL-U-like pieces, so that most examples get past the
+# column count and into the id, tag and head checks.
+PIECES = ["1", "2", "3", "0", "01", "_", "1-2", "2.1", "x", "NOUN", "VERB", "PUNCT",
+          "BOGUS", "-1", "9", "# c = d", "", " ", "\ufeff", "\u0661", "\r"]
+NEAR_LINES = st.one_of(
+    st.lists(st.sampled_from(PIECES), min_size=1, max_size=11).map("\t".join),
+    st.text(max_size=12))
+
+
+@given(st.one_of(st.text(), st.lists(NEAR_LINES, max_size=12).map("\n".join)))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_arbitrary_text_parses_or_names_a_line(text):
+    try:
+        parse_conllu(text)
+    except ConlluError as error:
+        assert re.match(r"line [0-9]+: ", str(error)), error
+        expected = 2
+    else:
+        expected = 0
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(["stats", "-"]) == expected
+    if expected:
+        assert re.match(r"error: line [0-9]+: ", stderr.getvalue())
