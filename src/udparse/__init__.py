@@ -8,9 +8,9 @@ two-tag POS scenario, and attachment-score evaluation.
 
 from .baselines import naive_pos_tag
 from .cli import best_baseline_direction, main, parse_corpus
-from .conllu import (ConlluError, DependencyTree, Sentence, Token,
-                     format_conllu, parse_conllu, read_conllu, validate_tree,
-                     write_conllu)
+from .conllu import (ConlluError, Corpus, DependencyTree, Sentence, Token,
+                     as_corpus, format_conllu, parse_conllu, read_conllu,
+                     validate_tree, write_conllu)
 from .decoder import decode_corpus
 from .direction import AdpDirectionEstimate, estimate_adp_direction
 from .evaluation import (AlignmentError, DomainReport, EvalReport,

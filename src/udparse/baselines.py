@@ -1,16 +1,20 @@
 """Support for the comparison systems.
 
 The closest-head and adjacency baselines are ``decoder.decode_corpus``
-modes.  Here live the check that tells whether a baseline's heads form a
-tree, and the naive two-tag POS scenario: the 100 most frequent word forms
-of the input become FUNCTION, everything else CONTENT.
+modes.  Here live the checks that tell whether a baseline's heads form
+trees, one sentence at a time or a whole corpus at once, and the naive
+two-tag POS scenario: the 100 most frequent word forms of the input become
+FUNCTION, everything else CONTENT.
 """
 
 from collections import Counter
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable
 
-from .conllu import DependencyTree, Sentence, validate_tree
+import numpy as np
+
+from .conllu import Corpus, DependencyTree, Sentence, as_corpus, validate_tree
+from .rules import TAG_IDS
 
 FUNCTION_FORM_COUNT = 100
 
@@ -27,21 +31,43 @@ def forms_tree(sentence: Sentence, heads: dict[int, int]) -> bool:
     return not any(v in _TREE_CONSTRAINTS for v in violations)
 
 
-def naive_pos_tag(corpus: Sequence[Sentence]) -> list[Sentence]:
+def forms_trees(heads: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``forms_tree`` of every sentence of a corpus at once: ``(S,)`` bools.
+
+    ``heads`` is a flat head array (0 for the root, else in the sentence),
+    and ``offsets`` the corpus's sentence offsets.  Connectivity and
+    acyclicity come from pointer jumping (Hillis & Steele 1986, "Data
+    parallel algorithms"): every token's link to its head, with the root
+    absorbing, is composed with itself ceil(log2(n + 1)) times for the
+    longest sentence n, after which a token has reached the root exactly
+    when its head chain ends there.  Single-root is a count of root
+    dependents per sentence.
+    """
+    lengths = np.diff(offsets)
+    if not len(lengths):
+        return np.zeros(0, dtype=bool)
+    root = len(heads)
+    links = np.where(heads == 0, root, np.repeat(offsets[:-1], lengths) + heads - 1)
+    links = np.append(links, root)
+    for _ in range(int(lengths.max()).bit_length()):
+        links = links[links]
+    connected = np.logical_and.reduceat(links[:-1] == root, offsets[:-1])
+    single_root = np.add.reduceat((heads == 0).astype(np.intp), offsets[:-1]) == 1
+    return connected & single_root
+
+
+def naive_pos_tag(corpus: Corpus | Iterable[Sentence]) -> Corpus:
     """Replace every tag with CONTENT or FUNCTION by form frequency.
 
     Frequencies are counted case-sensitively over the corpus being parsed;
     the 100 most frequent forms become FUNCTION, ties at the boundary broken
-    by lexicographic order of the form.  All other token fields survive.
+    by lexicographic order of the form.  Everything but the tags survives.
     """
-    counts = Counter(token.form for sentence in corpus for token in sentence.tokens)
+    corpus = as_corpus(corpus)
+    counts = Counter(corpus.forms)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     function_forms = {form for form, _ in ranked[:FUNCTION_FORM_COUNT]}
-    retagged = []
-    for sentence in corpus:
-        tokens = tuple(
-            replace(token, upos="FUNCTION" if token.form in function_forms else "CONTENT")
-            for token in sentence.tokens)
-        retagged.append(replace(sentence, tokens=tokens))
-    return retagged
-
+    function = np.fromiter(map(function_forms.__contains__, corpus.forms), dtype=bool,
+                           count=len(corpus.forms))
+    tags = np.where(function, TAG_IDS["FUNCTION"], TAG_IDS["CONTENT"]).astype(np.intp)
+    return replace(corpus, tags=tags)

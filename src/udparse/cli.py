@@ -9,34 +9,38 @@ status is 0 on success, 1 for usage errors, 2 for data errors.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .baselines import forms_tree, naive_pos_tag
-from .conllu import Sentence, read_conllu, write_conllu
+import numpy as np
+
+from .baselines import forms_trees, naive_pos_tag
+from .conllu import Corpus, Sentence, as_corpus, read_conllu, write_conllu
 from .decoder import decode_corpus
 from .direction import estimate_adp_direction
 from .evaluation import domain_report, format_domain_report, format_report, uas
 from .ranker import DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT
 from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY,
-                    NAIVE_RULESET, Direction, DirectionPolicy, RuleSet,
-                    parse_rules)
+                    NAIVE_RULESET, TAG_NAMES, Direction, DirectionPolicy,
+                    RuleSet, parse_rules)
 
 MODES = ("udp", "udp-nopr", "baseline", "adjacency")
 ADP_DIRECTIONS = ("auto", "left", "right")
 _RANKED_MODES = ("udp", "udp-nopr")
 
 
-def parse_corpus(sentences: Sequence[Sentence], *, mode: str = "udp",
+def parse_corpus(corpus: Corpus | Iterable[Sentence], *, mode: str = "udp",
                  pos_source: str = "gold-column", adp_direction: str = "auto",
                  teleport: float = DEFAULT_TELEPORT,
                  personalization_weight: float = DEFAULT_PREDICATE_WEIGHT,
                  backoff_direction: Direction = Direction.RIGHT,
                  ruleset: RuleSet | None = None,
-                 policy: DirectionPolicy | None = None) -> list[Sentence]:
-    """Run the full pipeline over a corpus; returns sentences with heads set.
+                 policy: DirectionPolicy | None = None) -> Corpus:
+    """Run the full pipeline over a corpus; returns it with ``predicted`` set.
 
-    Every mode takes one route: tags, then ``decode_corpus``, then heads.
+    Every mode takes one route: tags, then ``decode_corpus``, then one flat
+    head array, attached to the corpus without copying it.
     ``adp_direction`` is ``auto`` (estimate from the corpus), ``left``, or
     ``right``; it only matters for the ranked modes under the standard tag
     set, where the direction policy gains an ADP entry.
@@ -45,9 +49,9 @@ def parse_corpus(sentences: Sequence[Sentence], *, mode: str = "udp",
         raise ValueError(f"unknown mode {mode!r}")
     if adp_direction not in ADP_DIRECTIONS:
         raise ValueError(f"unknown ADP direction {adp_direction!r}")
-    sentences = list(sentences)
+    corpus = as_corpus(corpus)
     if pos_source == "naive":
-        sentences = naive_pos_tag(sentences)
+        corpus = naive_pos_tag(corpus)
         active_rules = ruleset if ruleset is not None else NAIVE_RULESET
         active_policy = policy if policy is not None else FREE_POLICY
     elif pos_source == "gold-column":
@@ -55,21 +59,20 @@ def parse_corpus(sentences: Sequence[Sentence], *, mode: str = "udp",
         active_policy = policy if policy is not None else DEFAULT_POLICY
         if mode in _RANKED_MODES:
             if adp_direction == "auto":
-                resolved = estimate_adp_direction(sentences).resolved
+                resolved = estimate_adp_direction(corpus).resolved
             else:
                 resolved = Direction(adp_direction)
             active_policy = active_policy.with_direction("ADP", resolved)
     else:
         raise ValueError(f"unknown POS source {pos_source!r}")
 
-    heads = decode_corpus(sentences, active_rules, active_policy, mode,
+    heads = decode_corpus(corpus, active_rules, active_policy, mode,
                           teleport=teleport, predicate_weight=personalization_weight,
                           backoff_direction=backoff_direction)
-    return [sentence.with_heads(dict(enumerate(row, start=1)))
-            for sentence, row in zip(sentences, heads)]
+    return replace(corpus, predicted=heads)
 
 
-def best_baseline_direction(corpus: Sequence[Sentence], *,
+def best_baseline_direction(corpus: Corpus | Iterable[Sentence], *,
                             pos_source: str = "gold-column",
                             ruleset: RuleSet | None = None):
     """Try both backoff directions against gold heads, keep the better one.
@@ -78,6 +81,7 @@ def best_baseline_direction(corpus: Sequence[Sentence], *,
     ``(direction, parsed_corpus, report)`` for the direction with the higher
     attachment score; ties prefer RIGHT.  The corpus must carry gold heads.
     """
+    corpus = as_corpus(corpus)
     outcomes = {}
     for direction in (Direction.RIGHT, Direction.LEFT):
         parsed = parse_corpus(corpus, mode="baseline", pos_source=pos_source,
@@ -138,8 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=_cmd_parse)
 
     cmd = commands.add_parser("eval", help="score predictions against gold heads")
-    cmd.add_argument("gold")
-    cmd.add_argument("pred")
+    cmd.add_argument("gold", help="CoNLL-U file whose column 7 holds the gold heads")
+    cmd.add_argument("pred", help="CoNLL-U file whose column 7 holds the predicted heads, "
+                                  "such as the output of parse")
     cmd.add_argument("--group-by", metavar="KEY",
                      help="additionally report per-group scores by this "
                           "sentence metadata field")
@@ -153,19 +158,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_corpus(path: str) -> list[Sentence]:
+def _read_corpus(path: str) -> Corpus:
     if path == "-":
         return read_conllu(sys.stdin)
     with open(path, encoding="utf-8") as handle:
         return read_conllu(handle)
 
 
-def _write_corpus(sentences: Sequence[Sentence], path: str) -> None:
+def _write_corpus(corpus: Corpus, path: str) -> None:
     if path == "-":
-        write_conllu(sentences, sys.stdout)
+        write_conllu(corpus, sys.stdout)
         return
     with open(path, "w", encoding="utf-8") as handle:
-        write_conllu(sentences, handle)
+        write_conllu(corpus, handle)
 
 
 def _cmd_parse(args) -> int:
@@ -192,9 +197,7 @@ def _cmd_parse(args) -> int:
             backoff_direction=backoff, ruleset=ruleset, policy=policy)
 
     if args.mode == "baseline":
-        well_formed = sum(
-            1 for sentence in parsed
-            if forms_tree(sentence, {t.index: t.pred_head for t in sentence.tokens}))
+        well_formed = int(forms_trees(parsed.predicted, parsed.offsets).sum())
         share = well_formed / len(parsed) * 100 if parsed else 0.0
         print(f"baseline well-formed trees: {well_formed}/{len(parsed)} "
               f"({share:.2f})", file=sys.stderr)
@@ -218,15 +221,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_stats(args) -> int:
     corpus = _read_corpus(args.input)
-    token_count = sum(len(sentence) for sentence in corpus)
-    histogram: dict[str, int] = {}
-    for sentence in corpus:
-        for token in sentence.tokens:
-            histogram[token.upos] = histogram.get(token.upos, 0) + 1
+    histogram = np.bincount(corpus.tags, minlength=len(TAG_NAMES))
     estimate = estimate_adp_direction(corpus)
-    lines = [f"sentences\t{len(corpus)}", f"tokens\t{token_count}"]
-    for tag in sorted(histogram):
-        lines.append(f"upos\t{tag}\t{histogram[tag]}")
+    lines = [f"sentences\t{len(corpus)}", f"tokens\t{len(corpus.tags)}"]
+    for tag in np.flatnonzero(histogram):
+        lines.append(f"upos\t{TAG_NAMES[tag]}\t{histogram[tag]}")
     lines.append(f"adp_nominal\t{estimate.adp_nominal_count}")
     lines.append(f"nominal_adp\t{estimate.nominal_adp_count}")
     lines.append(f"adp_direction\t{estimate.resolved.value}")

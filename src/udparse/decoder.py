@@ -11,20 +11,21 @@ sentence-final punctuation is then re-attached to it.
 Once the ranking is known every attachment is independent of the others, so
 a sentence is decoded as one argmin per row of a dependent-by-head cost
 matrix.  ``decode_corpus``, the one entry to parsing in every mode, groups
-sentences of equal length into stacks and ranks and decodes each stack with
-one ``(B, n, n)`` solve and one argmin; a single sentence is a stack of one.
-The closest-head baseline is one argmin over the same distance grid, and an
-adjacency chain is one constant head row per length.
+sentences of equal length into stacks, slices each stack's tag ids out of
+the corpus's flat tag array, ranks and decodes it with one ``(B, n, n)``
+solve and one argmin, and writes the heads into one flat array; a single
+sentence is a stack of one.  The closest-head baseline is one argmin over
+the same distance grid, and an adjacency chain is one constant head row per
+length.
 """
 
-from collections import defaultdict
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .conllu import Sentence
+from .conllu import Corpus, Sentence, as_corpus
 from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, check_walk,
-                     content_ranks, main_predicates, rule_counts, tag_ids)
+                     content_ranks, main_predicates, rule_counts)
 from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, TAG_IDS, Direction,
                     DirectionPolicy, RuleSet)
 
@@ -55,50 +56,54 @@ def _geometry(n: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets[:n, :n], distance_costs[:n, :n]
 
 
-def decode_corpus(sentences: Sequence[Sentence], ruleset: RuleSet = DEFAULT_RULESET,
+def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAULT_RULESET,
                   policy: DirectionPolicy = DEFAULT_POLICY, mode: str = "udp", *,
                   teleport: float = DEFAULT_TELEPORT,
                   predicate_weight: float = DEFAULT_PREDICATE_WEIGHT,
-                  backoff_direction: Direction = Direction.RIGHT) -> list[list[int]]:
-    """Parse every sentence in ``mode``; heads per sentence, in input order.
+                  backoff_direction: Direction = Direction.RIGHT) -> np.ndarray:
+    """Parse every sentence in ``mode``; one flat head array for the corpus.
 
     The one entry to parsing, also for a single sentence
-    (``decode_corpus([sentence], ...)[0]``), one stack of equal-length
-    sentences at a time.  ``udp`` and ``udp-nopr`` rank by
+    (``decode_corpus([sentence], ...)``), one stack of equal-length
+    sentences at a time, its ``(B, n)`` tag ids sliced out of the corpus's
+    flat ``tags``.  ``udp`` and ``udp-nopr`` rank by
     ``ranker.content_ranks`` in that mode and decode by ``_heads`` under the
     cost rule it documents; ``baseline`` attaches by ``_closest_heads`` and
     ``adjacency`` chains neighbors, both towards ``backoff_direction``
     (LEFT or RIGHT).  Walk parameters that ``ranker.check_walk`` refuses
-    are refused in every mode.  Heads are 1-based, 0 for the root.
+    are refused in every mode.  Heads are 1-based, 0 for the root, aligned
+    with ``corpus.tags``.
     """
     check_walk(teleport, predicate_weight)
     if mode in ("baseline", "adjacency") and backoff_direction not in _STEPS:
         raise ValueError(f"backoff direction must be LEFT or RIGHT, got {backoff_direction}")
-    by_length: dict[int, list[int]] = defaultdict(list)
-    for position, sentence in enumerate(sentences):
-        by_length[len(sentence)].append(position)
-    heads: list[list[int]] = [[] for _ in sentences]
-    for n, positions in by_length.items():
+    corpus = as_corpus(corpus)
+    starts = corpus.offsets[:-1]
+    lengths = np.diff(corpus.offsets)
+    heads = np.empty(len(corpus.tags), dtype=np.intp)
+    # Sentences of one length, in input order, cut into stacks.
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for positions in np.split(order, cuts) if len(order) else ():
+        n = int(lengths[positions[0]])
         size = max(1, _STACK_ELEMENTS // (n * n))
         for start in range(0, len(positions), size):
-            stack = positions[start:start + size]
+            tokens = starts[positions[start:start + size], None] + np.arange(n)
             if mode == "adjacency":
                 neighbors, edge = _neighbors(n, backoff_direction)
                 neighbors[edge] = 0
-                rows = np.broadcast_to(neighbors, (len(stack), n))
+                heads[tokens] = neighbors
+                continue
+            tags = corpus.tags[tokens]
+            counts = rule_counts(tags, ruleset)
+            if mode == "baseline":
+                heads[tokens] = _closest_heads(tags, counts > 0, backoff_direction)
             else:
-                tags = tag_ids([sentences[position] for position in stack])
-                counts = rule_counts(tags, ruleset)
-                if mode == "baseline":
-                    rows = _closest_heads(tags, counts > 0, backoff_direction)
-                else:
-                    ranks = content_ranks(tags, counts, mode, teleport=teleport,
-                                          predicate_weight=predicate_weight)
-                    licensed = counts > 0
-                    del counts
-                    rows = _heads(tags, ranks, licensed, policy)
-            for position, row in zip(stack, rows.tolist()):
-                heads[position] = row
+                ranks = content_ranks(tags, counts, mode, teleport=teleport,
+                                      predicate_weight=predicate_weight)
+                licensed = counts > 0
+                del counts
+                heads[tokens] = _heads(tags, ranks, licensed, policy)
     return heads
 
 

@@ -9,8 +9,14 @@ PROPN, or PRON.  Bigrams never cross sentence boundaries.
 from dataclasses import dataclass
 from typing import Iterable
 
-from .conllu import Sentence
-from .rules import Direction, is_nominal
+import numpy as np
+
+from .conllu import Corpus, Sentence, as_corpus
+from .rules import TAG_IDS, TAG_NAMES, Direction, is_nominal
+
+_ADP = TAG_IDS["ADP"]
+# Whether each tag id is a nominal tag.
+_NOMINAL = np.array([is_nominal(tag) for tag in TAG_NAMES])
 
 
 @dataclass(frozen=True)
@@ -26,14 +32,12 @@ class AdpDirectionEstimate:
         return Direction.LEFT
 
 
-def estimate_adp_direction(corpus: Iterable[Sentence]) -> AdpDirectionEstimate:
+def estimate_adp_direction(corpus: Corpus | Iterable[Sentence]) -> AdpDirectionEstimate:
     """Count ADP-nominal and nominal-ADP adjacencies across the corpus."""
-    adp_nominal = 0
-    nominal_adp = 0
-    for sentence in corpus:
-        for left, right in zip(sentence.tokens, sentence.tokens[1:]):
-            if left.upos == "ADP" and is_nominal(right.upos):
-                adp_nominal += 1
-            if is_nominal(left.upos) and right.upos == "ADP":
-                nominal_adp += 1
-    return AdpDirectionEstimate(adp_nominal, nominal_adp)
+    corpus = as_corpus(corpus)
+    left, right = corpus.tags[:-1], corpus.tags[1:]
+    within = np.ones(len(left), dtype=bool)
+    within[corpus.offsets[1:-1] - 1] = False
+    adp_nominal = (left == _ADP) & _NOMINAL[right] & within
+    nominal_adp = _NOMINAL[left] & (right == _ADP) & within
+    return AdpDirectionEstimate(int(adp_nominal.sum()), int(nominal_adp.sum()))

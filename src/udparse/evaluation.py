@@ -1,14 +1,19 @@
 """Attachment scoring: UAS, per-tag breakdowns, root accuracy, domain reports.
 
 All tokens are scored, punctuation included.  Corpora are compared
-position-by-position and must describe the same token sequences.
+position-by-position and must describe the same token sequences; every
+count is one ``np.bincount`` over the flat arrays.  ``eval`` reads the
+predicted heads from column 7 of the predicted file.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
-from .conllu import Sentence, Token
+import numpy as np
+
+from .conllu import Corpus, Sentence, as_corpus
+from .rules import TAG_NAMES
 
 
 class AlignmentError(ValueError):
@@ -55,70 +60,111 @@ class DomainReport:
         return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
-def _check_aligned(gold: Sequence[Sentence], pred: Sequence[Sentence]) -> None:
+def _check_aligned(gold: Corpus, pred: Corpus) -> None:
+    """Raise AlignmentError at the first sentence whose token count or
+    forms differ between the corpora."""
     if len(gold) != len(pred):
         raise AlignmentError(
             f"sentence count differs: gold {len(gold)}, predicted {len(pred)}")
-    for number, (g, p) in enumerate(zip(gold, pred), start=1):
-        if len(g) != len(p):
-            raise AlignmentError(
-                f"sentence {number}: token count differs "
-                f"(gold {len(g)}, predicted {len(p)})")
-        for gt, pt in zip(g.tokens, p.tokens):
-            if gt.form != pt.form:
-                raise AlignmentError(
-                    f"sentence {number}, token {gt.index}: form mismatch "
-                    f"(gold {gt.form!r}, predicted {pt.form!r})")
+    gold_lengths, pred_lengths = np.diff(gold.offsets), np.diff(pred.offsets)
+    differs = np.flatnonzero(gold_lengths != pred_lengths)
+    # Sentences before the first count mismatch line up token by token.
+    aligned = int(gold.offsets[differs[0]]) if len(differs) else len(gold.tags)
+    gold_forms, pred_forms = gold.forms[:aligned], pred.forms[:aligned]
+    if gold_forms != pred_forms:
+        token = next(i for i, pair in enumerate(zip(gold_forms, pred_forms))
+                     if pair[0] != pair[1])
+        number, index = _locate(gold.offsets, token)
+        raise AlignmentError(
+            f"sentence {number}, token {index}: form mismatch "
+            f"(gold {gold_forms[token]!r}, predicted {pred_forms[token]!r})")
+    if len(differs):
+        number = int(differs[0])
+        raise AlignmentError(
+            f"sentence {number + 1}: token count differs "
+            f"(gold {gold_lengths[number]}, predicted {pred_lengths[number]})")
 
 
-def _gold_head(number: int, token: Token) -> int:
-    if token.gold_head is None:
-        raise ValueError(f"sentence {number}, token {token.index}: missing gold head")
-    return token.gold_head
+def _locate(offsets: np.ndarray, token: int) -> tuple[int, int]:
+    """1-based sentence number and token index of a flat token position."""
+    number = int(np.searchsorted(offsets, token, side="right"))
+    return number, token - int(offsets[number - 1]) + 1
 
 
-def _predicted_head(number: int, token: Token) -> int:
-    if token.pred_head is not None:
-        return token.pred_head
-    if token.gold_head is not None:
-        return token.gold_head
-    raise ValueError(f"sentence {number}, token {token.index}: missing predicted head")
+def _scored_heads(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sentence]
+                  ) -> tuple[Corpus, np.ndarray]:
+    """The gold corpus and the predicted heads of aligned corpora.
+
+    The gold heads are the gold corpus's column 7, its ``heads``.  The
+    predicted heads are the predicted corpus's column 7 as it is written:
+    the ``predicted`` heads of a corpus that ``cli.parse_corpus`` returned,
+    else the column as read, which is what ``eval`` scores.  A ``_`` in
+    either raises ValueError naming the first sentence and token that lack
+    a head, a missing gold head first within a sentence.
+    """
+    gold, pred = as_corpus(gold), as_corpus(pred)
+    _check_aligned(gold, pred)
+    pred_heads = pred.heads if pred.predicted is None else pred.predicted
+    missing = []
+    for kind, heads in (("gold", gold.heads), ("predicted", pred_heads)):
+        tokens = np.flatnonzero(heads < 0)
+        if len(tokens):
+            missing.append((*_locate(gold.offsets, int(tokens[0])), kind))
+    if missing:
+        number, index, kind = min(missing, key=lambda m: (m[0], m[2]))
+        raise ValueError(f"sentence {number}, token {index}: missing {kind} head")
+    return gold, pred_heads
 
 
-def uas(gold: Sequence[Sentence], pred: Sequence[Sentence]) -> EvalReport:
+def _roots(heads: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sentence, the flat position of its first root dependent (-1 for
+    none) and its number of root dependents."""
+    roots = np.flatnonzero(heads == 0)
+    sentences = np.searchsorted(offsets, roots, side="right") - 1
+    first = np.full(len(offsets) - 1, -1)
+    with_root, at = np.unique(sentences, return_index=True)
+    first[with_root] = roots[at]
+    return first, np.bincount(sentences, minlength=len(offsets) - 1)
+
+
+def _reports(gold: Corpus, pred_heads: np.ndarray, groups: np.ndarray,
+             group_count: int) -> list[EvalReport]:
+    """One report per group; ``groups`` holds each sentence's group."""
+    tag_count = len(TAG_NAMES)
+    keys = np.repeat(groups, np.diff(gold.offsets)) * tag_count + gold.tags
+    size = group_count * tag_count
+    totals = np.bincount(keys, minlength=size).reshape(group_count, tag_count)
+    correct = np.bincount(keys[gold.heads == pred_heads],
+                          minlength=size).reshape(group_count, tag_count)
+    gold_first, gold_roots = _roots(gold.heads, gold.offsets)
+    pred_first, _ = _roots(pred_heads, gold.offsets)
+    root_correct = np.bincount(groups[(gold_first >= 0) & (gold_first == pred_first)],
+                               minlength=group_count)
+    multi_root = np.bincount(groups[gold_roots > 1], minlength=group_count)
+    sentences = np.bincount(groups, minlength=group_count)
+    return [EvalReport(int(correct[group].sum()), int(totals[group].sum()),
+                       {TAG_NAMES[tag]: (int(correct[group, tag]), int(totals[group, tag]))
+                        for tag in np.flatnonzero(totals[group])},
+                       int(root_correct[group]), int(sentences[group]),
+                       int(multi_root[group]))
+            for group in range(group_count)]
+
+
+def uas(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sentence]) -> EvalReport:
     """Score predicted heads against gold heads.
 
-    A token counts as correct when its predicted head index equals the gold
-    head index; per-tag buckets use the gold tags.  Root accuracy compares
-    each sentence's predicted root dependent with its gold one; sentences
-    with several gold roots (malformed gold) are scored against the first
-    and counted in ``multi_root_gold``.
+    The corpora must describe the same tokens, and every token needs a
+    gold and a predicted head; ``_scored_heads`` says where each comes
+    from.  A token counts as correct when its predicted head index equals
+    the gold head index; per-tag buckets use the gold tags.  Root accuracy
+    compares each sentence's first predicted root dependent with its first
+    gold one; sentences with several gold roots (malformed gold) are
+    counted in ``multi_root_gold``.
     """
-    gold = list(gold)
-    pred = list(pred)
-    _check_aligned(gold, pred)
-    if not gold:
+    gold, pred_heads = _scored_heads(gold, pred)
+    if not len(gold):
         raise ValueError("cannot evaluate an empty corpus")
-
-    correct = 0
-    total = 0
-    per_pos: dict[str, tuple[int, int]] = {}
-    root_correct = 0
-    multi_root = 0
-    for number, (g, p) in enumerate(zip(gold, pred), start=1):
-        gold_roots = [t.index for t in g.tokens if _gold_head(number, t) == 0]
-        if len(gold_roots) > 1:
-            multi_root += 1
-        pred_roots = [t.index for t in p.tokens if _predicted_head(number, t) == 0]
-        if gold_roots and pred_roots and pred_roots[0] == gold_roots[0]:
-            root_correct += 1
-        for gt, pt in zip(g.tokens, p.tokens):
-            hit = _gold_head(number, gt) == _predicted_head(number, pt)
-            c, t = per_pos.get(gt.upos, (0, 0))
-            per_pos[gt.upos] = (c + hit, t + 1)
-            correct += hit
-            total += 1
-    return EvalReport(correct, total, per_pos, root_correct, len(gold), multi_root)
+    return _reports(gold, pred_heads, np.zeros(len(gold), dtype=np.intp), 1)[0]
 
 
 def error_propagation(parse_acc_pred_pos: float, parse_acc_gold_pos: float,
@@ -138,24 +184,18 @@ def error_propagation(parse_acc_pred_pos: float, parse_acc_gold_pos: float,
     return ((1.0 - parse_acc_pred_pos) - (1.0 - parse_acc_gold_pos)) / (1.0 - pos_acc)
 
 
-def domain_report(gold: Sequence[Sentence], pred: Sequence[Sentence],
+def domain_report(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sentence],
                   group_key: str) -> DomainReport:
-    """Group-wise attachment scores keyed by a sentence metadata field.
+    """Group-wise attachment scores keyed by a gold sentence metadata field.
 
     Sentences missing the field collect under ``unknown``.  Groups are
     weighted equally in the mean and population standard deviation.
     """
-    gold = list(gold)
-    pred = list(pred)
-    _check_aligned(gold, pred)
-    buckets: dict[str, tuple[list[Sentence], list[Sentence]]] = {}
-    for g, p in zip(gold, pred):
-        label = g.meta.get(group_key, "unknown")
-        buckets.setdefault(label, ([], []))
-        buckets[label][0].append(g)
-        buckets[label][1].append(p)
-    groups = {label: uas(gs, ps) for label, (gs, ps) in sorted(buckets.items())}
-    return DomainReport(groups)
+    gold, pred_heads = _scored_heads(gold, pred)
+    names, groups = np.unique([sentence.meta.get(group_key, "unknown") for sentence in gold],
+                              return_inverse=True)
+    return DomainReport(dict(zip(names.tolist(),
+                                 _reports(gold, pred_heads, groups, len(names)))))
 
 
 def format_report(report: EvalReport, machine: bool = False) -> list[str]:

@@ -9,15 +9,12 @@ order when ranking is disabled.
 
 Everything works on stacks of equal-length sentences: a ``(B, n)`` array
 of tag ids, ``(B, n, n)`` edge counts, and one stacked solve for all B
-walks.  ``decoder.decode_corpus`` builds the stacks, also for a single
-sentence.
+walks.  ``decoder.decode_corpus`` slices the stacks out of a corpus's flat
+tag array, also for a single sentence.
 """
-
-from typing import Sequence
 
 import numpy as np
 
-from .conllu import Sentence
 from .rules import TAG_IDS, RuleSet, is_content
 
 DEFAULT_TELEPORT = 0.05
@@ -27,12 +24,6 @@ DEFAULT_PREDICATE_WEIGHT = 5.0
 # symmetric graph positions fall back to sentence order instead of float
 # noise.
 _SCORE_DECIMALS = 8
-
-
-def tag_ids(sentences: Sequence[Sentence]) -> np.ndarray:
-    """``(B, n)`` ``TAG_IDS`` of a stack of sentences that all have n tokens."""
-    return np.array([[TAG_IDS[token.upos] for token in sentence.tokens]
-                     for sentence in sentences], dtype=np.intp)
 
 
 def rule_counts(tags: np.ndarray, ruleset: RuleSet) -> np.ndarray:
@@ -46,9 +37,8 @@ def rule_counts(tags: np.ndarray, ruleset: RuleSet) -> np.ndarray:
 
 def _teleport_vectors(predicates: np.ndarray, n: int, weight: float) -> np.ndarray:
     """``(B, n)`` rows of 1 with ``weight`` at each 0-based predicate, divided
-    by their sum ``(n - 1) + weight``."""
-    if not 0.0 < weight < np.inf:
-        raise ValueError(f"personalization weight must be positive and finite, got {weight}")
+    by their sum ``(n - 1) + weight``; ``check_walk`` has refused a weight
+    that is not positive and finite."""
     raw = np.ones((len(predicates), n))
     raw[np.arange(len(predicates)), predicates] = weight
     return raw / ((n - 1) + float(weight))
@@ -103,7 +93,7 @@ def content_ranks(tags: np.ndarray, counts: np.ndarray, mode: str = "udp", *,
                   predicate_weight: float = DEFAULT_PREDICATE_WEIGHT) -> np.ndarray:
     """Rank the content words of a stack of equal-length sentences.
 
-    ``tags`` and ``counts`` are the stack's ``tag_ids`` and ``rule_counts``.
+    ``tags`` and ``counts`` are the stack's tag ids and ``rule_counts``.
     ``ranks[b, i]`` is the place of token i + 1 of sentence b in its content
     order, and n for function words, except that a sentence with no content
     words ranks its predicate (``main_predicates``) 0.  ``udp`` mode orders

@@ -20,8 +20,10 @@ UPOS_TAGS = frozenset({
 })
 SYNTHETIC_TAGS = frozenset({"CONTENT", "FUNCTION"})
 KNOWN_TAGS = UPOS_TAGS | SYNTHETIC_TAGS
-# Row/column index of each tag in ``RuleSet.matrix`` and ``DirectionPolicy.sides``.
-TAG_IDS = {tag: tag_id for tag_id, tag in enumerate(sorted(KNOWN_TAGS))}
+# Row/column index of each tag in ``RuleSet.matrix`` and ``DirectionPolicy.sides``,
+# and the tag of each index.
+TAG_NAMES = tuple(sorted(KNOWN_TAGS))
+TAG_IDS = {tag: tag_id for tag_id, tag in enumerate(TAG_NAMES)}
 
 CONTENT_TAGS = frozenset({"ADJ", "NOUN", "PROPN", "VERB", "CONTENT"})
 NOMINAL_TAGS = frozenset({"NOUN", "PROPN", "PRON"})

@@ -1,6 +1,8 @@
 """Shared fixtures: quick sentence construction and the worked example."""
 
-from udparse.conllu import Sentence, Token
+from dataclasses import replace
+
+from udparse.conllu import Sentence, Token, as_corpus
 from udparse.rules import is_content
 
 from oracles import estimate_main_predicate
@@ -21,6 +23,20 @@ def make_sentence(tags, forms=None, heads=None, meta=None) -> Sentence:
         Token(index=i + 1, form=forms[i], upos=tags[i], gold_head=heads[i])
         for i in range(len(tags)))
     return Sentence(tokens, meta=dict(meta or {}))
+
+
+def with_column7(sentence, heads) -> Sentence:
+    """The sentence with ``heads`` in column 7, as a predicted file holds
+    them."""
+    return Sentence(tuple(replace(t, gold_head=h) for t, h in zip(sentence.tokens, heads)),
+                    sentence.meta, sentence.comments, sentence.extras)
+
+
+def tag_ids(sentences):
+    """``(B, n)`` tag ids of equal-length sentences: a stack as
+    ``decoder.decode_corpus`` slices it out of a corpus."""
+    corpus = as_corpus(sentences)
+    return corpus.tags.reshape(len(corpus), -1)
 
 
 def rank_orders(sentence, ranks):

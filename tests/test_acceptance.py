@@ -8,7 +8,6 @@ shows per-test outcomes either way).
 import os
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,13 +17,12 @@ from udparse.conllu import DependencyTree, parse_conllu, validate_tree
 from udparse.decoder import decode_corpus
 from udparse.direction import estimate_adp_direction
 from udparse.evaluation import domain_report, error_propagation, uas
-from udparse.ranker import (_teleport_vectors, _walk_scores, content_ranks,
-                            rule_counts, tag_ids)
+from udparse.ranker import _teleport_vectors, _walk_scores, content_ranks, rule_counts
 from udparse.rules import DEFAULT_POLICY, DEFAULT_RULESET, UPOS_TAGS, Direction
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FORMS, EXAMPLE_HEADS,
                      EXAMPLE_IN_DEGREES, example_conllu, example_sentence,
-                     make_sentence, rank_orders)
+                     make_sentence, rank_orders, tag_ids, with_column7)
 from oracles import (attachment_counts, estimate_main_predicate,
                      mean_and_population_std, per_pos_counts, power_iteration,
                      rule_edges)
@@ -67,7 +65,7 @@ def test_criterion_1_golden_tree_end_to_end(tmp_path, capsys):
               make_sentence(["PRON", "VERB", "ADP", "PROPN"]),
               make_sentence(["PRON", "VERB", "ADP", "NOUN"])]
     library = parse_corpus(corpus)
-    assert [t.pred_head for t in library[0]] == list(EXAMPLE_HEADS)
+    assert library.per_sentence(library.predicted)[0] == list(EXAMPLE_HEADS)
     report_pass(1, "default end-to-end parse reproduces the reference tree")
 
 
@@ -116,12 +114,12 @@ def test_criterion_4_structural_suite_over_ten_thousand_sentences():
     for case_number, tags in enumerate(cases):
         sentence = make_sentence(tags)
         policy = policies[case_number % len(policies)]
-        (heads,) = decode_corpus([sentence], DEFAULT_RULESET, policy)
+        heads = decode_corpus([sentence], DEFAULT_RULESET, policy).tolist()
         tree = DependencyTree(dict(enumerate(heads, start=1)))
         assert validate_tree(sentence, tree) == [], f"invalid tree for tags {tags}"
         if case_number % 7 == 0:
             renamed = make_sentence(tags, forms=tuple(f"alt{i}" for i in range(len(tags))))
-            assert decode_corpus([renamed], DEFAULT_RULESET, policy) == [heads], \
+            assert decode_corpus([renamed], DEFAULT_RULESET, policy).tolist() == heads, \
                 f"nondeterministic decode for {tags}"
         checked += 1
     elapsed = time.perf_counter() - started
@@ -195,14 +193,13 @@ def test_criterion_8_evaluator_matches_brute_force():
             meta = {"genre": rng.choice(["a", "b", "c"])}
             sentence = make_sentence(tags, heads=gold_heads, meta=meta)
             gold.append(sentence)
-            pred_heads = {i + 1: (gold_heads[i] if rng.random() < 0.5
-                                  else rng.randint(0, n)) for i in range(n)}
-            pred.append(replace(sentence, tokens=tuple(
-                replace(t, pred_head=pred_heads[t.index]) for t in sentence.tokens)))
+            pred_heads = [gold_heads[i] if rng.random() < 0.5 else rng.randint(0, n)
+                          for i in range(n)]
+            pred.append(with_column7(sentence, pred_heads))
 
         report = uas(gold, pred)
         gold_heads = [[t.gold_head for t in s] for s in gold]
-        pred_heads = [[t.pred_head for t in s] for s in pred]
+        pred_heads = [[t.gold_head for t in s] for s in pred]
         correct, total = attachment_counts(gold_heads, pred_heads)
         assert (report.correct, report.total) == (correct, total)
         tag_rows = [[t.upos for t in s] for s in gold]

@@ -1,13 +1,15 @@
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udparse import decoder
-from udparse.baselines import forms_tree, naive_pos_tag
+from udparse.baselines import forms_tree, forms_trees, naive_pos_tag
 from udparse.cli import best_baseline_direction
+from udparse.conllu import as_corpus
 from udparse.decoder import decode_corpus
 from udparse.rules import DEFAULT_RULESET, NAIVE_RULESET, UPOS_TAGS, Direction, is_content
 
@@ -19,15 +21,15 @@ ALL_TAGS = sorted(UPOS_TAGS)
 
 def baseline_heads(sentence, direction=Direction.RIGHT):
     """One sentence's closest-head baseline, ``{index: head}``."""
-    (heads,) = decode_corpus([sentence], DEFAULT_RULESET, mode="baseline",
-                             backoff_direction=direction)
-    return dict(enumerate(heads, start=1))
+    heads = decode_corpus([sentence], DEFAULT_RULESET, mode="baseline",
+                          backoff_direction=direction)
+    return dict(enumerate(heads.tolist(), start=1))
 
 
 def adjacency_heads(sentence, direction=Direction.RIGHT):
     """One sentence's adjacency chain, ``{index: head}``."""
-    (heads,) = decode_corpus([sentence], mode="adjacency", backoff_direction=direction)
-    return dict(enumerate(heads, start=1))
+    heads = decode_corpus([sentence], mode="adjacency", backoff_direction=direction)
+    return dict(enumerate(heads.tolist(), start=1))
 
 
 class TestBaselineParse:
@@ -124,7 +126,7 @@ SMALL_STACKS = 32
 def test_baselines_match_sequential_oracles(corpus):
     naive = [["CONTENT" if is_content(tag) else "FUNCTION" for tag in tags] for tags in corpus]
     for ruleset, used in ((DEFAULT_RULESET, corpus), (NAIVE_RULESET, naive)):
-        sentences = [make_sentence(tags) for tags in used]
+        sentences = as_corpus([make_sentence(tags) for tags in used])
         for direction in (Direction.LEFT, Direction.RIGHT):
             closest = [baseline_parse(tags, ruleset.pairs, direction.value) for tags in used]
             chains = [adjacency_parse(len(tags), direction.value) for tags in used]
@@ -133,7 +135,47 @@ def test_baselines_match_sequential_oracles(corpus):
                     for mode, expected in (("baseline", closest), ("adjacency", chains)):
                         heads = decode_corpus(sentences, ruleset, mode=mode,
                                               backoff_direction=direction)
-                        assert list(map(tuple, heads)) == expected, (used, mode, direction, cap)
+                        got = list(map(tuple, sentences.per_sentence(heads)))
+                        assert got == expected, (used, mode, direction, cap)
+
+
+@st.composite
+def head_rows(draw):
+    """One sentence's heads: arbitrary ones (mostly cycles, several roots
+    or none), or a tree drawn by attaching tokens in a random order."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * n
+    for place, token in enumerate(order[1:], start=1):
+        heads[token - 1] = order[draw(st.integers(0, place - 1))]
+    return heads
+
+
+def chain(n):
+    """1 -> 2 -> ... -> n -> root: n pointer steps from token 1."""
+    return list(range(2, n + 1)) + [0]
+
+
+# The stacked check against ``forms_tree``, sentence by sentence.  The
+# longest sentence sets the number of pointer-jumping rounds, so chains of
+# lengths around powers of two need every round.
+@given(st.lists(head_rows(), min_size=1, max_size=12))
+@example(rows=[chain(17)])
+@example(rows=[chain(15), chain(16), [2, 1, 0]])
+@example(rows=[chain(33), chain(32), chain(31), [0, 0], [2, 1], [1], [0]])
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_stacked_tree_check_matches_forms_tree(rows):
+    corpus = as_corpus([make_sentence(["X"] * len(row)) for row in rows])
+    expected = [forms_tree(sentence, dict(enumerate(row, start=1)))
+                for sentence, row in zip(corpus, rows)]
+    heads = np.array([head for row in rows for head in row], dtype=np.intp)
+    assert forms_trees(heads, corpus.offsets).tolist() == expected
+
+
+def test_stacked_tree_check_of_an_empty_corpus():
+    assert forms_trees(np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)).tolist() == []
 
 
 class TestNaivePosTag:
@@ -202,7 +244,7 @@ class TestOracleDirection:
         direction, parsed, report = best_baseline_direction(corpus, ruleset=DEFAULT_RULESET)
         assert direction is Direction.LEFT
         assert report.uas == 1.0
-        assert parsed[0].tokens[1].pred_head == 1
+        assert parsed.predicted[1] == 1
 
     def test_tie_prefers_right(self):
         corpus = [make_sentence(["VERB"], heads=(0,))]

@@ -1,17 +1,19 @@
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from udparse.cli import main, parse_corpus
-from udparse.conllu import parse_conllu
+from udparse.conllu import Token, as_corpus, parse_conllu
 from udparse.rules import Direction
 
 from helpers import (EXAMPLE_FORMS, EXAMPLE_HEADS, EXAMPLE_TAGS,
                      example_conllu, make_sentence)
 
 SAMPLE_PATH = Path(__file__).parent / "data" / "sample.conllu"
+MIXED_PATH = Path(__file__).parent / "data" / "mixed_lengths.conllu"
 
 # Two prepositional sentences around the example keep the corpus-level
 # bigram estimate at adp-nominal 2 vs nominal-adp 1.
@@ -257,6 +259,19 @@ class TestEvalCommand:
         assert code == 0
         assert "uas\t1.000000" in out.splitlines()
 
+    def test_predicted_heads_come_from_column_seven(self, tmp_path, capsys):
+        # A parsed file scores its column 7; "_" there is a missing
+        # prediction, named by sentence and token.
+        gold = tmp_path / "gold.conllu"
+        gold.write_text("1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
+                        "2\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n", encoding="utf-8")
+        pred = tmp_path / "pred.conllu"
+        pred.write_text("1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
+                        "2\tb\t_\tVERB\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
+        code, out, err = run(["eval", str(gold), str(pred)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: sentence 1, token 2: missing predicted head\n"
+
     def test_misaligned_corpora_exit_two(self, tmp_path, capsys):
         gold = tmp_path / "gold.conllu"
         gold.write_text("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n", encoding="utf-8")
@@ -322,10 +337,11 @@ class TestStatsCommand:
 
 class TestLibraryPipeline:
     def test_parse_corpus_returns_new_sentences(self):
-        corpus = [make_sentence(EXAMPLE_TAGS, EXAMPLE_FORMS)]
+        corpus = as_corpus([make_sentence(EXAMPLE_TAGS, EXAMPLE_FORMS)])
         parsed = parse_corpus(corpus, adp_direction="right")
-        assert [t.pred_head for t in parsed[0]] == list(EXAMPLE_HEADS)
-        assert all(t.pred_head is None for t in corpus[0])
+        assert parsed.per_sentence(parsed.predicted) == [list(EXAMPLE_HEADS)]
+        assert corpus.predicted is None
+        assert parsed[0] == corpus[0]
 
     def test_parse_corpus_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -354,7 +370,35 @@ class TestLibraryPipeline:
         corpus = [make_sentence(["NOUN", "VERB", "NOUN"])]
         parsed = parse_corpus(corpus, mode="adjacency",
                               backoff_direction=Direction.LEFT)
-        assert [t.pred_head for t in parsed[0]] == [0, 1, 2]
+        assert parsed.predicted.tolist() == [0, 1, 2]
+
+
+class TestNoTokenObjects:
+    """The CLI keeps a corpus columnar from reader to writer: no command
+    builds a ``Token``."""
+
+    PARSE_OPTIONS = (["--mode", "udp"], ["--mode", "udp-nopr"], ["--mode", "baseline"],
+                     ["--mode", "adjacency"], ["--pos", "naive"])
+
+    def test_no_command_builds_a_token(self, tmp_path, capsys):
+        built = []
+        construct = Token.__init__
+
+        def counted(token, *args, **kwargs):
+            built.append(args)
+            construct(token, *args, **kwargs)
+
+        parsed = str(tmp_path / "parsed.conllu")
+        commands = [["parse", str(MIXED_PATH), *options, "-o", parsed]
+                    for options in self.PARSE_OPTIONS]
+        commands += [["eval", parsed, parsed], ["stats", str(MIXED_PATH)]]
+        with mock.patch.object(Token, "__init__", counted):
+            for argv in commands:
+                assert main(argv) == 0, capsys.readouterr().err
+                assert built == [], argv
+            # The count works: reading a sentence's tokens builds them.
+            assert len(parse_conllu(MIXED_PATH.read_text(encoding="utf-8"))[0].tokens) == 5
+        assert len(built) == 5
 
 
 def test_module_entry_point_runs():

@@ -6,13 +6,15 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import numpy as np
 
 from udparse.cli import main
 from udparse.conllu import (ConlluError, DependencyTree, Sentence, Token,
-                            format_conllu, parse_conllu, validate_tree)
-from udparse.rules import KNOWN_TAGS
+                            as_corpus, format_conllu, parse_conllu, validate_tree)
+from udparse.rules import KNOWN_TAGS, TAG_IDS
 
 from helpers import (EXAMPLE_HEADS, EXAMPLE_TAGS, example_conllu,
                      example_sentence, make_sentence)
@@ -128,23 +130,38 @@ class TestRead:
 class TestWrite:
     def test_single_token_head_zero(self):
         sentence = make_sentence(["NOUN"])
-        out = format_conllu([replace_pred(sentence, {1: 0})])
+        out = format_conllu(with_predicted([sentence], [0]))
         assert out.splitlines()[0].split("\t")[6] == "0"
 
     def test_example_heads_written_to_column_seven(self):
-        parsed = example_sentence().with_heads(dict(enumerate(EXAMPLE_HEADS, start=1)))
-        columns = [line.split("\t") for line in format_conllu([parsed]).splitlines() if line]
+        parsed = with_predicted([example_sentence()], EXAMPLE_HEADS)
+        columns = [line.split("\t") for line in format_conllu(parsed).splitlines() if line]
         assert [int(c[6]) for c in columns] == list(EXAMPLE_HEADS)
         assert {c[7] for c in columns} == {"dep"}
 
-    def test_missing_pred_head_is_an_error(self):
-        with pytest.raises(ConlluError, match="missing predicted head"):
-            format_conllu([make_sentence(["NOUN"])])
+    def test_corpus_without_predicted_heads_is_written_verbatim(self):
+        # Gold relations, ids with leading zeros and "_" heads all survive.
+        text = ("# sent_id = 1\n01\tx\t_\tNOUN\t_\t_\t_\tnsubj\t_\t_\n"
+                "02\ty\t_\tVERB\t_\t_\t0\troot\t_\t_\n\n")
+        assert format_conllu(parse_conllu(text)) == text
+
+    def test_parsed_token_lines_are_rebuilt_from_their_columns(self):
+        # Position, tag name, predicted head and "dep"; the rest stays.
+        text = ("01\tx\tlx\tNOUN\tNN\tF=1\t_\tnsubj\t2:a\tM\n"
+                "1-2\txy\t_\t_\t_\t_\t_\t_\t_\t_\n"
+                "02\ty\tly\tVERB\tVB\tF=2\t0\troot\t_\tN\n\n")
+        corpus = parse_conllu(text)
+        tags = np.array([TAG_IDS["FUNCTION"], TAG_IDS["CONTENT"]])
+        parsed = replace(corpus, tags=tags, predicted=np.array([2, 0]))
+        assert format_conllu(parsed) == (
+            "1\tx\tlx\tFUNCTION\tNN\tF=1\t2\tdep\t2:a\tM\n"
+            "1-2\txy\t_\t_\t_\t_\t_\t_\t_\t_\n"
+            "2\ty\tly\tCONTENT\tVB\tF=2\t0\tdep\t_\tN\n\n")
 
     @pytest.mark.parametrize("field, value", [
         ("form", "a\tb"), ("form", "a\nb"), ("lemma", "a\rb"), ("misc", "SpaceAfter=No\t_")])
     def test_field_with_tab_or_line_break_is_an_error(self, field, value):
-        token = Token(1, "a", "NOUN", pred_head=0)
+        token = Token(1, "a", "NOUN", gold_head=0)
         sentence = Sentence((replace(token, **{field: value}),))
         with pytest.raises(ConlluError, match="token 1 .*tab or newline"):
             format_conllu([sentence])
@@ -154,7 +171,7 @@ class TestWrite:
         ({"two\nlines": "key"}, ()), ({}, ("# text = two\nlines",)),
         ({"text": "fine"}, ("# text = fine", "# note\r"))])
     def test_comment_with_line_break_is_an_error(self, meta, comments):
-        token = Token(1, "a", "NOUN", pred_head=0)
+        token = Token(1, "a", "NOUN", gold_head=0)
         fine = Sentence((token,), meta={"text": "fine"})
         broken = Sentence((token,), meta=meta, comments=comments)
         with pytest.raises(ConlluError, match="sentence 2: comment .* line break"):
@@ -162,12 +179,12 @@ class TestWrite:
 
     def test_meta_synthesized_when_no_raw_comments(self):
         sentence = make_sentence(["NOUN"], meta={"genre": "legal"})
-        out = format_conllu([replace_pred(sentence, {1: 0})])
+        out = format_conllu([sentence])
         assert out.startswith("# genre = legal\n")
 
     def test_round_trip_identity_on_tokens_and_heads(self):
         first = parse_conllu(SAMPLE_PATH.read_text(encoding="utf-8"))
-        written = format_conllu([copy_gold_to_pred(s) for s in first])
+        written = format_conllu(with_predicted(first, first.heads))
         second = parse_conllu(written)
         assert len(second) == len(first)
         for a, b in zip(first, second):
@@ -178,12 +195,12 @@ class TestWrite:
     def test_round_trip_preserves_token_lines_byte_for_byte(self):
         original = SAMPLE_PATH.read_text(encoding="utf-8")
         corpus = parse_conllu(original)
-        written = format_conllu([copy_gold_to_pred(s) for s in corpus])
+        written = format_conllu(corpus)
         assert token_lines(written) == token_lines(original)
 
     def test_range_and_empty_lines_reemitted_in_place(self):
         corpus = parse_conllu(SAMPLE_PATH.read_text(encoding="utf-8"))
-        written = token_lines(format_conllu([copy_gold_to_pred(s) for s in corpus]))
+        written = token_lines(format_conllu(with_predicted(corpus, corpus.heads)))
         mwt = next(i for i, line in enumerate(written) if line.startswith("2-3"))
         assert written[mwt - 1].startswith("1\tWe")
         assert written[mwt + 1].startswith("2\tca")
@@ -261,7 +278,7 @@ class TestValidateTree:
                 min_size=1, max_size=8))
 def test_write_read_round_trip_on_generated_sentences(tags):
     sentence = make_sentence(tags, heads=[0] + [1] * (len(tags) - 1))
-    text = format_conllu([copy_gold_to_pred(sentence)])
+    text = format_conllu([sentence])
     (back,) = parse_conllu(text)
     assert [t.upos for t in back] == list(tags)
     assert [t.gold_head for t in back] == [0] + [1] * (len(tags) - 1)
@@ -271,14 +288,9 @@ def token_lines(text: str) -> list[str]:
     return [line for line in text.splitlines() if line and not line.startswith("#")]
 
 
-def copy_gold_to_pred(sentence: Sentence) -> Sentence:
-    tokens = tuple(replace(t, pred_head=t.gold_head) for t in sentence.tokens)
-    return replace(sentence, tokens=tokens)
-
-
-def replace_pred(sentence: Sentence, heads: dict[int, int]) -> Sentence:
-    tokens = tuple(replace(t, pred_head=heads[t.index]) for t in sentence.tokens)
-    return replace(sentence, tokens=tokens)
+def with_predicted(sentences, heads):
+    """The sentences as a corpus parsed to the given flat heads."""
+    return replace(as_corpus(sentences), predicted=np.array(heads))
 
 
 # Regression nets for the reader and writer.  ``valid_conllu`` draws whole
@@ -303,9 +315,10 @@ def valid_conllu(draw):
                 if draw(st.integers(0, 3)) == 0:
                     lines.append(f"{position + 1}-{position + 2}\t{draw(FIELD)}\t_\t_\t_\t_\t_\t_\t_\t_")
                 fields = draw(st.lists(FIELD, min_size=6, max_size=6))
-                head = draw(st.integers(0, n))
-                deprel = draw(st.sampled_from(["nsubj", "obj", "punct", "root"]))
-                lines.append("\t".join((str(position + 1), fields[0], fields[1],
+                head = draw(st.one_of(st.integers(0, n), st.just("_")))
+                deprel = draw(st.sampled_from(["nsubj", "obj", "punct", "root", "_"]))
+                token_id = draw(st.sampled_from(["", "0"])) + str(position + 1)
+                lines.append("\t".join((token_id, fields[0], fields[1],
                                         draw(st.sampled_from(sorted(KNOWN_TAGS))), fields[2],
                                         fields[3], str(head), deprel, fields[4], fields[5])))
         blocks.append("\n".join(lines) + "\n\n")
@@ -316,7 +329,7 @@ def valid_conllu(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 def test_read_write_read_is_the_identity(text):
     corpus = parse_conllu(text)
-    written = format_conllu([copy_gold_to_pred(s) for s in corpus])
+    written = format_conllu(corpus)
     assert written == text.removeprefix("\ufeff")
     assert parse_conllu(written) == corpus
 
@@ -330,7 +343,15 @@ NEAR_LINES = st.one_of(
     st.text(max_size=12))
 
 
+# int() refuses more than 4300 digits, so long ids and heads must be
+# refused as data.
+LONG = "1" * 5000
+
+
 @given(st.one_of(st.text(), st.lists(NEAR_LINES, max_size=12).map("\n".join)))
+@example(f"{LONG}\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
+@example(f"1\tx\t_\tNOUN\t_\t_\t{LONG}\t_\t_\t_\n")
+@example(f"{'0' * 5000}1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
 @settings(derandomize=True, max_examples=400, deadline=None)
 def test_arbitrary_text_parses_or_names_a_line(text):
     try:

@@ -10,11 +10,11 @@ from udparse import decoder
 from udparse.cli import parse_corpus
 from udparse.conllu import DependencyTree, validate_tree
 from udparse.decoder import decode_corpus
-from udparse.ranker import content_ranks, rule_counts, tag_ids
+from udparse.ranker import content_ranks, rule_counts
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, NAIVE_RULESET,
                            FREE_POLICY, UPOS_TAGS, Direction, is_content)
 
-from helpers import EXAMPLE_HEADS, example_sentence, make_sentence, rank_orders
+from helpers import EXAMPLE_HEADS, example_sentence, make_sentence, rank_orders, tag_ids
 from oracles import closest_first_heads, rule_edges
 
 ADP_RIGHT = DEFAULT_POLICY.with_direction("ADP", Direction.RIGHT)
@@ -24,8 +24,8 @@ ALL_TAGS = sorted(UPOS_TAGS)
 
 def decode_one(sentence, policy=ADP_RIGHT, mode="udp", ruleset=DEFAULT_RULESET):
     """One sentence's tree, decoded as a stack of one."""
-    (heads,) = decode_corpus([sentence], ruleset, policy, mode)
-    return DependencyTree(dict(enumerate(heads, start=1)))
+    heads = decode_corpus([sentence], ruleset, policy, mode)
+    return DependencyTree(dict(enumerate(heads.tolist(), start=1)))
 
 
 def decode_tags(tags, policy=ADP_RIGHT, mode="udp", forms=None):
@@ -206,10 +206,10 @@ def test_decode_matches_sequential_oracle(tags):
         assert (rule_counts(tag_ids([sentence]), ruleset)[0] == edges).all()
         directions = {tag: side.value for tag, side in policy.directions.items()}
         for mode in ("udp", "udp-nopr"):
-            (heads,) = decode_corpus([sentence], ruleset, policy, mode)
+            heads = decode_corpus([sentence], ruleset, policy, mode)
             expected = closest_first_heads(used, *orders_of(sentence, ruleset, mode),
                                            ruleset.pairs, directions)
-            assert tuple(heads) == expected, (used, policy, mode)
+            assert tuple(heads.tolist()) == expected, (used, policy, mode)
 
 
 # parse_corpus ranks and decodes a stack of equal-length sentences at a
@@ -250,5 +250,5 @@ def test_parse_corpus_matches_sequential_oracle_per_sentence(corpus):
                 with mock.patch.object(decoder, "_STACK_ELEMENTS", cap):
                     parsed = parse_corpus(sentences, mode=mode, adp_direction=adp_direction,
                                           ruleset=ruleset, policy=policy)
-                got = [tuple(token.pred_head for token in sentence) for sentence in parsed]
+                got = list(map(tuple, parsed.per_sentence(parsed.predicted)))
                 assert got == expected, (used, policy, mode, cap)

@@ -56,8 +56,8 @@ def test_zero_adp_corpus_still_parses_to_valid_trees():
     corpus = [make_sentence(["DET", "NOUN", "VERB", "PUNCT"]),
               make_sentence(["NOUN", "AUX", "VERB"])]
     for parsed in (parse_corpus(corpus), parse_corpus(corpus, mode="udp-nopr")):
-        for sentence in parsed:
-            tree = DependencyTree({t.index: t.pred_head for t in sentence})
+        for sentence, heads in zip(parsed, parsed.per_sentence(parsed.predicted)):
+            tree = DependencyTree(dict(enumerate(heads, start=1)))
             assert validate_tree(sentence, tree) == []
 
 

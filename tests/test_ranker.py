@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udparse.ranker import (_teleport_vectors, _walk_scores, content_ranks,
-                            main_predicates, rule_counts, tag_ids)
+from udparse.decoder import decode_corpus
+from udparse.ranker import (_teleport_vectors, _walk_scores, check_walk,
+                            content_ranks, main_predicates, rule_counts)
 from udparse.rules import DEFAULT_RULESET, RuleSet, UPOS_TAGS, is_content
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FUNCTION_ORDER,
                      EXAMPLE_IN_DEGREES, EXAMPLE_TAGS, example_sentence,
-                     make_sentence, rank_orders)
+                     make_sentence, rank_orders, tag_ids)
 from oracles import (content_ranking, estimate_main_predicate, power_iteration,
                      rule_edges)
 
@@ -129,7 +130,11 @@ class TestPersonalization:
     @pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")])
     def test_weight_must_be_positive_and_finite(self, weight):
         with pytest.raises(ValueError, match="personalization weight"):
-            _teleport_vectors(np.array([0]), 3, weight)
+            check_walk(0.05, weight)
+        for mode in ("udp", "udp-nopr", "baseline", "adjacency"):
+            with pytest.raises(ValueError, match="personalization weight"):
+                decode_corpus([make_sentence(["NOUN", "VERB", "DET"])], mode=mode,
+                              predicate_weight=weight)
 
 
 class TestPagerank:
