@@ -401,6 +401,31 @@ class TestNoTokenObjects:
         assert len(built) == 5
 
 
+# Peak memory without timing: some numpy calls (``np.unique`` among them)
+# import ``numpy.ma`` on first use, which costs every command more than a
+# megabyte of peak RSS.  A fresh interpreter runs each command and then
+# reports whether the module got loaded.
+_NO_MASKED_ARRAYS = """
+import sys
+from udparse.cli import main
+mixed, parsed = sys.argv[1:]
+for options in (["--mode", "udp"], ["--mode", "udp-nopr"], ["--mode", "baseline"],
+                ["--mode", "adjacency"], ["--pos", "naive"]):
+    assert main(["parse", mixed, *options, "-o", parsed]) == 0, options
+assert main(["eval", parsed, parsed]) == 0
+assert main(["stats", mixed]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_masked_arrays(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS, str(MIXED_PATH), str(tmp_path / "parsed")],
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
+
+
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "udparse", "stats", str(SAMPLE_PATH)],

@@ -73,6 +73,23 @@ MIXED_GOLDEN = {
                   "60eed759075fc3bbb30846afc449dfa969f0001baa71fcee719e8348816a473c", ""),
     "adjacency-left": (["--mode", "adjacency", "--backoff-direction", "left"],
                        "f278b02944f079b5fbcc4127714af1a4fa0a35e673afd8d5dc9cafd9087a6981", ""),
+    # Non-default walks.  At teleport 0.3 and weight 2 both modes still give
+    # the default trees; weight 0.2 and teleport 0.8 change the udp trees.
+    "udp-teleport-weight": (["--mode", "udp", "--teleport", "0.3",
+                             "--personalization-weight", "2"],
+                            "b2aca63f41c7e0ed4b799a8eeeee17f267794a57d5b178a9b60bb1c600862bad",
+                            ""),
+    "naive-teleport-weight": (["--pos", "naive", "--teleport", "0.3",
+                               "--personalization-weight", "2"],
+                              "c961651a4ba9bfc79f9ba801aca9403aafa24a88392c69d4a0ccdd893404a5f0",
+                              ""),
+    "udp-light-predicate": (["--mode", "udp", "--teleport", "0.3",
+                             "--personalization-weight", "0.2"],
+                            "18ed394c29f4bfdeaa9b367c898fcef368ff4482d0a28ba2d8655bdbb1c45b7f",
+                            ""),
+    "udp-high-teleport": (["--mode", "udp", "--teleport", "0.8",
+                           "--personalization-weight", "2"],
+                          "08e3e8c7a6c6200c304ca2dc36d48a1ac5212b94cbf8a2a21ca12840d31a809c", ""),
 }
 
 
