@@ -264,7 +264,9 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     A UTF-8 byte-order mark at the start of the input is skipped.  Raises
     ConlluError naming the offending line for malformed column counts, bad
     token ids, unknown UPOS tags, unparseable head fields (``_`` is accepted
-    as "no gold head"), and heads beyond the end of their sentence.
+    as "no gold head"), heads beyond the end of their sentence, a carriage
+    return inside a line, and a comment after a sentence's first token,
+    range or empty-node line.
     """
     tags: list[int] = []
     heads: list[int] = []
@@ -296,13 +298,22 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
 
     line_no = 0
     for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
+        line = raw.rstrip("\n")
         if line_no == 1:
             line = line.removeprefix("\ufeff")
         if not line.strip():
             flush(line_no)
             continue
+        if "\r" in line:
+            line = line.rstrip("\r")
+            # A file reader splits lines at a bare \r too, so such a line
+            # would not read back once written.
+            if "\r" in line:
+                raise ConlluError(f"line {line_no}: carriage return inside the line")
         if line.startswith("#"):
+            if token_lines or extras:
+                raise ConlluError(f"line {line_no}: comment inside a sentence; "
+                                  "comments go before its first line")
             comments.append(line)
             continue
         columns = line.split("\t")

@@ -10,11 +10,12 @@ sentence-final punctuation is then re-attached to it.
 
 Once the ranking is known every attachment is independent of the others, so
 a sentence is decoded as one argmin per row of a dependent-by-head cost
-matrix.  ``decode_corpus``, the one entry to parsing in every mode, groups
-sentences of equal length into stacks, slices each stack's tag ids out of
-the corpus's flat tag array, ranks and decodes it with one ``(B, n, n)``
-solve and one argmin, and writes the heads into one flat array; a single
-sentence is a stack of one.  The closest-head baseline is one argmin over
+matrix.  ``decode_corpus``, the one entry to parsing in every mode, takes
+the corpus's main predicates and ranking keys once (``ranker``), groups
+sentences of equal length into stacks, slices each stack's tag ids and keys
+out of the corpus's flat arrays, orders it with one sort and decodes it
+with one ``(B, n, n)`` argmin, and writes the heads into one flat array; a
+single sentence is a stack of one.  The closest-head baseline is one argmin over
 the same distance grid, and an adjacency chain is one constant head row per
 length.
 """
@@ -25,14 +26,9 @@ import numpy as np
 
 from .conllu import Corpus, Sentence, as_corpus
 from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, check_walk,
-                     content_ranks, main_predicates, rule_counts)
+                     content_ranks, main_predicates, ranking_keys, rule_counts, stacks)
 from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, TAG_IDS, Direction,
                     DirectionPolicy, RuleSet)
-
-# Most ``B * n * n`` elements in one stack, which bounds the memory of the
-# stacked arrays; a sentence with more than this many ``n * n`` elements
-# forms a stack of its own.
-_STACK_ELEMENTS = 1 << 16
 
 _PUNCT = TAG_IDS["PUNCT"]
 
@@ -65,10 +61,11 @@ def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAUL
 
     The one entry to parsing, also for a single sentence
     (``decode_corpus([sentence], ...)``), one stack of equal-length
-    sentences at a time, its ``(B, n)`` tag ids sliced out of the corpus's
-    flat ``tags``.  ``udp`` and ``udp-nopr`` rank by
-    ``ranker.content_ranks`` in that mode and decode by ``_heads`` under the
-    cost rule it documents; ``baseline`` attaches by ``_closest_heads`` and
+    sentences (``ranker.stacks``) at a time, its ``(B, n)`` tag ids sliced
+    out of the corpus's flat ``tags``.  ``udp`` and ``udp-nopr`` take the
+    corpus's ``ranker.ranking_keys`` in that mode once, rank each stack by
+    ``ranker.content_ranks`` and decode it by ``_heads`` under the cost
+    rule it documents; ``baseline`` attaches by ``_closest_heads`` and
     ``adjacency`` chains neighbors, both towards ``backoff_direction``
     (LEFT or RIGHT).  Walk parameters that ``ranker.check_walk`` refuses
     are refused in every mode.  Heads are 1-based, 0 for the root, aligned
@@ -79,31 +76,26 @@ def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAUL
         raise ValueError(f"backoff direction must be LEFT or RIGHT, got {backoff_direction}")
     corpus = as_corpus(corpus)
     starts = corpus.offsets[:-1]
-    lengths = np.diff(corpus.offsets)
     heads = np.empty(len(corpus.tags), dtype=np.intp)
-    # Sentences of one length, in input order, cut into stacks.
-    order = np.argsort(lengths, kind="stable")
-    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
-    for positions in np.split(order, cuts) if len(order) else ():
-        n = int(lengths[positions[0]])
-        size = max(1, _STACK_ELEMENTS // (n * n))
-        for start in range(0, len(positions), size):
-            tokens = starts[positions[start:start + size], None] + np.arange(n)
-            if mode == "adjacency":
-                neighbors, edge = _neighbors(n, backoff_direction)
-                neighbors[edge] = 0
-                heads[tokens] = neighbors
-                continue
-            tags = corpus.tags[tokens]
-            counts = rule_counts(tags, ruleset)
-            if mode == "baseline":
-                heads[tokens] = _closest_heads(tags, counts > 0, backoff_direction)
-            else:
-                ranks = content_ranks(tags, counts, mode, teleport=teleport,
-                                      predicate_weight=predicate_weight)
-                licensed = counts > 0
-                del counts
-                heads[tokens] = _heads(tags, ranks, licensed, policy)
+    if mode != "adjacency":
+        predicates = main_predicates(corpus.tags, corpus.offsets)
+    if mode not in ("baseline", "adjacency"):
+        keys = ranking_keys(corpus.tags, corpus.offsets, predicates, ruleset, mode,
+                            teleport=teleport, predicate_weight=predicate_weight)
+    for n, rows in stacks(np.diff(corpus.offsets)):
+        tokens = starts[rows, None] + np.arange(n)
+        if mode == "adjacency":
+            neighbors, edge = _neighbors(n, backoff_direction)
+            neighbors[edge] = 0
+            heads[tokens] = neighbors
+            continue
+        tags = corpus.tags[tokens]
+        licensed = rule_counts(tags, ruleset) > 0
+        if mode == "baseline":
+            heads[tokens] = _closest_heads(tags, licensed, predicates[rows], backoff_direction)
+        else:
+            ranks = content_ranks(tags, keys[tokens], predicates[rows])
+            heads[tokens] = _heads(tags, ranks, licensed, policy)
     return heads
 
 
@@ -117,21 +109,21 @@ def _neighbors(n: int, direction: Direction) -> tuple[np.ndarray, int]:
     return neighbors, edge
 
 
-def _closest_heads(tags: np.ndarray, licensed: np.ndarray,
+def _closest_heads(tags: np.ndarray, licensed: np.ndarray, predicates: np.ndarray,
                    direction: Direction) -> np.ndarray:
     """``(B, n)`` closest-head baseline heads of a stack.
 
     Every token attaches to the closest head the rules license for it,
     leftward on a distance tie, or to its ``direction`` neighbor when no
-    token may head it; the main predicate (``ranker.main_predicates``)
-    attaches to the root.  The output is single-rooted but may contain
+    token may head it; the main predicate (0-based ``predicates``) attaches
+    to the root.  The output is single-rooted but may contain
     cycles among neighbor attachments, so it need not be a tree.
     """
     stack, n = tags.shape
     _, distance_costs = _geometry(n)
     closest = np.where(licensed, distance_costs, 2 * n).argmin(axis=2) + 1
     heads = np.where(licensed.any(axis=2), closest, _neighbors(n, direction)[0])
-    heads[np.arange(stack), main_predicates(tags)] = 0
+    heads[np.arange(stack), predicates] = 0
     return heads
 
 

@@ -7,11 +7,27 @@ tokens; its stationary distribution is solved exactly as one linear system.
 Content words are then ordered by descending score, or simply by reading
 order when ranking is disabled.
 
-Everything works on stacks of equal-length sentences: a ``(B, n)`` array
-of tag ids, ``(B, n, n)`` edge counts, and one stacked solve for all B
-walks.  ``decoder.decode_corpus`` slices the stacks out of a corpus's flat
-tag array, also for a single sentence.
+The walk is solved on word classes, not on tokens.  An edge's multiplicity
+depends only on the tags at its two ends, and the teleport vector singles
+out only the main predicate, so swapping two tokens of a sentence that
+share a tag, neither of them the predicate, maps both the graph and the
+teleport vector onto themselves: such tokens have the same score.  The
+walk is therefore exactly lumpable onto classes (Kemeny & Snell 1960,
+"Finite Markov Chains", section 6.3): each distinct tag of a sentence is a
+class, and the predicate is a class of its own, so a sentence has at most
+20 classes however long it is.  The class walk is the same kind of linear
+system at that size, and a token's score is its class's mass divided by
+the class size.
+
+Everything works on stacks: ``stacks`` groups sentences of equal size (the
+class walk by class count, the decoder by length) and cuts each group so
+that a ``(B, n, n)`` array stays within one budget.  ``decoder.decode_corpus``
+is the one entry to parsing; it takes the flat sort keys of
+``ranking_keys`` once per corpus and orders each length stack by them with
+``content_ranks``.
 """
+
+from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +41,31 @@ DEFAULT_PREDICATE_WEIGHT = 5.0
 # noise.
 _SCORE_DECIMALS = 8
 
+# Most ``B * n * n`` elements in one stack, which bounds the memory of the
+# stacked arrays; a sentence with more than this many ``n * n`` elements
+# forms a stack of its own.
+_STACK_ELEMENTS = 1 << 16
+
+# Whether each tag id is a content tag.
+_CONTENT = np.array([is_content(tag) for tag in TAG_IDS])
+_VERB = TAG_IDS["VERB"]
+# The predicate's class label, above every tag id: the last class of its
+# sentence.
+_PREDICATE = len(TAG_IDS)
+
+
+def stacks(sizes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(n, positions)`` for the positions of equal ``sizes``, in input
+    order, cut into stacks of at most ``_STACK_ELEMENTS`` ``B * n * n``
+    elements."""
+    order = np.argsort(sizes, kind="stable")
+    cuts = np.flatnonzero(np.diff(sizes[order])) + 1
+    for positions in np.split(order, cuts) if len(order) else ():
+        n = int(sizes[positions[0]])
+        size = max(1, _STACK_ELEMENTS // (n * n))
+        for start in range(0, len(positions), size):
+            yield n, positions[start:start + size]
+
 
 def rule_counts(tags: np.ndarray, ruleset: RuleSet) -> np.ndarray:
     """``(B, n, n)`` edge multiplicities ``[sentence, dependent, head]``, one
@@ -33,15 +74,6 @@ def rule_counts(tags: np.ndarray, ruleset: RuleSet) -> np.ndarray:
     diagonal = np.arange(tags.shape[1])
     counts[:, diagonal, diagonal] = 0
     return counts
-
-
-def _teleport_vectors(predicates: np.ndarray, n: int, weight: float) -> np.ndarray:
-    """``(B, n)`` rows of 1 with ``weight`` at each 0-based predicate, divided
-    by their sum ``(n - 1) + weight``; ``check_walk`` has refused a weight
-    that is not positive and finite."""
-    raw = np.ones((len(predicates), n))
-    raw[np.arange(len(predicates)), predicates] = weight
-    return raw / ((n - 1) + float(weight))
 
 
 def _walk_scores(counts: np.ndarray, p: np.ndarray, teleport: float) -> np.ndarray:
@@ -66,16 +98,18 @@ def _walk_scores(counts: np.ndarray, p: np.ndarray, teleport: float) -> np.ndarr
     return np.linalg.solve(system.transpose(0, 2, 1), (teleport * p)[..., None])[..., 0]
 
 
-# Whether each tag id is a content tag.
-_CONTENT = np.array([is_content(tag) for tag in TAG_IDS])
-_VERB = TAG_IDS["VERB"]
-
-
-def main_predicates(tags: np.ndarray) -> np.ndarray:
-    """``(B,)`` 0-based main predicate of each sentence of a stack: its first
-    verb, else its first content word, else its first token."""
-    verbs = tags == _VERB
-    return np.where(verbs.any(axis=1), verbs.argmax(axis=1), _CONTENT[tags].argmax(axis=1))
+def main_predicates(tags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """0-based main predicate of each sentence of a corpus (its flat tag ids
+    and sentence offsets): its first verb, else its first content word,
+    else its first token."""
+    starts = offsets[:-1]
+    lengths = np.diff(offsets)
+    longest = int(lengths.max(initial=1))
+    # Verbs claim first, then the other content words, then any token; the
+    # earliest claim of the best kind wins.
+    claims = ((2 - _CONTENT[tags] - (tags == _VERB)) * longest
+              + np.arange(len(tags)) - np.repeat(starts, lengths))
+    return np.minimum.reduceat(claims, starts) % longest
 
 
 def check_walk(teleport: float, predicate_weight: float) -> None:
@@ -88,36 +122,107 @@ def check_walk(teleport: float, predicate_weight: float) -> None:
                          f"got {predicate_weight}")
 
 
-def content_ranks(tags: np.ndarray, counts: np.ndarray, mode: str = "udp", *,
-                  teleport: float = DEFAULT_TELEPORT,
-                  predicate_weight: float = DEFAULT_PREDICATE_WEIGHT) -> np.ndarray:
-    """Rank the content words of a stack of equal-length sentences.
+def class_scores(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
+                 ruleset: RuleSet, *, teleport: float = DEFAULT_TELEPORT,
+                 predicate_weight: float = DEFAULT_PREDICATE_WEIGHT
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk scores of a corpus's word classes: ``(classes, class_tags,
+    scores)``, where token i is in class ``classes[i]`` and each of its
+    tokens scores ``scores[class]``.
 
-    ``tags`` and ``counts`` are the stack's tag ids and ``rule_counts``.
-    ``ranks[b, i]`` is the place of token i + 1 of sentence b in its content
-    order, and n for function words, except that a sentence with no content
-    words ranks its predicate (``main_predicates``) 0.  ``udp`` mode orders
-    content words by descending walk score, with ties (after rounding away
-    float noise) broken by sentence position; ``udp-nopr`` mode keeps them
-    in sentence order and computes no scores.  Both modes refuse the walk
-    parameters that ``check_walk`` refuses.
+    A sentence's classes are its distinct tags in tag id order, the main
+    predicate (``predicates``, 0-based) last and on its own; m is their
+    sizes.  Each token of class a has ``R[tag c, tag a] * (m_c - [a = c])``
+    edges into class c, R being ``RuleSet.matrix``, and each class holds
+    ``m_c`` times a token's teleport mass: 1 per token and
+    ``predicate_weight`` for the predicate, over ``(n - 1) + weight``.
+    Sentences with the same class count are solved as one stack by
+    ``_walk_scores``.
+    """
+    width = _PREDICATE + 1
+    lengths = np.diff(offsets)
+    labels = tags.copy()
+    labels[offsets[:-1] + predicates] = _PREDICATE
+    cells = np.repeat(np.arange(len(lengths)) * width, lengths) + labels
+    # One cell per (sentence, label); the occupied ones are the classes.
+    sizes = np.bincount(cells, minlength=len(lengths) * width)
+    numbered = np.cumsum(sizes > 0)
+    classes = numbered[cells] - 1
+    class_offsets = np.concatenate(([0], numbered[width - 1::width]))
+    occupied = np.flatnonzero(sizes)
+    sizes = sizes[occupied]
+    class_tags = occupied % width
+    class_tags[class_offsets[1:] - 1] = tags[offsets[:-1] + predicates]
+    scores = np.empty(len(occupied))
+    for k, rows in stacks(np.diff(class_offsets)):
+        members = class_offsets[rows, None] + np.arange(k)
+        m = sizes[members]
+        kinds = class_tags[members]
+        counts = (ruleset.matrix[kinds[:, None, :], kinds[:, :, None]]
+                  * (m[:, None, :] - np.eye(k, dtype=m.dtype)))
+        q = m.astype(float)
+        q[:, -1] = predicate_weight
+        q /= ((lengths[rows] - 1) + float(predicate_weight))[:, None]
+        scores[members] = _walk_scores(counts, q, teleport) / m
+    return classes, class_tags, scores
+
+
+def ranking_keys(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
+                 ruleset: RuleSet, mode: str = "udp", *,
+                 teleport: float = DEFAULT_TELEPORT,
+                 predicate_weight: float = DEFAULT_PREDICATE_WEIGHT) -> np.ndarray:
+    """One sort key per token of a corpus; ``content_ranks`` orders content
+    words by ascending key.
+
+    ``udp`` mode keys each token by its negated ``class_scores`` score,
+    rounded to ``_SCORE_DECIMALS`` once per class; ``udp-nopr`` mode keys
+    every token 0, which leaves content words in sentence order.  Both
+    modes refuse the walk parameters that ``check_walk`` refuses.
     """
     check_walk(teleport, predicate_weight)
+    if mode == "udp-nopr":
+        return np.zeros(len(tags))
+    if mode != "udp":
+        raise ValueError(f"unknown ranking mode {mode!r}")
+    classes, class_tags, scores = class_scores(
+        tags, offsets, predicates, ruleset, teleport=teleport,
+        predicate_weight=predicate_weight)
+    return -_rounded(scores)[classes]
+
+
+def _rounded(scores: np.ndarray) -> np.ndarray:
+    """``round(score, _SCORE_DECIMALS)`` of every score in [0, 1], exactly
+    as Python rounds.
+
+    Scaled by 10^8, a score is off by at most 1.2e-8 from its exact
+    product, so unless it lies within 1e-6 of a half, ``rint`` picks the
+    integer k that Python's correctly rounded ``round`` picks, and ``k / 10^8``
+    is the double nearest to that decimal, as ``round`` returns.  Scores
+    that close to a half go through ``round`` itself.
+    """
+    scale = 10.0 ** _SCORE_DECIMALS
+    scaled = scores * scale
+    rounded = np.rint(scaled) / scale
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+    rounded[near_half] = [round(score, _SCORE_DECIMALS)
+                          for score in scores[near_half].tolist()]
+    return rounded
+
+
+def content_ranks(tags: np.ndarray, keys: np.ndarray, predicates: np.ndarray) -> np.ndarray:
+    """Rank the content words of a stack of equal-length sentences.
+
+    ``tags``, ``keys`` (``ranking_keys``) and ``predicates`` are the stack's
+    slices.  ``ranks[b, i]`` is the place of token i + 1 of sentence b in
+    its content order, and n for function words, except that a sentence
+    with no content words ranks its predicate 0.  Content words come in
+    ascending key order, ties in sentence order.
+    """
     stack, n = tags.shape
     content = _CONTENT[tags]
-    predicates = main_predicates(tags)
-    if mode == "udp":
-        p = _teleport_vectors(predicates, n, predicate_weight)
-        scores = _walk_scores(counts, p, teleport)
-        keys = np.zeros((stack, n))
-        keys[content] = [-round(score, _SCORE_DECIMALS) for score in scores[content].tolist()]
-        # Content words first, then descending rounded score; lexsort is
-        # stable, so ties and all function words keep sentence order.
-        order = np.lexsort((keys, ~content))
-    elif mode == "udp-nopr":
-        order = np.argsort(~content, axis=1, kind="stable")
-    else:
-        raise ValueError(f"unknown ranking mode {mode!r}")
+    # Content words first, then by key; lexsort is stable, so ties and all
+    # function words keep sentence order.
+    order = np.lexsort((keys, ~content))
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(n), axis=1)
     ranks[~content] = n

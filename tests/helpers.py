@@ -3,9 +3,9 @@
 from dataclasses import replace
 
 from udparse.conllu import Sentence, Token, as_corpus
-from udparse.rules import is_content
+from udparse.rules import DEFAULT_RULESET, is_content
 
-from oracles import estimate_main_predicate
+from oracles import content_ranking, estimate_main_predicate, token_walk_scores
 
 EXAMPLE_TAGS = ("PRON", "ADV", "VERB", "DET", "ADJ", "NOUN", "ADP", "DET", "NOUN")
 EXAMPLE_FORMS = ("They", "also", "had", "a", "special", "connection",
@@ -48,6 +48,21 @@ def rank_orders(sentence, ranks):
     function = tuple(t.index for t in sentence if not is_content(t.upos))
     return (tuple(content), function,
             estimate_main_predicate([t.upos for t in sentence]))
+
+
+def orders_of(sentence, ruleset=DEFAULT_RULESET, mode="udp", teleport=0.05, weight=5.0):
+    """``rank_orders`` of one sentence as the dense oracle ranks it: content
+    words by ``oracles.content_ranking`` of the token-level walk's scores,
+    or in sentence order in ``udp-nopr`` mode."""
+    tags = [t.upos for t in sentence]
+    predicate = estimate_main_predicate(tags)
+    content = [t.index for t in sentence if is_content(t.upos)]
+    if mode == "udp":
+        scores = token_walk_scores(tag_ids([sentence]), ruleset, [predicate - 1],
+                                   teleport, weight)[0].tolist()
+        content = content_ranking(content, scores)
+    function = tuple(t.index for t in sentence if not is_content(t.upos))
+    return tuple(content), function, predicate
 
 
 def example_sentence() -> Sentence:

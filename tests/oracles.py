@@ -2,8 +2,15 @@
 
 Everything here is deliberately written from scratch with plain Python data
 structures: dense row-stochastic matrices and explicit loops, no shared code
-with the implementations under test.
+with the implementations under test.  The one exception is
+``token_walk_scores``, the token-level walk the package solved before it
+lumped words into classes: it runs the package's ``_walk_scores`` kernel,
+which ``power_iteration`` checks, on the full ``rule_counts`` token graph.
 """
+
+import numpy as np
+
+from udparse.ranker import _walk_scores, rule_counts
 
 
 def dense_transition(n, edges):
@@ -44,6 +51,21 @@ def power_iteration(n, edges, personalization, teleport=0.05,
         if change < tol:
             return x
     raise RuntimeError(f"power iteration still moving by {change} after {max_iter} steps")
+
+
+def teleport_vectors(predicates, n, weight):
+    """``(B, n)`` rows of 1 with ``weight`` at each 0-based predicate,
+    divided by their sum ``(n - 1) + weight``."""
+    raw = np.ones((len(predicates), n))
+    raw[np.arange(len(predicates)), predicates] = weight
+    return raw / ((n - 1) + float(weight))
+
+
+def token_walk_scores(tags, ruleset, predicates, teleport=0.05, weight=5.0):
+    """``(B, n)`` walk scores of a stack of equal-length sentences (tag ids),
+    one node per token."""
+    p = teleport_vectors(predicates, tags.shape[1], weight)
+    return _walk_scores(rule_counts(tags, ruleset), p, teleport)
 
 
 def rule_edges(tags, pairs):

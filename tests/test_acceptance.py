@@ -9,21 +9,21 @@ import os
 import random
 import time
 
-import numpy as np
 import pytest
 
 from udparse.cli import main, parse_corpus
-from udparse.conllu import DependencyTree, parse_conllu, validate_tree
+from udparse.conllu import DependencyTree, as_corpus, parse_conllu, validate_tree
 from udparse.decoder import decode_corpus
 from udparse.direction import estimate_adp_direction
 from udparse.evaluation import domain_report, error_propagation, uas
-from udparse.ranker import _teleport_vectors, _walk_scores, content_ranks, rule_counts
+from udparse.ranker import (class_scores, content_ranks, main_predicates, ranking_keys,
+                            rule_counts)
 from udparse.rules import DEFAULT_POLICY, DEFAULT_RULESET, UPOS_TAGS, Direction
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FORMS, EXAMPLE_HEADS,
                      EXAMPLE_IN_DEGREES, example_conllu, example_sentence,
                      make_sentence, rank_orders, tag_ids, with_column7)
-from oracles import (attachment_counts, estimate_main_predicate,
+from oracles import (attachment_counts, content_ranking, estimate_main_predicate,
                      mean_and_population_std, per_pos_counts, power_iteration,
                      rule_edges)
 
@@ -78,20 +78,24 @@ def test_criterion_2_golden_graph_in_degrees():
 
 def test_criterion_3_golden_ranking_and_score_agreement():
     sentence = example_sentence()
-    tags = tag_ids([sentence])
-    counts = rule_counts(tags, DEFAULT_RULESET)
-    ranks = content_ranks(tags, counts, teleport=0.05, predicate_weight=5.0)
+    corpus = as_corpus([sentence])
+    predicates = main_predicates(corpus.tags, corpus.offsets)
+    keys = ranking_keys(corpus.tags, corpus.offsets, predicates, DEFAULT_RULESET,
+                        teleport=0.05, predicate_weight=5.0)
+    ranks = content_ranks(corpus.tags[None], keys[None], predicates)
     content_order = rank_orders(sentence, ranks[0].tolist())[0]
     assert content_order == EXAMPLE_CONTENT_ORDER
     content_forms = [EXAMPLE_FORMS[i - 1] for i in content_order]
     assert content_forms == ["had", "connection", "extremists", "special"]
 
+    classes, _, scores = class_scores(corpus.tags, corpus.offsets, predicates,
+                                      DEFAULT_RULESET, teleport=0.05, predicate_weight=5.0)
     predicate = estimate_main_predicate([t.upos for t in sentence]) - 1
-    scores = _walk_scores(counts, _teleport_vectors(np.array([predicate]), 9, 5.0), 0.05)
     weights = [(5.0 if i == predicate else 1.0) / 13 for i in range(9)]
     edges = rule_edges([t.upos for t in sentence], DEFAULT_RULESET.pairs)
     reference = power_iteration(len(sentence), edges, weights)
-    worst = max(abs(a - b) for a, b in zip(scores[0].tolist(), reference))
+    assert content_ranking(EXAMPLE_CONTENT_ORDER, reference) == EXAMPLE_CONTENT_ORDER
+    worst = max(abs(a - b) for a, b in zip(scores[classes].tolist(), reference))
     assert worst < 1e-10, f"scores diverge from dense power iteration by {worst}"
     report_pass(3, f"content ranking reproduced; score gap vs oracle {worst:.2e}")
 

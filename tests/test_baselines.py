@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from udparse import decoder
+from udparse import ranker
 from udparse.baselines import forms_tree, forms_trees, naive_pos_tag
 from udparse.cli import best_baseline_direction
 from udparse.conllu import as_corpus
@@ -130,8 +130,8 @@ def test_baselines_match_sequential_oracles(corpus):
         for direction in (Direction.LEFT, Direction.RIGHT):
             closest = [baseline_parse(tags, ruleset.pairs, direction.value) for tags in used]
             chains = [adjacency_parse(len(tags), direction.value) for tags in used]
-            for cap in (decoder._STACK_ELEMENTS, SMALL_STACKS):
-                with mock.patch.object(decoder, "_STACK_ELEMENTS", cap):
+            for cap in (ranker._STACK_ELEMENTS, SMALL_STACKS):
+                with mock.patch.object(ranker, "_STACK_ELEMENTS", cap):
                     for mode, expected in (("baseline", closest), ("adjacency", chains)):
                         heads = decode_corpus(sentences, ruleset, mode=mode,
                                               backoff_direction=direction)

@@ -120,6 +120,41 @@ class TestRead:
             parse_conllu(text)
         assert "head 7" in str(excinfo.value)
 
+    @pytest.mark.parametrize("text", [
+        "1\ta\rb\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n",
+        "1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\r_\n\n",
+        "# a\rb\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n",
+    ])
+    def test_carriage_return_inside_a_line_names_the_line(self, text):
+        # Written back, such a line would split when a file is read.
+        with pytest.raises(ConlluError, match="line 1: carriage return"):
+            parse_conllu(text)
+        with pytest.raises(ConlluError, match="line 2: carriage return"):
+            parse_conllu("# ok\n" + text)
+
+    def test_crlf_line_endings_are_accepted(self):
+        text = "1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n"
+        assert parse_conllu(text.replace("\n", "\r\n")) == parse_conllu(text)
+
+    @pytest.mark.parametrize("inside", [
+        "1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n",
+        "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n",
+        "0.1\tz\t_\t_\t_\t_\t_\t_\t_\t_\n",
+    ])
+    def test_comment_inside_a_sentence_names_its_line(self, inside):
+        # UD allows comments only before a sentence; one after its first
+        # token, range or empty-node line would move there on writing.
+        text = ("# sent_id = a\n" + inside + "# mid\n"
+                + ("" if inside.startswith("1\t") else "1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n")
+                + "2\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n")
+        with pytest.raises(ConlluError, match="line 3: comment inside a sentence"):
+            parse_conllu(text)
+
+    def test_comment_before_the_next_sentence_is_accepted(self):
+        (first, second) = parse_conllu("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"
+                                       "# sent_id = b\n1\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n")
+        assert first.comments == () and second.comments == ("# sent_id = b",)
+
     def test_gold_head_equal_to_the_length_is_accepted(self):
         (sentence,) = parse_conllu("1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
                                    "2-3\tbc\t_\t_\t_\t_\t_\t_\t_\t_\n"

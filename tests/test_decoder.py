@@ -6,15 +6,15 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from udparse import decoder
+from udparse import ranker
 from udparse.cli import parse_corpus
 from udparse.conllu import DependencyTree, validate_tree
 from udparse.decoder import decode_corpus
-from udparse.ranker import content_ranks, rule_counts
+from udparse.ranker import rule_counts
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, NAIVE_RULESET,
                            FREE_POLICY, UPOS_TAGS, Direction, is_content)
 
-from helpers import EXAMPLE_HEADS, example_sentence, make_sentence, rank_orders, tag_ids
+from helpers import EXAMPLE_HEADS, example_sentence, make_sentence, orders_of, tag_ids
 from oracles import closest_first_heads, rule_edges
 
 ADP_RIGHT = DEFAULT_POLICY.with_direction("ADP", Direction.RIGHT)
@@ -31,13 +31,6 @@ def decode_one(sentence, policy=ADP_RIGHT, mode="udp", ruleset=DEFAULT_RULESET):
 def decode_tags(tags, policy=ADP_RIGHT, mode="udp", forms=None):
     sentence = make_sentence(tags, forms)
     return decode_one(sentence, policy, mode), sentence
-
-
-def orders_of(sentence, ruleset=DEFAULT_RULESET, mode="udp"):
-    """``rank_orders`` of one sentence ranked as a stack of one."""
-    tags = tag_ids([sentence])
-    ranks = content_ranks(tags, rule_counts(tags, ruleset), mode)
-    return rank_orders(sentence, ranks[0].tolist())
 
 
 class TestAttach:
@@ -183,7 +176,8 @@ def test_reading_order_decode_always_yields_valid_trees(tags):
 
 
 # The decoder against the sequential closest-first decode it replaced, on
-# the same ranking: every policy shape and both rule tables, in both modes.
+# the dense oracle's ranking: every policy shape and both rule tables, in
+# both modes.
 ORACLE_SETTINGS = (
     (DEFAULT_RULESET, ADP_RIGHT, False),
     (DEFAULT_RULESET, ADP_LEFT, False),
@@ -213,11 +207,11 @@ def test_decode_matches_sequential_oracle(tags):
 
 
 # parse_corpus ranks and decodes a stack of equal-length sentences at a
-# time; per sentence its heads must be the sequential decode of the
-# one-sentence ranking.  Corpora mix repeated and interleaved lengths.  With
-# a cap of 32 stacked elements, 4-token sentences go two to a stack, 3-token
-# ones three, and from 6 tokens on one, so stack boundaries and the restore
-# of input order are crossed too.
+# time; per sentence its heads must be the sequential decode of the dense
+# oracle's one-sentence ranking.  Corpora mix repeated and interleaved
+# lengths.  With a cap of 32 stacked elements, 4-token sentences go two to a
+# stack, 3-token ones three, and from 6 tokens on one, so stack boundaries
+# and the restore of input order are crossed too.
 SMALL_STACKS = 32
 CORPUS_SETTINGS = (
     (DEFAULT_RULESET, ADP_RIGHT, "right", False),
@@ -246,8 +240,8 @@ def test_parse_corpus_matches_sequential_oracle_per_sentence(corpus):
             for tags, sentence in zip(used, sentences):
                 expected.append(closest_first_heads(
                     tags, *orders_of(sentence, ruleset, mode), ruleset.pairs, directions))
-            for cap in (decoder._STACK_ELEMENTS, SMALL_STACKS):
-                with mock.patch.object(decoder, "_STACK_ELEMENTS", cap):
+            for cap in (ranker._STACK_ELEMENTS, SMALL_STACKS):
+                with mock.patch.object(ranker, "_STACK_ELEMENTS", cap):
                     parsed = parse_corpus(sentences, mode=mode, adp_direction=adp_direction,
                                           ruleset=ruleset, policy=policy)
                 got = list(map(tuple, parsed.per_sentence(parsed.predicted)))

@@ -1,20 +1,25 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from udparse import ranker
+from udparse.cli import parse_corpus
+from udparse.conllu import as_corpus
 from udparse.decoder import decode_corpus
-from udparse.ranker import (_teleport_vectors, _walk_scores, check_walk,
-                            content_ranks, main_predicates, rule_counts)
-from udparse.rules import DEFAULT_RULESET, RuleSet, UPOS_TAGS, is_content
+from udparse.ranker import (_walk_scores, check_walk, class_scores, content_ranks,
+                            main_predicates, ranking_keys, rule_counts)
+from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY, NAIVE_RULESET,
+                           TAG_IDS, RuleSet, UPOS_TAGS, Direction, is_content)
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FUNCTION_ORDER,
                      EXAMPLE_IN_DEGREES, EXAMPLE_TAGS, example_sentence,
-                     make_sentence, rank_orders, tag_ids)
-from oracles import (content_ranking, estimate_main_predicate, power_iteration,
-                     rule_edges)
+                     make_sentence, orders_of, rank_orders, tag_ids)
+from oracles import (closest_first_heads, content_ranking, estimate_main_predicate,
+                     power_iteration, rule_edges, teleport_vectors, token_walk_scores)
 
 # Stationary scores for the example sentence, frozen from the dense
 # power-iteration reference (cross-checked against a direct linear solve,
@@ -40,14 +45,37 @@ def scores_of(sentence, personalization, ruleset=DEFAULT_RULESET, teleport=0.05)
 
 
 def ranks_of(sentence, mode="udp", ruleset=DEFAULT_RULESET, **options):
-    """One sentence's row of ``content_ranks``."""
-    tags = tag_ids([sentence])
-    return content_ranks(tags, rule_counts(tags, ruleset), mode, **options)[0].tolist()
+    """One sentence's row of ``content_ranks`` on its ``ranking_keys``,
+    checked against the dense oracle's order."""
+    corpus = as_corpus([sentence])
+    predicates = main_predicates(corpus.tags, corpus.offsets)
+    keys = ranking_keys(corpus.tags, corpus.offsets, predicates, ruleset, mode, **options)
+    ranks = content_ranks(corpus.tags[None], keys[None], predicates)[0].tolist()
+    assert rank_orders(sentence, ranks) == orders_of(
+        sentence, ruleset, mode, options.get("teleport", 0.05),
+        options.get("predicate_weight", 5.0))
+    return ranks
+
+
+def class_scores_of(sentences, ruleset=DEFAULT_RULESET, **options):
+    """Every token's class-walk score, flat over the sentences."""
+    corpus = as_corpus(sentences)
+    classes, _, scores = class_scores(
+        corpus.tags, corpus.offsets, main_predicates(corpus.tags, corpus.offsets),
+        ruleset, **options)
+    return scores[classes]
+
+
+def teleport_of(tags, weight=5.0):
+    """Per-token teleport mass of the class walk: with no rules every node
+    dangles, and the walk stays on its teleport vector."""
+    return class_scores_of([make_sentence(tags)], RuleSet(()),
+                           predicate_weight=weight).tolist()
 
 
 def predicate_vector(sentence):
     predicate = estimate_main_predicate([t.upos for t in sentence]) - 1
-    return _teleport_vectors(np.array([predicate]), len(sentence), 5.0)[0]
+    return teleport_vectors(np.array([predicate]), len(sentence), 5.0)[0]
 
 
 class TestBuildGraph:
@@ -96,7 +124,8 @@ class TestBuildGraph:
 def predicate_of(tags):
     """The package's 1-based main predicate of one sentence, checked
     against the oracle's."""
-    predicate = int(main_predicates(tag_ids([make_sentence(tags)]))[0]) + 1
+    corpus = as_corpus([make_sentence(tags)])
+    predicate = int(main_predicates(corpus.tags, corpus.offsets)[0]) + 1
     assert predicate == estimate_main_predicate(tags)
     return predicate
 
@@ -117,15 +146,19 @@ class TestMainPredicate:
 
 class TestPersonalization:
     def test_example_weights(self):
-        vector = _teleport_vectors(np.array([2]), 9, 5.0)[0]
+        vector = teleport_of(EXAMPLE_TAGS)
         assert tuple(vector) == pytest.approx(tuple(w / 13 for w in (1, 1, 5, 1, 1, 1, 1, 1, 1)))
 
     def test_single_token(self):
-        assert _teleport_vectors(np.array([0]), 1, 5.0).tolist() == [[1.0]]
+        assert teleport_of(["NOUN"]) == pytest.approx([1.0])
 
     def test_three_tokens_predicate_middle(self):
-        vector = _teleport_vectors(np.array([1]), 3, 5.0)[0]
-        assert tuple(vector) == pytest.approx((1 / 7, 5 / 7, 1 / 7))
+        assert tuple(teleport_of(["NOUN", "VERB", "NOUN"])) == \
+            pytest.approx((1 / 7, 5 / 7, 1 / 7))
+
+    def test_weight_below_one(self):
+        assert tuple(teleport_of(["NOUN", "VERB", "NOUN"], 0.5)) == \
+            pytest.approx((0.4, 0.2, 0.4))
 
     @pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")])
     def test_weight_must_be_positive_and_finite(self, weight):
@@ -184,7 +217,7 @@ class TestPagerank:
         sentences = [make_sentence([rng.choice(ALL_TAGS) for _ in range(6)])
                      for _ in range(5)]
         counts = rule_counts(tag_ids(sentences), DEFAULT_RULESET)
-        p = _teleport_vectors(np.arange(5), 6, 5.0)
+        p = teleport_vectors(np.arange(5), 6, 5.0)
         stacked = _walk_scores(counts, p, 0.05)
         for row, sentence in enumerate(sentences):
             alone = scores_of(sentence, p[row])
@@ -205,6 +238,9 @@ class TestRank:
         # agree to well below the ranking quantum and position decides.
         scores = scores_of(example_sentence(), tuple(1 / 9 for _ in range(9)))
         assert abs(scores[5] - scores[8]) < 5e-9
+        # In the class walk they share a class, so one score.
+        lumped = class_scores_of([example_sentence()])
+        assert lumped[5] == lumped[8]
         assert content_ranking((3, 5, 6, 9), scores).index(6) < \
             content_ranking((3, 5, 6, 9), scores).index(9)
 
@@ -254,3 +290,125 @@ class TestRank:
             assert sorted(function) == [0] + [n] * (n - 1)
         assert sum(scores_of(sentence, predicate_vector(sentence))) == \
             pytest.approx(1.0, abs=1e-9)
+
+
+class TestClassWalk:
+    def test_example_scores_match_reference(self):
+        scores = class_scores_of([example_sentence()])
+        for got, expected in zip(scores.tolist(), EXAMPLE_SCORES):
+            assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_example_classes(self):
+        # PRON ADV VERB DET ADJ NOUN ADP DET NOUN: seven distinct tags, the
+        # verb is the predicate, so seven classes in tag id order, the
+        # predicate's last.
+        corpus = as_corpus([example_sentence()])
+        classes, class_tags, _ = class_scores(
+            corpus.tags, corpus.offsets, main_predicates(corpus.tags, corpus.offsets),
+            DEFAULT_RULESET)
+        names = ["ADJ", "ADP", "ADV", "DET", "NOUN", "PRON", "VERB"]
+        assert class_tags.tolist() == [TAG_IDS[name] for name in names]
+        assert classes.tolist() == [5, 2, 6, 3, 0, 4, 1, 3, 4]
+
+    def test_predicate_is_a_class_of_its_own(self):
+        # Three verbs: the first is the predicate and keeps the weight; the
+        # other two share a class and a score.
+        scores = class_scores_of([make_sentence(["VERB", "NOUN", "VERB", "VERB"])])
+        dense = token_walk_scores(tag_ids([make_sentence(["VERB", "NOUN", "VERB", "VERB"])]),
+                                  DEFAULT_RULESET, [0])[0]
+        assert max(abs(scores - dense)) < 1e-12
+        assert scores[2] == scores[3] and scores[0] > scores[2]
+
+    def test_sentences_of_one_stack_keep_their_lengths(self):
+        # Both sentences have two classes, so they share a stack, but their
+        # teleport masses divide by different lengths.
+        sentences = [make_sentence(["VERB", "NOUN"]),
+                     make_sentence(["VERB", "NOUN", "NOUN", "NOUN", "NOUN"])]
+        scores = class_scores_of(sentences)
+        assert max(abs(scores[:2] - token_walk_scores(tag_ids(sentences[:1]),
+                                                      DEFAULT_RULESET, [0])[0])) < 1e-12
+        assert max(abs(scores[2:] - token_walk_scores(tag_ids(sentences[1:]),
+                                                      DEFAULT_RULESET, [0])[0])) < 1e-12
+
+    def test_empty_corpus(self):
+        empty = as_corpus([])
+        predicates = main_predicates(empty.tags, empty.offsets)
+        assert predicates.tolist() == []
+        assert ranking_keys(empty.tags, empty.offsets, predicates, DEFAULT_RULESET).tolist() == []
+
+
+# Near a half, scaling by 10^8 can land on the wrong side of it: plain
+# ``rint`` then disagrees with Python's ``round`` on about a fifth of these.
+@given(st.lists(st.floats(0.0, 1.0), max_size=40),
+       st.lists(st.integers(0, 10**8 - 1), max_size=40), st.integers(-2, 2))
+@example([0.0, 1.0, 5e-9, 1.5e-8, 0.123456785], [0, 12345678, 99999999], 0)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_rounded_scores_match_python_round(scores, halves, ulps):
+    near = np.array([(k + 0.5) / 10**8 for k in halves])
+    for _ in range(abs(ulps)):
+        near = np.nextafter(near, float(ulps))
+    values = np.concatenate((scores, near.clip(0.0, 1.0)))
+    assert ranker._rounded(values).tolist() == [round(v, 8) for v in values.tolist()]
+
+
+# The class walk against the token-level walk it replaced, and parse_corpus
+# against the sequential decode of the dense oracle's ranking, over corpora
+# whose sentences draw from tag pools of one to three tags (large classes)
+# or from all tags, under the default, naive and a drawn rule table with
+# repeated pairs, at drawn walk parameters.  With a cap of 32 stacked
+# elements, sentences of up to five classes go at least one more to a
+# stack than from six on, where each is a stack of its own.
+SMALL_STACKS = 32
+CONTENT_TAGS = [tag for tag in ALL_TAGS if is_content(tag)]
+
+
+@st.composite
+def walk_cases(draw):
+    pool = draw(st.one_of(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=3,
+                                   unique=True),
+                          st.just(ALL_TAGS)))
+    corpus = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=40),
+                           min_size=1, max_size=16))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(CONTENT_TAGS), st.sampled_from(ALL_TAGS)),
+                          max_size=30))
+    repeated = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    teleport = draw(st.floats(0.01, 0.95))
+    weight = draw(st.floats(0.05, 50.0))
+    return corpus, RuleSet(tuple(pairs + repeated)), teleport, weight
+
+
+ADP_RIGHT = DEFAULT_POLICY.with_direction("ADP", Direction.RIGHT)
+
+
+@given(walk_cases())
+@example(([["NOUN"] * 40, ["VERB", "NOUN", "VERB"], ["PUNCT", "PUNCT"], ["NOUN", "VERB"]],
+          RuleSet((("VERB", "NOUN"), ("VERB", "NOUN"), ("NOUN", "NOUN"))), 0.05, 5.0))
+@example(([ALL_TAGS * 2, ALL_TAGS[::-1]], DEFAULT_RULESET, 0.3, 2.0))
+@settings(derandomize=True, max_examples=120, deadline=None)
+def test_class_walk_matches_dense_walk(case):
+    corpus, drawn, teleport, weight = case
+    for ruleset, policy, naive in ((DEFAULT_RULESET, ADP_RIGHT, False),
+                                   (NAIVE_RULESET, FREE_POLICY, True),
+                                   (drawn, ADP_RIGHT, False)):
+        used = [["CONTENT" if is_content(tag) else "FUNCTION" for tag in tags]
+                for tags in corpus] if naive else corpus
+        sentences = [make_sentence(tags) for tags in used]
+        directions = {tag: side.value for tag, side in policy.directions.items()}
+        dense, expected = [], []
+        for tags, sentence in zip(used, sentences):
+            predicate = estimate_main_predicate(tags)
+            dense.extend(token_walk_scores(tag_ids([sentence]), ruleset, [predicate - 1],
+                                           teleport, weight)[0].tolist())
+            expected.append(closest_first_heads(
+                tags, *orders_of(sentence, ruleset, "udp", teleport, weight),
+                ruleset.pairs, directions))
+        for cap in (ranker._STACK_ELEMENTS, SMALL_STACKS):
+            with mock.patch.object(ranker, "_STACK_ELEMENTS", cap):
+                scores = class_scores_of(sentences, ruleset, teleport=teleport,
+                                         predicate_weight=weight)
+                parsed = parse_corpus(sentences, adp_direction="right", teleport=teleport,
+                                      personalization_weight=weight, ruleset=ruleset,
+                                      policy=policy)
+            assert max(abs(scores - dense)) < 1e-12, (used, ruleset, cap)
+            got = list(map(tuple, parsed.per_sentence(parsed.predicted)))
+            assert got == expected, (used, ruleset, cap)
