@@ -49,9 +49,6 @@ _STACK_ELEMENTS = 1 << 16
 # Whether each tag id is a content tag.
 _CONTENT = np.array([is_content(tag) for tag in TAG_IDS])
 _VERB = TAG_IDS["VERB"]
-# The predicate's class label, above every tag id: the last class of its
-# sentence.
-_PREDICATE = len(TAG_IDS)
 
 
 def stacks(sizes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -125,10 +122,10 @@ def check_walk(teleport: float, predicate_weight: float) -> None:
 def class_scores(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
                  ruleset: RuleSet, *, teleport: float = DEFAULT_TELEPORT,
                  predicate_weight: float = DEFAULT_PREDICATE_WEIGHT
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk scores of a corpus's word classes: ``(classes, class_tags,
-    scores)``, where token i is in class ``classes[i]`` and each of its
-    tokens scores ``scores[class]``.
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Walk scores of a corpus's word classes: ``(classes, scores)``, where
+    token i is in class ``classes[i]`` and each of its tokens scores
+    ``scores[class]``.
 
     A sentence's classes are its distinct tags in tag id order, the main
     predicate (``predicates``, 0-based) last and on its own; m is their
@@ -139,10 +136,12 @@ def class_scores(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     Sentences with the same class count are solved as one stack by
     ``_walk_scores``.
     """
-    width = _PREDICATE + 1
+    # A token's label is its tag id, or, for the predicate, one above every
+    # tag id, which makes the predicate the last class of its sentence.
+    width = len(TAG_IDS) + 1
     lengths = np.diff(offsets)
     labels = tags.copy()
-    labels[offsets[:-1] + predicates] = _PREDICATE
+    labels[offsets[:-1] + predicates] = width - 1
     cells = np.repeat(np.arange(len(lengths)) * width, lengths) + labels
     # One cell per (sentence, label); the occupied ones are the classes.
     sizes = np.bincount(cells, minlength=len(lengths) * width)
@@ -164,7 +163,7 @@ def class_scores(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
         q[:, -1] = predicate_weight
         q /= ((lengths[rows] - 1) + float(predicate_weight))[:, None]
         scores[members] = _walk_scores(counts, q, teleport) / m
-    return classes, class_tags, scores
+    return classes, scores
 
 
 def ranking_keys(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
@@ -184,7 +183,7 @@ def ranking_keys(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
         return np.zeros(len(tags))
     if mode != "udp":
         raise ValueError(f"unknown ranking mode {mode!r}")
-    classes, class_tags, scores = class_scores(
+    classes, scores = class_scores(
         tags, offsets, predicates, ruleset, teleport=teleport,
         predicate_weight=predicate_weight)
     return -_rounded(scores)[classes]
@@ -220,8 +219,8 @@ def content_ranks(tags: np.ndarray, keys: np.ndarray, predicates: np.ndarray) ->
     """
     stack, n = tags.shape
     content = _CONTENT[tags]
-    # Content words first, then by key; lexsort is stable, so ties and all
-    # function words keep sentence order.
+    # Content words first, then by key; lexsort is stable, so ties keep
+    # sentence order.  Function words' places are then overwritten.
     order = np.lexsort((keys, ~content))
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(n), axis=1)

@@ -13,7 +13,7 @@ from udparse.decoder import decode_corpus
 from udparse.ranker import (_walk_scores, check_walk, class_scores, content_ranks,
                             main_predicates, ranking_keys, rule_counts)
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY, NAIVE_RULESET,
-                           TAG_IDS, RuleSet, UPOS_TAGS, Direction, is_content)
+                           RuleSet, UPOS_TAGS, Direction, is_content)
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FUNCTION_ORDER,
                      EXAMPLE_IN_DEGREES, EXAMPLE_TAGS, example_sentence,
@@ -60,7 +60,7 @@ def ranks_of(sentence, mode="udp", ruleset=DEFAULT_RULESET, **options):
 def class_scores_of(sentences, ruleset=DEFAULT_RULESET, **options):
     """Every token's class-walk score, flat over the sentences."""
     corpus = as_corpus(sentences)
-    classes, _, scores = class_scores(
+    classes, scores = class_scores(
         corpus.tags, corpus.offsets, main_predicates(corpus.tags, corpus.offsets),
         ruleset, **options)
     return scores[classes]
@@ -300,15 +300,14 @@ class TestClassWalk:
 
     def test_example_classes(self):
         # PRON ADV VERB DET ADJ NOUN ADP DET NOUN: seven distinct tags, the
-        # verb is the predicate, so seven classes in tag id order, the
-        # predicate's last.
+        # verb is the predicate, so seven classes in tag id order (ADJ ADP
+        # ADV DET NOUN PRON), the predicate's last.
         corpus = as_corpus([example_sentence()])
-        classes, class_tags, _ = class_scores(
+        classes, scores = class_scores(
             corpus.tags, corpus.offsets, main_predicates(corpus.tags, corpus.offsets),
             DEFAULT_RULESET)
-        names = ["ADJ", "ADP", "ADV", "DET", "NOUN", "PRON", "VERB"]
-        assert class_tags.tolist() == [TAG_IDS[name] for name in names]
         assert classes.tolist() == [5, 2, 6, 3, 0, 4, 1, 3, 4]
+        assert len(scores) == 7
 
     def test_predicate_is_a_class_of_its_own(self):
         # Three verbs: the first is the predicate and keeps the weight; the
