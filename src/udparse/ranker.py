@@ -100,13 +100,13 @@ def main_predicates(tags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     and sentence offsets): its first verb, else its first content word,
     else its first token."""
     starts = offsets[:-1]
-    lengths = np.diff(offsets)
-    longest = int(lengths.max(initial=1))
     # Verbs claim first, then the other content words, then any token; the
     # earliest claim of the best kind wins.
-    claims = ((2 - _CONTENT[tags] - (tags == _VERB)) * longest
-              + np.arange(len(tags)) - np.repeat(starts, lengths))
-    return np.minimum.reduceat(claims, starts) % longest
+    span = max(len(tags), 1)
+    claims = 2 - _CONTENT[tags] - (tags == _VERB)
+    claims *= span
+    claims += np.arange(len(tags))
+    return np.minimum.reduceat(claims, starts) % span - starts
 
 
 def check_walk(teleport: float, predicate_weight: float) -> None:
@@ -136,29 +136,33 @@ def class_scores(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     Sentences with the same class count are solved as one stack by
     ``_walk_scores``.
     """
-    # A token's label is its tag id, or, for the predicate, one above every
-    # tag id, which makes the predicate the last class of its sentence.
-    width = len(TAG_IDS) + 1
+    # Each token's label as one bit: its tag id, or one above every tag id
+    # for the predicate.  A sentence's classes are the bits it has, and a
+    # token's class is its sentence's first class plus the number of the
+    # sentence's bits below its own.
     lengths = np.diff(offsets)
-    labels = tags.copy()
-    labels[offsets[:-1] + predicates] = width - 1
-    cells = np.repeat(np.arange(len(lengths)) * width, lengths) + labels
-    # One cell per (sentence, label); the occupied ones are the classes.
-    sizes = np.bincount(cells, minlength=len(lengths) * width)
-    numbered = np.cumsum(sizes > 0)
-    classes = numbered[cells] - 1
-    class_offsets = np.concatenate(([0], numbered[width - 1::width]))
-    occupied = np.flatnonzero(sizes)
-    sizes = sizes[occupied]
-    class_tags = occupied % width
-    class_tags[class_offsets[1:] - 1] = tags[offsets[:-1] + predicates]
-    scores = np.empty(len(occupied))
+    bits = tags.copy()
+    bits[offsets[:-1] + predicates] = len(TAG_IDS)
+    np.left_shift(1, bits, out=bits)
+    present = np.bitwise_or.reduceat(bits, offsets[:-1])
+    class_offsets = np.concatenate(([0], np.cumsum(np.bitwise_count(present), dtype=np.intp)))
+    bits -= 1
+    bits &= np.repeat(present, lengths)
+    classes = np.repeat(class_offsets[:-1], lengths)
+    classes += np.bitwise_count(bits)
+    del bits
+    sizes = np.bincount(classes, minlength=class_offsets[-1])
+    class_tags = np.empty(class_offsets[-1], dtype=tags.dtype)
+    class_tags[classes] = tags
+    scores = np.empty(class_offsets[-1])
     for k, rows in stacks(np.diff(class_offsets)):
         members = class_offsets[rows, None] + np.arange(k)
         m = sizes[members]
         kinds = class_tags[members]
-        counts = (ruleset.matrix[kinds[:, None, :], kinds[:, :, None]]
-                  * (m[:, None, :] - np.eye(k, dtype=m.dtype)))
+        counts = ruleset.matrix[kinds[:, None, :], kinds[:, :, None]]
+        counts *= m[:, None, :]
+        diagonal = np.arange(k)
+        counts[:, diagonal, diagonal] -= ruleset.matrix[kinds, kinds]
         q = m.astype(float)
         q[:, -1] = predicate_weight
         q /= ((lengths[rows] - 1) + float(predicate_weight))[:, None]
