@@ -15,9 +15,9 @@ the corpus's main predicates and ranking keys once (``ranker``), groups
 sentences of equal length into stacks, slices each stack's tag ids and keys
 out of the corpus's flat arrays, orders it with one sort and decodes it
 with one ``(B, n, n)`` argmin, and writes the heads into one flat array; a
-single sentence is a stack of one.  The closest-head baseline is one argmin over
-the same distance grid, and an adjacency chain is one constant head row per
-length.
+single sentence is a stack of one.  The closest-head baseline is one argmin
+over the same distance grid, and an adjacency chain is one constant head
+row per length.
 """
 
 from typing import Iterable
