@@ -305,7 +305,7 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
             flush(line_no)
             continue
         if "\r" in line:
-            line = line.rstrip("\r")
+            line = line.removesuffix("\r")
             # A file reader splits lines at a bare \r too, so such a line
             # would not read back once written.
             if "\r" in line:

@@ -197,11 +197,11 @@ def _rounded(scores: np.ndarray) -> np.ndarray:
     """``round(score, _SCORE_DECIMALS)`` of every score in [0, 1], exactly
     as Python rounds.
 
-    Scaled by 10^8, a score is off by at most 1.2e-8 from its exact
-    product, so unless it lies within 1e-6 of a half, ``rint`` picks the
-    integer k that Python's correctly rounded ``round`` picks, and ``k / 10^8``
-    is the double nearest to that decimal, as ``round`` returns.  Scores
-    that close to a half go through ``round`` itself.
+    A score times 10^8 in floating point is off by at most 1.2e-8 from the
+    exact product, so unless it lies within 1e-6 of a half, ``rint`` picks
+    the integer k that Python's correctly rounded ``round`` picks, and
+    ``k / 10^8`` is the double nearest to that decimal, which ``round``
+    returns.  Scores that close to a half go through ``round`` itself.
     """
     scale = 10.0 ** _SCORE_DECIMALS
     scaled = scores * scale

@@ -124,6 +124,9 @@ class TestRead:
         "1\ta\rb\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n",
         "1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\r_\n\n",
         "# a\rb\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n",
+        # Only one \r belongs to the line ending; a file reader ends a line
+        # at the other.
+        "1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\r\r\n\n",
     ])
     def test_carriage_return_inside_a_line_names_the_line(self, text):
         # Written back, such a line would split when a file is read.

@@ -355,10 +355,11 @@ def test_rounded_scores_match_python_round(scores, halves, ulps):
 # whose sentences draw from tag pools of one to three tags (large classes)
 # or from all tags, under the default, naive and a drawn rule table with
 # repeated pairs, at drawn walk parameters.  With a cap of 32 stacked
-# elements, sentences of up to five classes go at least one more to a
-# stack than from six on, where each is a stack of its own.
+# elements, class stacks hold 32, 8, 3 and 2 sentences of one to four
+# classes and one from five on, and length stacks likewise by tokens, so
+# both loops cross stack boundaries.
 SMALL_STACKS = 32
-CONTENT_TAGS = [tag for tag in ALL_TAGS if is_content(tag)]
+CONTENT_UPOS = [tag for tag in ALL_TAGS if is_content(tag)]
 
 
 @st.composite
@@ -368,7 +369,7 @@ def walk_cases(draw):
                           st.just(ALL_TAGS)))
     corpus = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=40),
                            min_size=1, max_size=16))
-    pairs = draw(st.lists(st.tuples(st.sampled_from(CONTENT_TAGS), st.sampled_from(ALL_TAGS)),
+    pairs = draw(st.lists(st.tuples(st.sampled_from(CONTENT_UPOS), st.sampled_from(ALL_TAGS)),
                           max_size=30))
     repeated = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
     teleport = draw(st.floats(0.01, 0.95))
