@@ -89,7 +89,7 @@ def test_criterion_3_golden_ranking_and_score_agreement():
     assert content_forms == ["had", "connection", "extremists", "special"]
 
     classes, scores = class_scores(corpus.tags, corpus.offsets, predicates,
-                                      DEFAULT_RULESET, teleport=0.05, predicate_weight=5.0)
+                                   DEFAULT_RULESET, teleport=0.05, predicate_weight=5.0)
     predicate = estimate_main_predicate([t.upos for t in sentence]) - 1
     weights = [(5.0 if i == predicate else 1.0) / 13 for i in range(9)]
     edges = rule_edges([t.upos for t in sentence], DEFAULT_RULESET.pairs)

@@ -210,7 +210,7 @@ def test_decode_matches_sequential_oracle(tags):
 # time; per sentence its heads must be the sequential decode of the dense
 # oracle's one-sentence ranking.  Corpora mix repeated and interleaved
 # lengths.  With a cap of 32 stacked elements, 4-token sentences go two to a
-# stack, 3-token ones three, and from 6 tokens on one, so stack boundaries
+# stack, 3-token ones three, and from 5 tokens on one, so stack boundaries
 # and the restore of input order are crossed too.
 SMALL_STACKS = 32
 CORPUS_SETTINGS = (
