@@ -136,21 +136,20 @@ def class_scores(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     Sentences with the same class count are solved as one stack by
     ``_walk_scores``.
     """
-    # Each token's label as one bit: its tag id, or one above every tag id
-    # for the predicate.  A sentence's classes are the bits it has, and a
-    # token's class is its sentence's first class plus the number of the
-    # sentence's bits below its own.
+    # Each token's label is its tag id, or one above every tag id for the
+    # predicate.  A sentence's classes are the labels it has, so a flat
+    # table of (sentence, label) cells counts them off in order.
     lengths = np.diff(offsets)
-    bits = tags.copy()
-    bits[offsets[:-1] + predicates] = len(TAG_IDS)
-    np.left_shift(1, bits, out=bits)
-    present = np.bitwise_or.reduceat(bits, offsets[:-1])
-    class_offsets = np.concatenate(([0], np.cumsum(np.bitwise_count(present), dtype=np.intp)))
-    bits -= 1
-    bits &= np.repeat(present, lengths)
-    classes = np.repeat(class_offsets[:-1], lengths)
-    classes += np.bitwise_count(bits)
-    del bits
+    labels = len(TAG_IDS) + 1
+    cells = tags.astype(np.intp)
+    cells[offsets[:-1] + predicates] = len(TAG_IDS)
+    cells += np.repeat(np.arange(0, len(lengths) * labels, labels), lengths)
+    present = np.zeros(len(lengths) * labels, dtype=bool)
+    present[cells] = True
+    class_ends = np.cumsum(present)
+    classes = class_ends[cells] - 1
+    class_offsets = np.concatenate(([0], class_ends[labels - 1::labels]))
+    del cells, present, class_ends
     sizes = np.bincount(classes, minlength=class_offsets[-1])
     class_tags = np.empty(class_offsets[-1], dtype=tags.dtype)
     class_tags[classes] = tags
@@ -190,26 +189,8 @@ def ranking_keys(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     classes, scores = class_scores(
         tags, offsets, predicates, ruleset, teleport=teleport,
         predicate_weight=predicate_weight)
-    return -_rounded(scores)[classes]
-
-
-def _rounded(scores: np.ndarray) -> np.ndarray:
-    """``round(score, _SCORE_DECIMALS)`` of every score in [0, 1], exactly
-    as Python rounds.
-
-    A score times 10^8 in floating point is off by at most 1.2e-8 from the
-    exact product, so unless it lies within 1e-6 of a half, ``rint`` picks
-    the integer k that Python's correctly rounded ``round`` picks, and
-    ``k / 10^8`` is the double nearest to that decimal, which ``round``
-    returns.  Scores that close to a half go through ``round`` itself.
-    """
-    scale = 10.0 ** _SCORE_DECIMALS
-    scaled = scores * scale
-    rounded = np.rint(scaled) / scale
-    near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
-    rounded[near_half] = [round(score, _SCORE_DECIMALS)
-                          for score in scores[near_half].tolist()]
-    return rounded
+    rounded = np.array([round(score, _SCORE_DECIMALS) for score in scores.tolist()])
+    return -rounded[classes]
 
 
 def content_ranks(tags: np.ndarray, keys: np.ndarray, predicates: np.ndarray) -> np.ndarray:

@@ -60,6 +60,12 @@ def orders_of(sentence, ruleset=DEFAULT_RULESET, mode="udp", teleport=0.05, weig
     if mode == "udp":
         scores = token_walk_scores(tag_ids([sentence]), ruleset, [predicate - 1],
                                    teleport, weight)[0].tolist()
+        # Tokens that share a tag, neither of them the predicate, can trade
+        # places in the walk, so their exact scores are equal; give them the
+        # first one's score, or float noise across a rounding step orders them.
+        first = {}
+        scores = [scores[first.setdefault((tag, i == predicate - 1), i)]
+                  for i, tag in enumerate(tags)]
         content = content_ranking(content, scores)
     function = tuple(t.index for t in sentence if not is_content(t.upos))
     return tuple(content), function, predicate

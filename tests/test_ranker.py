@@ -336,20 +336,6 @@ class TestClassWalk:
         assert ranking_keys(empty.tags, empty.offsets, predicates, DEFAULT_RULESET).tolist() == []
 
 
-# Near a half, scaling by 10^8 can land on the wrong side of it: plain
-# ``rint`` then disagrees with Python's ``round`` on about a fifth of these.
-@given(st.lists(st.floats(0.0, 1.0), max_size=40),
-       st.lists(st.integers(0, 10**8 - 1), max_size=40), st.integers(-2, 2))
-@example([0.0, 1.0, 5e-9, 1.5e-8, 0.123456785], [0, 12345678, 99999999], 0)
-@settings(derandomize=True, max_examples=300, deadline=None)
-def test_rounded_scores_match_python_round(scores, halves, ulps):
-    near = np.array([(k + 0.5) / 10**8 for k in halves])
-    for _ in range(abs(ulps)):
-        near = np.nextafter(near, float(ulps))
-    values = np.concatenate((scores, near.clip(0.0, 1.0)))
-    assert ranker._rounded(values).tolist() == [round(v, 8) for v in values.tolist()]
-
-
 # The class walk against the token-level walk it replaced, and parse_corpus
 # against the sequential decode of the dense oracle's ranking, over corpora
 # whose sentences draw from tag pools of one to three tags (large classes)
