@@ -176,9 +176,9 @@ def ranking_keys(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     """One sort key per token of a corpus; ``content_ranks`` orders content
     words by ascending key.
 
-    ``udp`` mode keys each token by its negated ``class_scores`` score,
-    rounded to ``_SCORE_DECIMALS`` once per class; ``udp-nopr`` mode keys
-    every token 0, which leaves content words in sentence order.  Both
+    ``udp`` mode keys each content word by its negated ``class_scores``
+    score, rounded to ``_SCORE_DECIMALS`` once per class, and function words
+    0; ``udp-nopr`` mode keys every token 0, which leaves content words in sentence order.  Both
     modes refuse the walk parameters that ``check_walk`` refuses.
     """
     check_walk(teleport, predicate_weight)
@@ -189,8 +189,11 @@ def ranking_keys(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     classes, scores = class_scores(
         tags, offsets, predicates, ruleset, teleport=teleport,
         predicate_weight=predicate_weight)
-    rounded = np.array([round(score, _SCORE_DECIMALS) for score in scores.tolist()])
-    return -rounded[classes]
+    content = np.zeros(len(scores), dtype=bool)
+    content[classes[_CONTENT[tags]]] = True
+    keys = np.zeros(len(scores))
+    keys[content] = [-round(score, _SCORE_DECIMALS) for score in scores[content].tolist()]
+    return keys[classes]
 
 
 def content_ranks(tags: np.ndarray, keys: np.ndarray, predicates: np.ndarray) -> np.ndarray:
