@@ -1,7 +1,15 @@
 """CoNLL-U reading and writing over a columnar corpus, plus tree validation.
 
-``read_conllu`` returns a ``Corpus``: flat arrays plus sentence offsets, the
-layout of Apache Arrow's list arrays.  ``tags`` (``rules.TAG_IDS``) and
+``read_conllu`` reads its input whole and checks the columns of all of it
+at once, as numpy arrays over its UTF-8 bytes; only the lines the arrays
+cannot settle, such as one with a carriage return, a long head or an
+error, are checked one at a time.  An error names the first bad line in
+reading order, as a line-by-line reader would.  A text stream is split at
+``\\n``; any other iterable gives one line per element, which may end in
+one ``\\n`` and hold no other.
+
+It returns a ``Corpus``: flat arrays plus sentence offsets, the layout of
+Apache Arrow's list arrays.  ``tags`` (``rules.TAG_IDS``) and
 ``heads`` (column 7, -1 for ``_``) hold one entry per syntactic word, and
 ``offsets[s]:offsets[s + 1]`` is sentence s's slice of them and of
 ``lines``, its raw token lines.  Multiword-token range lines (ids like
@@ -25,8 +33,10 @@ into a corpus; every function that takes a corpus accepts either.
 
 import io
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -259,99 +269,269 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
 
 
 def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
-    """Read CoNLL-U from a line iterable into a corpus.
+    """Read CoNLL-U from a text stream or a line iterable into a corpus.
 
-    A UTF-8 byte-order mark at the start of the input is skipped.  Raises
-    ConlluError naming the offending line for malformed column counts, bad
-    token ids, unknown UPOS tags, unparseable head fields (``_`` is accepted
-    as "no gold head"), heads beyond the end of their sentence, a carriage
-    return inside a line, and a comment after a sentence's first token,
-    range or empty-node line.
+    A stream is read whole and split at ``\\n`` only; each element of any
+    other iterable is one line.  A line's ending ``\\n``, and one ``\\r``
+    before it, are dropped.  A UTF-8 byte-order mark at the start of the
+    input is skipped.  Raises ConlluError naming the first offending line
+    in reading order for malformed column counts, bad token ids, unknown
+    UPOS tags, unparseable head fields (``_`` is accepted as "no gold
+    head"), heads beyond the end of their sentence (found when the
+    sentence ends), a carriage return or a line break inside a line, and a
+    comment after a sentence's first token, range or empty-node line.
+
+    The input's columns are checked as arrays over its UTF-8 bytes.  Empty
+    lines, comments, range and empty-node lines, and token lines with an
+    id of at most 18 digits, a known tag and a head of ``_`` or at most 18
+    digits are settled there.  Every other line goes to ``_line`` in
+    reading order, with the id its sentence has reached.  Faults that
+    depend on a line's place are found from the settled kinds, and the
+    first in reading order is raised, with the line and message of a
+    reader that takes one line at a time.
     """
-    tags: list[int] = []
-    heads: list[int] = []
-    lines: list[str] = []
-    offsets = [0]
-    comments_of: list[tuple[str, ...]] = []
-    extras_of: list[tuple[tuple[int, str], ...]] = []
-    comments: list[str] = []
-    extras: list[tuple[int, str]] = []
-    token_lines: list[int] = []
+    # One carriage return before a line's end belongs to the line end.
+    if callable(getattr(source, "read", None)):
+        text = source.read().removeprefix("\ufeff").replace("\r\n", "\n")
+        data = text.removesuffix("\r").encode()
+        del text
+        if data and not data.endswith(b"\n"):
+            data += b"\n"
+        lines = None
+    else:
+        lines = [line.removesuffix("\n").removesuffix("\r") for line in source]
+        if lines:
+            lines[0] = lines[0].removeprefix("\ufeff")
+        # A line break left inside an element would shift the byte scan's
+        # lines; a carriage return in its place sends the line to ``_line``.
+        data = "".join(line.replace("\n", "\r") + "\n" for line in lines).encode()
+    kind, ids, tags, heads = _settle(np.frombuffer(data, np.uint8))
+    if lines is None:
+        # Split only now, without the bytes: the line strings are most of
+        # the memory that reading takes.
+        text = data.decode()
+        del data
+        lines = text.split("\n")
+        lines.pop()  # what follows the last line end
+        del text
+    fault = _settle_the_rest(lines, kind, ids, tags, heads)
 
-    def flush(line_no: int) -> None:
-        nonlocal comments, extras, token_lines
-        start = offsets[-1]
-        n = len(tags) - start
-        if n:
-            if max(heads[start:]) > n:
-                head, token_line = next(
-                    (head, token_line) for head, token_line in zip(heads[start:], token_lines)
-                    if head > n)
-                raise ConlluError(f"line {token_line}: head {head} "
-                                  f"outside a sentence of {n} tokens")
-            offsets.append(len(tags))
-            comments_of.append(tuple(comments))
-            extras_of.append(tuple(extras))
-        elif comments or extras:
-            raise ConlluError(f"line {line_no}: sentence block contains no token lines")
-        comments, extras, token_lines = [], [], []
+    # Blank lines end blocks; a block with token lines is a sentence.
+    token = np.flatnonzero(kind == _TOKEN)
+    block_ends = np.append(np.flatnonzero(kind == _BLANK), len(lines))
+    token_block = np.searchsorted(block_ends, token)
+    sizes = np.bincount(token_block, minlength=len(block_ends))
+    positions = np.arange(1, len(token) + 1) - (np.cumsum(sizes) - sizes)[token_block]
+    faults = [] if fault is None else [fault]
+    # Only a settled token line can have a wrong id: ``_line`` refuses the
+    # others.  Such an id has at most 18 digits and is printed as a number.
+    for t in np.flatnonzero(ids[token] != positions)[:1]:
+        faults.append((token[t], ConlluError(
+            f"line {token[t] + 1}: token id {ids[token[t]]} out of sequence "
+            f"(expected {positions[t]})")))
+    # The first comment inside a sentence follows a token, range or
+    # empty-node line.
+    previous = kind[:-1]
+    for c in np.flatnonzero((kind[1:] == _COMMENT)
+                            & ((previous == _TOKEN) | (previous == _EXTRA)))[:1] + 1:
+        faults.append((c, ConlluError(f"line {c + 1}: comment inside a sentence; "
+                                      "comments go before its first line")))
+    lengths = np.diff(block_ends, prepend=-1) - 1
+    for end in block_ends[(sizes == 0) & (lengths > 0)][:1]:
+        faults.append((end, ConlluError(f"line {end + 1}: sentence block contains no token lines")))
+    # A head beyond its sentence is found when the sentence ends.
+    for t in np.flatnonzero(heads[token] > sizes[token_block])[:1]:
+        block = token_block[t]
+        head = int(lines[token[t]].split("\t")[6])
+        faults.append((block_ends[block], ConlluError(
+            f"line {token[t] + 1}: head {head} outside a sentence of {sizes[block]} tokens")))
+    if faults:
+        raise min(faults, key=lambda fault: fault[0])[1]
 
-    line_no = 0
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip("\n")
-        if line_no == 1:
-            line = line.removeprefix("\ufeff")
-        if not line.strip():
-            flush(line_no)
-            continue
-        if "\r" in line:
-            line = line.removesuffix("\r")
-            # A file reader splits lines at a bare \r too, so such a line
-            # would not read back once written.
-            if "\r" in line:
-                raise ConlluError(f"line {line_no}: carriage return inside the line")
-        if line.startswith("#"):
-            if token_lines or extras:
-                raise ConlluError(f"line {line_no}: comment inside a sentence; "
-                                  "comments go before its first line")
-            comments.append(line)
-            continue
-        columns = line.split("\t")
-        if len(columns) != 10:
-            raise ConlluError(
-                f"line {line_no}: expected 10 tab-separated columns, got {len(columns)}")
-        token_id = columns[0]
-        if not (token_id.isascii() and token_id.isdigit()):
-            if _RANGE_ID.fullmatch(token_id) or _EMPTY_NODE_ID.fullmatch(token_id):
-                extras.append((len(tags) - offsets[-1], line))
-                continue
-            raise ConlluError(f"line {line_no}: invalid token id {token_id!r}")
-        # Compared as text: int() refuses more than 4300 digits.
-        position = str(len(tags) - offsets[-1] + 1)
-        if token_id.lstrip("0") != position:
-            raise ConlluError(
-                f"line {line_no}: token id {token_id.lstrip('0') or '0'} out of sequence "
-                f"(expected {position})")
-        tag = TAG_IDS.get(columns[3])
-        if tag is None:
-            raise ConlluError(f"line {line_no}: unknown UPOS tag {columns[3]!r}")
-        head = columns[6]
-        if head == "_":
-            heads.append(-1)
-        elif head.isascii() and head.isdigit():
-            try:
-                heads.append(int(head))
-            except ValueError:  # more digits than int() converts
-                raise ConlluError(f"line {line_no}: head has too many digits") from None
-        else:
-            raise ConlluError(
-                f"line {line_no}: head must be a non-negative integer or '_', "
-                f"got {head!r}")
-        tags.append(tag)
-        lines.append(line)
-        token_lines.append(line_no)
-    flush(line_no + 1)
-    return _corpus(tags, heads, offsets, lines, comments_of, extras_of)
+    del ids, positions
+    sentence_of = np.cumsum(sizes > 0) - 1
+    sentences = int(sentence_of[-1]) + 1
+    offsets = np.append(0, np.cumsum(sizes[sizes > 0]))
+    comment = np.flatnonzero(kind == _COMMENT)
+    extra = np.flatnonzero(kind == _EXTRA)
+    extra_sentence = sentence_of[np.searchsorted(block_ends, extra)]
+    after = (np.searchsorted(token, extra) - offsets[extra_sentence]).tolist()
+    return Corpus(
+        tags[token].astype(np.intp), heads[token], offsets,
+        tuple(compress(lines, (kind == _TOKEN).tolist())),
+        _grouped(list(compress(lines, (kind == _COMMENT).tolist())),
+                 sentence_of[np.searchsorted(block_ends, comment)], sentences),
+        _grouped(list(zip(after, compress(lines, (kind == _EXTRA).tolist()))),
+                 extra_sentence, sentences))
+
+
+# Line kinds.  The array pass leaves a line it cannot settle _UNSETTLED.
+_BLANK, _COMMENT, _TOKEN, _EXTRA, _UNSETTLED = range(5)
+# Each tag's UTF-8 bytes padded to 8 with tabs, as one big-endian integer:
+# the key ``_settle`` builds from a tag column.  A tab sorts before every
+# letter, so the keys sort as ``TAG_NAMES`` do: a key's index is its tag id.
+_TAG_KEYS = np.array([int.from_bytes(name.encode().ljust(8, b"\t"), "big")
+                      for name in TAG_NAMES], np.uint64)
+
+
+def _settle(data: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per line of the UTF-8 bytes ``data``, each line ended by ``\\n``:
+    its kind, and a token line's id, tag id and head (-1 for ``_``), for
+    the lines that the byte scan settles."""
+    # Byte positions as int32 where they fit, to keep the scan small.
+    position_type = np.int32 if data.size < 2**31 else np.int64
+    # The tabs and line ends in reading order, and where each line's are;
+    # built a step at a time, so that each step frees what the last made.
+    stops = data == ord("\t")
+    stops |= data == ord("\n")
+    stops = np.flatnonzero(stops)
+    stops = stops.astype(position_type)
+    last = np.flatnonzero(data[stops] == ord("\n"))
+    first = np.zeros_like(last)
+    first[1:] = last[:-1] + 1
+    ends = stops[last]
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    kind = np.full(len(ends), _UNSETTLED, np.int8)
+    has_return = np.zeros(len(ends), bool)
+    has_return[np.searchsorted(ends, np.flatnonzero(data == ord("\r")))] = True
+    kind[starts == ends] = _BLANK
+    kind[(data[starts] == ord("#")) & ~has_return] = _COMMENT
+    candidate = np.flatnonzero((last - first == 9) & (kind == _UNSETTLED) & ~has_return)
+    del ends, has_return, last
+
+    # Columns 1, 4 and 7 (id, tag and head) end at tabs 0, 3 and 6.
+    at = first[candidate]
+    id_end, tag_end, head_end = stops[at], stops[at + 3], stops[at + 6]
+    tag_start, head_start = stops[at + 2] + 1, stops[at + 5] + 1
+    del stops, first, at
+    id_digits, id_values, joined = _digits(data, starts[candidate], id_end)
+    kind[candidate[joined]] = _EXTRA
+    # Reads stop at the tab that ends the tag, which pads it as the keys are.
+    key = np.zeros(len(candidate), np.uint64)
+    for k in range(8):
+        key = key << 8 | data[np.minimum(tag_start + k, tag_end)]
+    found = np.minimum(np.searchsorted(_TAG_KEYS, key), len(_TAG_KEYS) - 1)
+    tag_ok = (_TAG_KEYS[found] == key) & (tag_end - tag_start <= 8)
+    head_digits, head_values, _ = _digits(data, head_start, head_end)
+    no_head = (head_end - head_start == 1) & (data[head_start] == ord("_"))
+    settled = id_digits & tag_ok & (head_digits | no_head)
+
+    token = candidate[settled]
+    kind[token] = _TOKEN
+    ids = np.zeros(len(kind), np.int64)
+    ids[token] = id_values[settled]
+    tags = np.zeros(len(kind), np.int8)
+    tags[token] = found[settled]
+    heads = np.zeros(len(kind), np.intp)
+    heads[token] = np.where(no_head, -1, head_values)[settled]
+    return kind, ids, tags, heads
+
+
+def _digits(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each field ``data[start:end]`` of 1 to 18 bytes: whether it is
+    all ASCII digits, its value where it is, and whether it is two runs of
+    digits joined by one ``-`` or ``.``, as range and empty-node ids are."""
+    length = end - start
+    short = (length >= 1) & (length <= 18)
+    value = np.zeros(len(start), np.int64)
+    others = np.zeros(len(start), np.int8)
+    marks = np.zeros(len(start), np.int8)
+    for k in range(int(length[short].max(initial=0))):
+        byte = data[np.minimum(start + k, end)]
+        digit = byte - ord("0")
+        inside = k < length
+        is_digit = digit < 10
+        value = np.where(inside & is_digit, value * 10 + digit, value)
+        others += inside & ~is_digit
+        marks += inside & ((byte == ord("-")) | (byte == ord(".")))
+    ends_are_digits = (data[start] - ord("0") < 10) & (data[end - 1] - ord("0") < 10)
+    return (short & (others == 0), value,
+            short & (others == 1) & (marks == 1) & ends_are_digits)
+
+
+def _settle_the_rest(lines: list[str], kind: np.ndarray, ids: np.ndarray, tags: np.ndarray,
+                     heads: np.ndarray) -> tuple[int, ConlluError] | None:
+    """Settle the unsettled lines with ``_line``, in reading order.
+
+    Each token line gets the id that its sentence has reached.  Returns the
+    first refused line's index and error, or None.
+    """
+    unsettled = np.flatnonzero(kind == _UNSETTLED)
+    blank = np.flatnonzero(kind == _BLANK)
+    token = np.flatnonzero(kind == _TOKEN)
+    # Per unsettled line, the last settled blank line before it, and the
+    # settled token lines before that and before the line itself.
+    blank_before = np.append(-1, blank)[np.searchsorted(blank, unsettled)]
+    start, base, own = -1, 0, 0
+    for i, block, at_block, before in zip(
+            unsettled.tolist(), blank_before.tolist(),
+            np.searchsorted(token, blank_before).tolist(),
+            np.searchsorted(token, unsettled).tolist()):
+        if block > start:
+            start, base, own = block, at_block, 0
+        position = before - base + own + 1
+        try:
+            kind[i], tags[i], heads[i] = _line(lines[i], i + 1, position)
+        except ConlluError as error:
+            return i, error
+        if kind[i] == _BLANK:
+            start, base, own = i, before, 0
+        elif kind[i] == _TOKEN:
+            ids[i] = position
+            own += 1
+    return None
+
+
+def _line(line: str, line_no: int, position: int) -> tuple[int, int, int]:
+    """One line's kind, tag id and head (-1 for ``_``), checked as a
+    sequential reader checks it, ``position`` being the id a token line
+    must have.  Raises ConlluError naming ``line_no``.  Where a comment
+    may stand is for ``read_conllu`` to check."""
+    if "\n" in line:
+        raise ConlluError(f"line {line_no}: line break inside the line")
+    if not line.strip():
+        return _BLANK, 0, 0
+    if "\r" in line:
+        # A file reader splits lines at a bare \r too, so such a line
+        # would not read back once written.
+        raise ConlluError(f"line {line_no}: carriage return inside the line")
+    if line.startswith("#"):
+        return _COMMENT, 0, 0
+    columns = line.split("\t")
+    if len(columns) != 10:
+        raise ConlluError(
+            f"line {line_no}: expected 10 tab-separated columns, got {len(columns)}")
+    token_id = columns[0]
+    if not (token_id.isascii() and token_id.isdigit()):
+        if _RANGE_ID.fullmatch(token_id) or _EMPTY_NODE_ID.fullmatch(token_id):
+            return _EXTRA, 0, 0
+        raise ConlluError(f"line {line_no}: invalid token id {token_id!r}")
+    # Compared as text: int() refuses more than 4300 digits.
+    if token_id.lstrip("0") != str(position):
+        raise ConlluError(
+            f"line {line_no}: token id {token_id.lstrip('0') or '0'} out of sequence "
+            f"(expected {position})")
+    tag = TAG_IDS.get(columns[3])
+    if tag is None:
+        raise ConlluError(f"line {line_no}: unknown UPOS tag {columns[3]!r}")
+    head = columns[6]
+    if head == "_":
+        return _TOKEN, tag, -1
+    if not (head.isascii() and head.isdigit()):
+        raise ConlluError(
+            f"line {line_no}: head must be a non-negative integer or '_', got {head!r}")
+    try:
+        # Any head past the array's range is past its sentence's end too.
+        return _TOKEN, tag, min(int(head), sys.maxsize)
+    except ValueError:  # more digits than int() converts
+        raise ConlluError(f"line {line_no}: head has too many digits") from None
+
+
+def _grouped(items: list, sentence_of: np.ndarray, count: int) -> tuple[tuple, ...]:
+    """``items``, in sentence order, as one tuple per sentence."""
+    bounds = np.searchsorted(sentence_of, np.arange(count + 1)).tolist()
+    return tuple(map(tuple, map(items.__getitem__, map(slice, bounds, bounds[1:]))))
 
 
 def parse_conllu(text: str) -> Corpus:

@@ -6,11 +6,17 @@ with the implementations under test.  The one exception is
 ``token_walk_scores``, the token-level walk the package solved before it
 lumped words into classes: it runs the package's ``_walk_scores`` kernel,
 which ``power_iteration`` checks, on the full ``rule_counts`` token graph.
+``sequential_read_conllu`` is the line-at-a-time reader that the package's
+array reader replaced.
 """
+
+import re
 
 import numpy as np
 
+from udparse.conllu import ConlluError, Corpus
 from udparse.ranker import _walk_scores, rule_counts
+from udparse.rules import TAG_IDS
 
 
 def dense_transition(n, edges):
@@ -246,3 +252,98 @@ def top_frequency_forms(form_sequences, limit=100):
             counts[form] = counts.get(form, 0) + 1
     ordered = sorted(counts, key=lambda form: (-counts[form], form))
     return set(ordered[:limit])
+
+
+_RANGE_ID = re.compile(r"[0-9]+-[0-9]+")
+_EMPTY_NODE_ID = re.compile(r"[0-9]+\.[0-9]+")
+
+
+def sequential_read_conllu(source):
+    """``conllu.read_conllu`` as one loop over the lines of ``source``,
+    with every check made on one line at a time in reading order."""
+    tags = []
+    heads = []
+    lines = []
+    offsets = [0]
+    comments_of = []
+    extras_of = []
+    comments = []
+    extras = []
+    token_lines = []
+
+    def flush(line_no):
+        nonlocal comments, extras, token_lines
+        start = offsets[-1]
+        n = len(tags) - start
+        if n:
+            if max(heads[start:]) > n:
+                head, token_line = next(
+                    (head, token_line) for head, token_line in zip(heads[start:], token_lines)
+                    if head > n)
+                raise ConlluError(f"line {token_line}: head {head} "
+                                  f"outside a sentence of {n} tokens")
+            offsets.append(len(tags))
+            comments_of.append(tuple(comments))
+            extras_of.append(tuple(extras))
+        elif comments or extras:
+            raise ConlluError(f"line {line_no}: sentence block contains no token lines")
+        comments, extras, token_lines = [], [], []
+
+    line_no = 0
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.rstrip("\n")
+        if line_no == 1:
+            line = line.removeprefix("\ufeff")
+        if not line.strip():
+            flush(line_no)
+            continue
+        if "\r" in line:
+            line = line.removesuffix("\r")
+            # A file reader splits lines at a bare \r too, so such a line
+            # would not read back once written.
+            if "\r" in line:
+                raise ConlluError(f"line {line_no}: carriage return inside the line")
+        if line.startswith("#"):
+            if token_lines or extras:
+                raise ConlluError(f"line {line_no}: comment inside a sentence; "
+                                  "comments go before its first line")
+            comments.append(line)
+            continue
+        columns = line.split("\t")
+        if len(columns) != 10:
+            raise ConlluError(
+                f"line {line_no}: expected 10 tab-separated columns, got {len(columns)}")
+        token_id = columns[0]
+        if not (token_id.isascii() and token_id.isdigit()):
+            if _RANGE_ID.fullmatch(token_id) or _EMPTY_NODE_ID.fullmatch(token_id):
+                extras.append((len(tags) - offsets[-1], line))
+                continue
+            raise ConlluError(f"line {line_no}: invalid token id {token_id!r}")
+        # Compared as text: int() refuses more than 4300 digits.
+        position = str(len(tags) - offsets[-1] + 1)
+        if token_id.lstrip("0") != position:
+            raise ConlluError(
+                f"line {line_no}: token id {token_id.lstrip('0') or '0'} out of sequence "
+                f"(expected {position})")
+        tag = TAG_IDS.get(columns[3])
+        if tag is None:
+            raise ConlluError(f"line {line_no}: unknown UPOS tag {columns[3]!r}")
+        head = columns[6]
+        if head == "_":
+            heads.append(-1)
+        elif head.isascii() and head.isdigit():
+            try:
+                heads.append(int(head))
+            except ValueError:  # more digits than int() converts
+                raise ConlluError(f"line {line_no}: head has too many digits") from None
+        else:
+            raise ConlluError(
+                f"line {line_no}: head must be a non-negative integer or '_', "
+                f"got {head!r}")
+        tags.append(tag)
+        lines.append(line)
+        token_lines.append(line_no)
+    flush(line_no + 1)
+    return Corpus(np.array(tags, dtype=np.intp), np.array(heads, dtype=np.intp),
+                  np.array(offsets, dtype=np.intp), tuple(lines), tuple(comments_of),
+                  tuple(extras_of))

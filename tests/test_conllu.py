@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -12,14 +13,16 @@ from hypothesis import strategies as st
 import numpy as np
 
 from udparse.cli import main
-from udparse.conllu import (ConlluError, DependencyTree, Sentence, Token,
-                            as_corpus, format_conllu, parse_conllu, validate_tree)
+from udparse.conllu import (ConlluError, DependencyTree, Sentence, Token, as_corpus,
+                            format_conllu, parse_conllu, read_conllu, validate_tree)
 from udparse.rules import KNOWN_TAGS, TAG_IDS
 
 from helpers import (EXAMPLE_HEADS, EXAMPLE_TAGS, example_conllu,
                      example_sentence, make_sentence)
+from oracles import sequential_read_conllu
 
 SAMPLE_PATH = Path(__file__).parent / "data" / "sample.conllu"
+MIXED_PATH = Path(__file__).parent / "data" / "mixed_lengths.conllu"
 
 
 class TestRead:
@@ -83,9 +86,18 @@ class TestRead:
         # Only ASCII digits are ids and heads: an Arabic-Indic one, an
         # Arabic-Indic zero and a superscript two are not.
         ("\u0661\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_", "token id"),
+        # A range or empty-node id has digits on both sides of its mark.
+        ("-1\tx\t_\t_\t_\t_\t_\t_\t_\t_", "token id"),
+        ("1.\tx\t_\t_\t_\t_\t_\t_\t_\t_", "token id"),
+        ("1-2-3\tx\t_\t_\t_\t_\t_\t_\t_\t_", "token id"),
         ("\u0661-2\tx\t_\t_\t_\t_\t_\t_\t_\t_", "token id"),
         ("1\tx\t_\tNOUN\t_\t_\t\u0660\t_\t_\t_", "head"),
         ("1\tx\t_\tNOUN\t_\t_\t\u00b2\t_\t_\t_", "head"),
+        # Tags are matched on all their bytes: these differ from CONTENT
+        # and NOUN in the last bit only, or in one more byte.
+        ("1\tx\t_\tCONTENT\x08\t_\t_\t0\t_\t_\t_", "UPOS"),
+        ("1\tx\t_\tNOUO\t_\t_\t0\t_\t_\t_", "UPOS"),
+        ("1\tx\t_\tFUNCTIONS\t_\t_\t0\t_\t_\t_", "UPOS"),
     ])
     def test_malformed_lines_name_the_line(self, bad_line, fragment):
         text = "1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n" + bad_line + "\n"
@@ -157,6 +169,40 @@ class TestRead:
         (first, second) = parse_conllu("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"
                                        "# sent_id = b\n1\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n")
         assert first.comments == () and second.comments == ("# sent_id = b",)
+
+    def test_line_break_inside_a_list_element_names_the_line(self):
+        # Each element of a list is one line; written back, a form with a
+        # line break in it would split its line in two.
+        with pytest.raises(ConlluError, match="line 1: line break inside the line"):
+            read_conllu(["1\tx\ny\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"])
+        with pytest.raises(ConlluError, match="line 2: line break inside the line"):
+            read_conllu(["# fine\n", "1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"])
+        with pytest.raises(ConlluError, match="line 1: expected 10"):
+            read_conllu(["1\tx\n", "1\tx\ny\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"])
+
+    def test_list_elements_are_lines_with_an_optional_line_end(self):
+        text = "# a\n1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\n"
+        assert read_conllu(text.splitlines(keepends=True)) == parse_conllu(text)
+        assert read_conllu(text.splitlines()) == parse_conllu(text)
+        assert read_conllu(["\ufeff" + text.splitlines()[0]] + text.splitlines()[1:]) \
+            == parse_conllu(text)
+        assert len(read_conllu([])) == 0
+
+    def test_reading_holds_at_most_ten_times_the_input(self, tmp_path):
+        # The line strings the corpus keeps are about three times the
+        # input; the byte scan must not add much more than as much again.
+        text = MIXED_PATH.read_text(encoding="utf-8") * 10
+        path = tmp_path / "mixed.conllu"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            tracemalloc.start()
+            try:
+                corpus = read_conllu(handle)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(corpus) == 10 * len(parse_conllu(MIXED_PATH.read_text(encoding="utf-8")))
+        assert peak <= 10 * len(text.encode())
 
     def test_gold_head_equal_to_the_length_is_accepted(self):
         (sentence,) = parse_conllu("1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
@@ -386,7 +432,10 @@ NEAR_LINES = st.one_of(
 LONG = "1" * 5000
 
 
-@given(st.one_of(st.text(), st.lists(NEAR_LINES, max_size=12).map("\n".join)))
+ARBITRARY_TEXT = st.one_of(st.text(), st.lists(NEAR_LINES, max_size=12).map("\n".join))
+
+
+@given(ARBITRARY_TEXT)
 @example(f"{LONG}\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
 @example(f"1\tx\t_\tNOUN\t_\t_\t{LONG}\t_\t_\t_\n")
 @example(f"{'0' * 5000}1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
@@ -405,3 +454,103 @@ def test_arbitrary_text_parses_or_names_a_line(text):
         assert main(["stats", "-"]) == expected
     if expected:
         assert re.match(r"error: line [0-9]+: ", stderr.getvalue())
+
+
+def _column(number, value):
+    """A change that sets column ``number`` of a line to ``value(column)``."""
+    def change(line, at):
+        columns = line.split("\t")
+        if len(columns) > number:
+            columns[number] = value(columns[number])
+        return ["\t".join(columns)]
+    return change
+
+
+# One-line changes to a valid file, each aimed at one of the reader's checks
+# or at a character that ends lines elsewhere (``str.splitlines`` splits at
+# NEL and LINE SEPARATOR; a CoNLL-U reader must not).  ``at`` is a drawn
+# character position in the line.
+LINE_CHANGES = [
+    _column(0, lambda token_id: str(int(token_id) + 1) if token_id.isdigit() else token_id),
+    _column(3, lambda tag: "BOGUS"),
+    _column(6, lambda head: "99"),
+    lambda line, at: [line.replace("\t", "", 1)],
+    lambda line, at: [line, "# moved inside"],
+    lambda line, at: [line[:at] + "\r" + line[at:]],
+    lambda line, at: ["\xa0"],
+    lambda line, at: [line[:at] + "\x85" + line[at:]],
+    lambda line, at: [line[:at] + "\u2028" + line[at:]],
+    _column(0, lambda token_id: "00" + token_id),
+    _column(6, lambda head: LONG),
+    _column(3, lambda tag: tag + "S"),
+    _column(0, lambda token_id: token_id.replace("-", "")),
+    _column(0, lambda token_id: token_id[1:]),
+]
+
+
+@st.composite
+def changed_conllu(draw):
+    lines = draw(valid_conllu()).split("\n")
+    number = draw(st.integers(0, len(lines) - 1))
+    line = lines[number]
+    change = draw(st.sampled_from(LINE_CHANGES))
+    lines[number:number + 1] = change(line, draw(st.integers(0, len(line))))
+    return "\n".join(lines)
+
+
+def read_or_refuse(read, source):
+    try:
+        return read(source)
+    except ConlluError as error:
+        return str(error)
+
+
+@given(st.one_of(valid_conllu(), ARBITRARY_TEXT, changed_conllu()))
+# Every known tag.
+@example("".join(f"{i}\tx\t_\t{tag}\t_\t_\t0\t_\t_\t_\n"
+                 for i, tag in enumerate(sorted(KNOWN_TAGS), start=1)))
+# Within a sentence, a later line's fault comes before a head beyond the
+# sentence, which is found only at its end.
+@example("1\ta\t_\tNOUN\t_\t_\t9\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t0\t_\t_\n\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"
+         "1\tb\t_\tNOUN\t_\t_\t5\t_\t_\t_\n2\tc\t_\tVERB\t_\t_\t0\t_\t_\n\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"
+         "1\tb\t_\tNOUN\t_\t_\t5\t_\t_\t_\n3\tc\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"
+         "1\tb\t_\tNOUN\t_\t_\t5\t_\t_\t_\n2\tc\t_\tBOGUS\t_\t_\t0\t_\t_\t_\n\n")
+# ... and after the sentence, its head fault comes first.
+@example("1\ta\t_\tNOUN\t_\t_\t5\t_\t_\t_\n\n1\tb\t_\tVERB\t_\t_\t0\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t5\t_\t_\t_\n")
+# A comment after an empty-node or range line, also one with a \r\n end.
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n1.1\tz\t_\t_\t_\t_\t_\t_\t_\t_\n# c\n\n")
+@example("1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n# c\r\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
+# Blocks with no token lines, at a blank line and at the end.
+@example("# a\n\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n2.1\tz\t_\t_\t_\t_\t_\t_\t_\t_")
+# Settled and unsettled token lines in one sentence: zero-padded ids,
+# long heads, \r\n ends and whitespace-only blank lines.
+@example("01\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\r\n"
+         "3\tc\t_\tX\t_\t_\t0000000000000000000002\t_\t_\t_\n \t\n1\td\t_\tX\t_\t_\t_\t_\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t00000000000000000000000000000000000007\t_\t_\t_\n")
+@example(f"1\ta\t_\tNOUN\t_\t_\t{'0' * 4000}7\t_\t_\t_\n")
+@example("\ufeff1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\ufeff\n")
+# After a whitespace-only blank line, a line the arrays leave to ``_line``
+# starts a new sentence.
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n \n1\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\r\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\xa0\n# c\r\n1\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n")
+# A known tag with one more letter; ids that are almost range or
+# empty-node ids.
+@example("1\tx\t_\tFUNCTIONS\t_\t_\t0\t_\t_\t_\n")
+@example("-1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n1.\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n1-2.3\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+@settings(derandomize=True, max_examples=600, deadline=None)
+def test_reader_matches_the_sequential_reader(text):
+    # The same corpus, or the same error message, from a stream and from
+    # its list of lines.
+    expected = read_or_refuse(sequential_read_conllu, io.StringIO(text))
+    for source in (io.StringIO(text), io.StringIO(text).readlines()):
+        got = read_or_refuse(read_conllu, source)
+        assert got == expected
+        if not isinstance(got, str):
+            assert {got.tags.dtype, got.heads.dtype, got.offsets.dtype} == {np.dtype(np.intp)}
