@@ -2,9 +2,9 @@
 
 The parser is training-free, so ``parse`` makes two passes over its input:
 one to estimate the adposition attachment direction from tag bigrams, one to
-parse the sentences, a stack of equal-length ones at a time; the baselines
-skip the first pass and take the second, through the same stacks.  Exit
-status is 0 on success, 1 for usage errors, 2 for data errors.
+parse the whole corpus through ``decoder.decode_corpus``; the baselines skip
+the first pass and take the second, through the same decoder.  Exit status
+is 0 on success, 1 for usage errors, 2 for data errors.
 """
 
 import argparse

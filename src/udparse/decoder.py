@@ -8,16 +8,17 @@ the direction constraint) so every word finds a head.  The first-ranked
 content word attaches to the virtual root, enforcing a single root, and
 sentence-final punctuation is then re-attached to it.
 
-Once the ranking is known every attachment is independent of the others, so
-a sentence is decoded as one argmin per row of a dependent-by-head cost
-matrix.  ``decode_corpus``, the one entry to parsing in every mode, takes
-the corpus's main predicates and ranking keys once (``ranker``), groups
-sentences of equal length into stacks, slices each stack's tag ids and keys
-out of the corpus's flat arrays, orders it with one sort and decodes it
-with one ``(B, n, n)`` argmin, and writes the heads into one flat array; a
-single sentence is a stack of one.  The closest-head baseline is one argmin
-over the same distance grid, and an adjacency chain is one constant head
-row per length.
+Once the ranking is known every attachment is independent of the others:
+each word takes the nearest eligible head on each side in the lowest tier.
+The nearest head ranked above a word on one side is an all-nearest-smaller-
+values query (Berkman, Schieber & Vishkin 1993), which ``_nearest`` answers
+for every token of a corpus at once by binary lifting over a sparse table of
+range minima (Bender & Farach-Colton 2000), in O(N log n) memory for N
+tokens and sentences of at most n.  ``decode_corpus``, the one entry to
+parsing in every mode, ranks the corpus's content words once (``ranker``)
+and runs that search on its flat arrays.  The closest-head baseline is the
+same search with every word eligible, and an adjacency chain is one
+``np.where``.
 """
 
 from typing import Iterable
@@ -26,30 +27,14 @@ import numpy as np
 
 from .conllu import Corpus, Sentence, as_corpus
 from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, check_walk,
-                     content_ranks, main_predicates, ranking_keys, rule_counts, stacks)
-from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, TAG_IDS, Direction,
+                     content_ranks, main_predicates, ranking_keys)
+from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY, TAG_IDS, Direction,
                     DirectionPolicy, RuleSet)
 
 _PUNCT = TAG_IDS["PUNCT"]
 
 # Index step towards the neighbor on each backoff side.
 _STEPS = {Direction.RIGHT: 1, Direction.LEFT: -1}
-
-# Head-minus-dependent offsets and the distance part of the cost for the
-# longest sentence decoded so far, rebound as one pair so that concurrent
-# callers never mix sizes; a shorter sentence uses the top-left blocks.
-_grid = (np.zeros((0, 0), dtype=np.intp),) * 2
-
-
-def _geometry(n: int) -> tuple[np.ndarray, np.ndarray]:
-    global _grid
-    offsets, distance_costs = _grid
-    if n > len(offsets):
-        positions = np.arange(n)
-        offsets = positions - positions[:, None]
-        distance_costs = 2 * np.abs(offsets) + (offsets > 0)
-        _grid = offsets, distance_costs
-    return offsets[:n, :n], distance_costs[:n, :n]
 
 
 def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAULT_RULESET,
@@ -60,102 +45,113 @@ def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAUL
     """Parse every sentence in ``mode``; one flat head array for the corpus.
 
     The one entry to parsing, also for a single sentence
-    (``decode_corpus([sentence], ...)``), one stack of equal-length
-    sentences (``ranker.stacks``) at a time, its ``(B, n)`` tag ids sliced
-    out of the corpus's flat ``tags``.  ``udp`` and ``udp-nopr`` take the
-    corpus's ``ranker.ranking_keys`` in that mode once, rank each stack by
-    ``ranker.content_ranks`` and decode it by ``_heads`` under the cost
-    rule it documents; ``baseline`` attaches by ``_closest_heads`` and
-    ``adjacency`` chains neighbors, both towards ``backoff_direction``
-    (LEFT or RIGHT).  Walk parameters that ``ranker.check_walk`` refuses
-    are refused in every mode.  Heads are 1-based, 0 for the root, aligned
-    with ``corpus.tags``.
+    (``decode_corpus([sentence], ...)``).  ``udp`` and ``udp-nopr`` rank
+    the corpus by ``ranker.content_ranks`` on its ``ranker.ranking_keys``
+    in that mode and attach every word by ``_nearest``; the word ranked 0
+    takes the root, and sentence-final PUNCT then attaches to the root's
+    dependent, unless it is that word.  ``baseline`` attaches every word to
+    its closest licensed head, leftward on a distance tie, else to its
+    neighbor towards ``backoff_direction`` (LEFT or RIGHT, the other one at
+    a sentence edge), and its main predicate to the root; the output is
+    single-rooted but need not be a tree.  ``adjacency`` chains neighbors
+    towards ``backoff_direction``.  Walk parameters that
+    ``ranker.check_walk`` refuses are refused in every mode.  Heads are
+    1-based, 0 for the root, aligned with ``corpus.tags``.
     """
     check_walk(teleport, predicate_weight)
     if mode in ("baseline", "adjacency") and backoff_direction not in _STEPS:
         raise ValueError(f"backoff direction must be LEFT or RIGHT, got {backoff_direction}")
     corpus = as_corpus(corpus)
-    starts = corpus.offsets[:-1]
-    heads = np.empty(len(corpus.tags), dtype=np.intp)
-    if mode != "adjacency":
-        predicates = main_predicates(corpus.tags, corpus.offsets)
-    if mode not in ("baseline", "adjacency"):
-        keys = ranking_keys(corpus.tags, corpus.offsets, predicates, ruleset, mode,
-                            teleport=teleport, predicate_weight=predicate_weight)
-    for n, rows in stacks(np.diff(corpus.offsets)):
-        tokens = starts[rows, None] + np.arange(n)
+    tags, offsets = corpus.tags, corpus.offsets
+    starts, lasts = offsets[:-1], offsets[1:] - 1
+    if mode in ("baseline", "adjacency"):
+        step = _STEPS[backoff_direction]
+        edge = np.zeros(len(tags), dtype=bool)
+        edge[lasts if step == 1 else starts] = True
+        neighbors = np.arange(1, len(tags) + 1) + np.where(edge, -step, step)
+        neighbors -= np.repeat(starts, np.diff(offsets))
         if mode == "adjacency":
-            neighbors, edge = _neighbors(n, backoff_direction)
-            neighbors[edge] = 0
-            heads[tokens] = neighbors
-            continue
-        tags = corpus.tags[tokens]
-        licensed = rule_counts(tags, ruleset) > 0
-        if mode == "baseline":
-            heads[tokens] = _closest_heads(tags, licensed, predicates[rows], backoff_direction)
-        else:
-            ranks = content_ranks(tags, keys[tokens], predicates[rows])
-            heads[tokens] = _heads(tags, ranks, licensed, policy)
+            return np.where(edge, 0, neighbors)
+        heads, tiers = _nearest(tags, offsets, np.zeros_like(tags), np.ones_like(tags),
+                                ruleset, FREE_POLICY)
+        heads = np.where(tiers == 0, heads, neighbors)
+        heads[starts + main_predicates(tags, offsets)] = 0
+        return heads
+    predicates = main_predicates(tags, offsets)
+    keys = ranking_keys(tags, offsets, predicates, ruleset, mode,
+                        teleport=teleport, predicate_weight=predicate_weight)
+    ranks = content_ranks(tags, offsets, predicates, keys)
+    heads, _ = _nearest(tags, offsets, ranks, ranks, ruleset, policy)
+    roots = np.flatnonzero(ranks == 0)
+    heads[roots] = 0
+    moved = (tags[lasts] == _PUNCT) & (roots != lasts)
+    heads[lasts[moved]] = (roots - starts + 1)[moved]
     return heads
 
 
-def _neighbors(n: int, direction: Direction) -> tuple[np.ndarray, int]:
-    """1-based neighbor of every token on the ``direction`` side, and the
-    0-based edge token that has none there; it takes its other neighbor."""
-    step = _STEPS[direction]
-    edge = n - 1 if step == 1 else 0
-    neighbors = np.arange(1 + step, n + 1 + step)
-    neighbors[edge] -= 2 * step
-    return neighbors, edge
+def _nearest(tags: np.ndarray, offsets: np.ndarray, ranks: np.ndarray, limits: np.ndarray,
+             ruleset: RuleSet, policy: DirectionPolicy) -> tuple[np.ndarray, np.ndarray]:
+    """1-based in-sentence head of every token, and the tier it came from.
 
+    Head h is eligible for dependent d when ``ranks[h] < limits[d]``; no
+    rank exceeds the largest limit.  d takes the nearest eligible head,
+    leftward on a distance tie, in the lowest tier: 0 when the rules
+    license it and it lies on d's allowed side (``policy.sides``), 1 when
+    only the side holds, 2 otherwise; a token with no eligible head gets
+    tier 3 and a head to be overwritten.  That is the argmin of
+    ``tier * 4n + 2|h - d| + [h > d]``.
 
-def _closest_heads(tags: np.ndarray, licensed: np.ndarray, predicates: np.ndarray,
-                   direction: Direction) -> np.ndarray:
-    """``(B, n)`` closest-head baseline heads of a stack.
-
-    Every token attaches to the closest head the rules license for it,
-    leftward on a distance tie, or to its ``direction`` neighbor when no
-    token may head it; the main predicate (0-based ``predicates``) attaches
-    to the root.  The output is single-rooted but may contain
-    cycles among neighbor attachments, so it need not be a tree.
+    One table row per distinct non-empty licensing column of
+    ``RuleSet.matrix`` holds the ranks of the heads it licenses, and one
+    row the ranks of all tokens; each sentence sits behind a -1 sentinel,
+    and the layout is followed by its reverse, so a leftward search there
+    looks rightward.  Level k holds the minimum of the 2^k entries ending at
+    each place, all levels in one buffer, and one descent over the levels
+    finds, for every token, row and side at once, the nearest entry below
+    its limit.
     """
-    stack, n = tags.shape
-    _, distance_costs = _geometry(n)
-    closest = np.where(licensed, distance_costs, 2 * n).argmin(axis=2) + 1
-    heads = np.where(licensed.any(axis=2), closest, _neighbors(n, direction)[0])
-    heads[np.arange(stack), predicates] = 0
-    return heads
-
-
-def _heads(tags: np.ndarray, ranks: np.ndarray, licensed: np.ndarray,
-           policy: DirectionPolicy) -> np.ndarray:
-    """``(B, n)`` 1-based heads (0 for the root) of a decoded stack.
-
-    ``ranks`` places each token in its sentence's order (``content_ranks``),
-    0 for the word that takes the root; ``licensed[b, d, h]`` says the rules
-    allow head h for dependent d.
-
-    Each word attaches to the cheapest head among the content words ranked
-    above it; function words rank n, so they may attach to any content word
-    and never head one.  The cost of head h for dependent d is
-    ``tier * 4n + 2|h - d| + [h > d]``: tier 0 when the rules license the
-    pair and h lies on d's allowed side, tier 1 when only the side holds,
-    tier 2 otherwise, and tier 3 (never chosen) when h is not ranked above
-    d.  So a lower tier always wins, then the closer head, then the
-    leftward one on a distance tie.  The word ranked 0 attaches to the root:
-    the top content word, or, in a sentence with no content words, its
-    fallback predicate, so the function words still have a head.
-    Sentence-final PUNCT then attaches to the root's dependent, unless it
-    is that word.
-    """
-    stack, n = tags.shape
-    offsets, distance_costs = _geometry(n)
-    directed = policy.sides[tags][:, :, None] * offsets >= 0
-    tiers = np.where(ranks[:, :, None] <= ranks[:, None, :], 3, 2 - directed * (1 + licensed))
-    del directed
-    heads = (tiers * (4 * n) + distance_costs).argmin(axis=2) + 1
-    roots = ranks.argmin(axis=1)
-    heads[np.arange(stack), roots] = 0
-    moved = (tags[:, -1] == _PUNCT) & (roots != n - 1)
-    heads[moved, -1] = roots[moved] + 1
-    return heads
+    lengths = np.diff(offsets)
+    places = np.arange(len(tags)) - np.repeat(offsets[:-1], lengths)
+    # Each dependent tag's licensing column as a bit pattern over head tags.
+    patterns = (1 << np.arange(len(TAG_IDS))) @ (ruleset.matrix > 0)
+    columns = np.array(sorted(set(patterns.tolist()) - {0}), dtype=np.intp)
+    masks = np.vstack([columns[:, None] >> np.arange(len(TAG_IDS)) & 1,
+                       np.ones(len(TAG_IDS), dtype=np.intp)]).astype(bool)
+    # The forward layout: a sentinel, then each sentence followed by one.
+    at = np.arange(len(tags)) + np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    width = 2 * (len(tags) + len(lengths) + 1)
+    levels = int(lengths.max(initial=1) - 1).bit_length()
+    # Heads a row leaves out read as the largest limit, which no limit
+    # exceeds; entries take the smallest signed type that holds it.
+    never = int(limits.max(initial=0))
+    table = np.full((max(levels, 1), len(masks), width), -1,
+                    dtype=np.min_scalar_type(-1 - never))
+    table[0][:, at] = np.where(masks[:, tags], ranks, never)
+    table[0][:, width // 2:] = table[0][:, width // 2 - 1::-1]
+    # A window that would reach past the first place holds its sentinel, so
+    # those entries keep the buffer's -1.
+    for k in range(1, levels):
+        span = 1 << (k - 1)
+        np.minimum(table[k - 1][:, span:], table[k - 1][:, :-span], out=table[k][:, span:])
+    # Searches [tier-0 row, all-token row] x [left, right], started just
+    # before each token in the forward and the reversed layout.
+    rows = np.stack([np.searchsorted(columns, patterns)[tags], np.full_like(tags, len(columns))])
+    found = rows[:, None] * width + np.stack([at - 1, width - 2 - at])
+    distances = found + 1
+    flat = table.reshape(len(table), -1)
+    for k in reversed(range(levels)):
+        found -= (flat[k][found] >= limits) * (1 << k)
+    distances -= found
+    # A search that stopped on its sentence's sentinel found nothing.
+    missed = flat[0][found] < 0
+    del table, flat, found
+    # A side suits d when ``sides[tag_d] * (h - d) >= 0``; tier 0 searches
+    # only the suitable sides of dependents that some rule licenses.  The
+    # least cost of each token names its tier, distance and side.
+    allowed = np.array([[-1], [1]]) * policy.sides[tags] >= 0
+    tiers = np.where(missed, 3, np.stack([np.where(allowed & (patterns[tags] > 0), 0, 3),
+                                          2 - allowed]))
+    costs = tiers * (4 << levels) + 2 * distances + np.array([0, 1])[:, None]
+    tiers, rest = np.divmod(costs.reshape(4, -1).min(axis=0), 4 << levels)
+    distances, right = np.divmod(rest, 2)
+    return places + 1 + np.where(right, distances, -distances), tiers

@@ -19,12 +19,11 @@ class, and the predicate is a class of its own, so a sentence has at most
 system at that size, and a token's score is its class's mass divided by
 the class size.
 
-Everything works on stacks: ``stacks`` groups sentences of equal size (the
-class walk by class count, the decoder by length) and cuts each group so
-that a ``(B, n, n)`` array stays within one budget.  ``decoder.decode_corpus``
-is the one entry to parsing; it takes the flat sort keys of
-``ranking_keys`` once per corpus and orders each length stack by them with
-``content_ranks``.
+The class walks are solved in stacks: ``stacks`` groups sentences by class
+count and cuts each group so that a ``(B, k, k)`` system stays within one
+budget.  ``decoder.decode_corpus`` is the one entry to parsing; it takes the
+flat sort keys of ``ranking_keys`` once per corpus and ranks the whole
+corpus by them with ``content_ranks``.
 """
 
 from typing import Iterator
@@ -62,15 +61,6 @@ def stacks(sizes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
         size = max(1, _STACK_ELEMENTS // (n * n))
         for start in range(0, len(positions), size):
             yield n, positions[start:start + size]
-
-
-def rule_counts(tags: np.ndarray, ruleset: RuleSet) -> np.ndarray:
-    """``(B, n, n)`` edge multiplicities ``[sentence, dependent, head]``, one
-    per licensing rule application; a token never heads itself."""
-    counts = ruleset.matrix[tags[:, None, :], tags[:, :, None]]
-    diagonal = np.arange(tags.shape[1])
-    counts[:, diagonal, diagonal] = 0
-    return counts
 
 
 def _walk_scores(counts: np.ndarray, p: np.ndarray, teleport: float) -> np.ndarray:
@@ -196,23 +186,25 @@ def ranking_keys(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     return keys[classes]
 
 
-def content_ranks(tags: np.ndarray, keys: np.ndarray, predicates: np.ndarray) -> np.ndarray:
-    """Rank the content words of a stack of equal-length sentences.
+def content_ranks(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
+                  keys: np.ndarray) -> np.ndarray:
+    """Rank the content words of a corpus (its flat tag ids, sentence
+    offsets, 0-based main predicates and ``ranking_keys``).
 
-    ``tags``, ``keys`` (``ranking_keys``) and ``predicates`` are the stack's
-    slices.  ``ranks[b, i]`` is the place of token i + 1 of sentence b in
-    its content order, and n for function words, except that a sentence
+    ``ranks[i]`` is the place of token i in its sentence's content order,
+    and the sentence's length for function words, except that a sentence
     with no content words ranks its predicate 0.  Content words come in
     ascending key order, ties in sentence order.
     """
-    stack, n = tags.shape
+    lengths = np.diff(offsets)
+    sentences = np.repeat(np.arange(len(lengths)), lengths)
     content = _CONTENT[tags]
-    # Content words first, then by key; lexsort is stable, so ties keep
-    # sentence order.  Function words' places are then overwritten.
-    order = np.lexsort((keys, ~content))
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(n), axis=1)
-    ranks[~content] = n
-    no_content = ~content.any(axis=1)
-    ranks[no_content, predicates[no_content]] = 0
+    # By sentence, content words first, then by key; lexsort is stable, so
+    # ties keep sentence order.  Function words' places are then overwritten.
+    order = np.lexsort((keys, ~content, sentences))
+    ranks = np.empty(len(tags), dtype=np.intp)
+    ranks[order] = np.arange(len(tags)) - offsets[sentences]
+    ranks[~content] = lengths[sentences[~content]]
+    no_content = np.bincount(sentences[content], minlength=len(lengths)) == 0
+    ranks[(offsets[:-1] + predicates)[no_content]] = 0
     return ranks

@@ -33,16 +33,16 @@ def with_column7(sentence, heads) -> Sentence:
 
 
 def tag_ids(sentences):
-    """``(B, n)`` tag ids of equal-length sentences: a stack as
-    ``decoder.decode_corpus`` slices it out of a corpus."""
+    """``(B, n)`` tag ids of equal-length sentences: the stack that
+    ``oracles.rule_counts`` and ``oracles.token_walk_scores`` take."""
     corpus = as_corpus(sentences)
     return corpus.tags.reshape(len(corpus), -1)
 
 
 def rank_orders(sentence, ranks):
-    """``(content_order, function_order, predicate)`` of one sentence's row
-    of ``ranker.content_ranks``, as ``oracles.closest_first_heads`` takes
-    them: content indices by rank, function indices in sentence order."""
+    """``(content_order, function_order, predicate)`` of one sentence's
+    ``ranker.content_ranks``, as ``oracles.closest_first_heads`` takes them:
+    content indices by rank, function indices in sentence order."""
     content = sorted((t.index for t in sentence if is_content(t.upos)),
                      key=lambda index: ranks[index - 1])
     function = tuple(t.index for t in sentence if not is_content(t.upos))

@@ -5,7 +5,8 @@ structures: dense row-stochastic matrices and explicit loops, no shared code
 with the implementations under test.  The one exception is
 ``token_walk_scores``, the token-level walk the package solved before it
 lumped words into classes: it runs the package's ``_walk_scores`` kernel,
-which ``power_iteration`` checks, on the full ``rule_counts`` token graph.
+which ``power_iteration`` checks, on the full token graph of
+``rule_counts``, the dense edge counts the package built before it did.
 ``sequential_read_conllu`` is the line-at-a-time reader that the package's
 array reader replaced.
 """
@@ -15,7 +16,7 @@ import re
 import numpy as np
 
 from udparse.conllu import ConlluError, Corpus
-from udparse.ranker import _walk_scores, rule_counts
+from udparse.ranker import _walk_scores
 from udparse.rules import TAG_IDS
 
 
@@ -65,6 +66,16 @@ def teleport_vectors(predicates, n, weight):
     raw = np.ones((len(predicates), n))
     raw[np.arange(len(predicates)), predicates] = weight
     return raw / ((n - 1) + float(weight))
+
+
+def rule_counts(tags, ruleset):
+    """``(B, n, n)`` edge multiplicities ``[sentence, dependent, head]`` of a
+    stack of equal-length sentences (tag ids), one per licensing rule
+    application; a token never heads itself."""
+    counts = ruleset.matrix[tags[:, None, :], tags[:, :, None]]
+    diagonal = np.arange(tags.shape[1])
+    counts[:, diagonal, diagonal] = 0
+    return counts
 
 
 def token_walk_scores(tags, ruleset, predicates, teleport=0.05, weight=5.0):

@@ -16,8 +16,7 @@ from udparse.conllu import DependencyTree, as_corpus, parse_conllu, validate_tre
 from udparse.decoder import decode_corpus
 from udparse.direction import estimate_adp_direction
 from udparse.evaluation import domain_report, error_propagation, uas
-from udparse.ranker import (class_scores, content_ranks, main_predicates, ranking_keys,
-                            rule_counts)
+from udparse.ranker import class_scores, content_ranks, main_predicates, ranking_keys
 from udparse.rules import DEFAULT_POLICY, DEFAULT_RULESET, UPOS_TAGS, Direction
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FORMS, EXAMPLE_HEADS,
@@ -25,7 +24,7 @@ from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FORMS, EXAMPLE_HEADS,
                      make_sentence, rank_orders, tag_ids, with_column7)
 from oracles import (attachment_counts, content_ranking, estimate_main_predicate,
                      mean_and_population_std, per_pos_counts, power_iteration,
-                     rule_edges)
+                     rule_counts, rule_edges)
 
 ALL_TAGS = sorted(UPOS_TAGS)
 
@@ -82,8 +81,8 @@ def test_criterion_3_golden_ranking_and_score_agreement():
     predicates = main_predicates(corpus.tags, corpus.offsets)
     keys = ranking_keys(corpus.tags, corpus.offsets, predicates, DEFAULT_RULESET,
                         teleport=0.05, predicate_weight=5.0)
-    ranks = content_ranks(corpus.tags[None], keys[None], predicates)
-    content_order = rank_orders(sentence, ranks[0].tolist())[0]
+    ranks = content_ranks(corpus.tags, corpus.offsets, predicates, keys)
+    content_order = rank_orders(sentence, ranks.tolist())[0]
     assert content_order == EXAMPLE_CONTENT_ORDER
     content_forms = [EXAMPLE_FORMS[i - 1] for i in content_order]
     assert content_forms == ["had", "connection", "extremists", "special"]

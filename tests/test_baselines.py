@@ -1,12 +1,10 @@
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from udparse import ranker
 from udparse.baselines import forms_tree, forms_trees, naive_pos_tag
 from udparse.cli import best_baseline_direction
 from udparse.conllu import as_corpus
@@ -110,10 +108,8 @@ class TestAdjacencyParse:
 
 # Both baselines against the per-sentence loops they replaced, over the
 # standard tags and the two-tag scenario and both backoff directions.  The
-# corpora mix repeated and interleaved lengths; with a cap of 32 stacked
-# elements, 4-token sentences go two to a stack and from 6 tokens on one,
-# so stack boundaries and the restore of input order are crossed too.
-SMALL_STACKS = 32
+# corpora mix repeated and interleaved lengths, and the whole corpus is
+# searched at once, so no attachment may cross into a neighboring sentence.
 
 
 @given(st.lists(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=12),
@@ -130,13 +126,10 @@ def test_baselines_match_sequential_oracles(corpus):
         for direction in (Direction.LEFT, Direction.RIGHT):
             closest = [baseline_parse(tags, ruleset.pairs, direction.value) for tags in used]
             chains = [adjacency_parse(len(tags), direction.value) for tags in used]
-            for cap in (ranker._STACK_ELEMENTS, SMALL_STACKS):
-                with mock.patch.object(ranker, "_STACK_ELEMENTS", cap):
-                    for mode, expected in (("baseline", closest), ("adjacency", chains)):
-                        heads = decode_corpus(sentences, ruleset, mode=mode,
-                                              backoff_direction=direction)
-                        got = list(map(tuple, sentences.per_sentence(heads)))
-                        assert got == expected, (used, mode, direction, cap)
+            for mode, expected in (("baseline", closest), ("adjacency", chains)):
+                heads = decode_corpus(sentences, ruleset, mode=mode, backoff_direction=direction)
+                got = list(map(tuple, sentences.per_sentence(heads)))
+                assert got == expected, (used, mode, direction)
 
 
 @st.composite

@@ -15,6 +15,10 @@ from helpers import (EXAMPLE_FORMS, EXAMPLE_HEADS, EXAMPLE_TAGS,
 SAMPLE_PATH = Path(__file__).parent / "data" / "sample.conllu"
 MIXED_PATH = Path(__file__).parent / "data" / "mixed_lengths.conllu"
 
+# The options of every parsing path the CLI has.
+PARSE_OPTIONS = (["--mode", "udp"], ["--mode", "udp-nopr"], ["--mode", "baseline"],
+                 ["--mode", "adjacency"], ["--pos", "naive"])
+
 # Two prepositional sentences around the example keep the corpus-level
 # bigram estimate at adp-nominal 2 vs nominal-adp 1.
 CONTEXT_DOC = (
@@ -198,6 +202,13 @@ class TestParseCommand:
         assert (code, err) == (0, "")
         assert out == run(["parse", str(SAMPLE_PATH)], capsys)[1]
 
+    @pytest.mark.parametrize("options", PARSE_OPTIONS)
+    def test_empty_file_parses_to_nothing(self, tmp_path, capsys, options):
+        path = tmp_path / "in.conllu"
+        path.write_text("", encoding="utf-8")
+        code, out, _ = run(["parse", str(path), *options], capsys)
+        assert (code, out) == (0, "")
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run(["parse", "no-such-file.conllu"], capsys)
         assert code == 2
@@ -377,9 +388,6 @@ class TestNoTokenObjects:
     """The CLI keeps a corpus columnar from reader to writer: no command
     builds a ``Token``."""
 
-    PARSE_OPTIONS = (["--mode", "udp"], ["--mode", "udp-nopr"], ["--mode", "baseline"],
-                     ["--mode", "adjacency"], ["--pos", "naive"])
-
     def test_no_command_builds_a_token(self, tmp_path, capsys):
         built = []
         construct = Token.__init__
@@ -390,7 +398,7 @@ class TestNoTokenObjects:
 
         parsed = str(tmp_path / "parsed.conllu")
         commands = [["parse", str(MIXED_PATH), *options, "-o", parsed]
-                    for options in self.PARSE_OPTIONS]
+                    for options in PARSE_OPTIONS]
         commands += [["eval", parsed, parsed], ["stats", str(MIXED_PATH)]]
         with mock.patch.object(Token, "__init__", counted):
             for argv in commands:

@@ -1,21 +1,23 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udparse import ranker
 from udparse.cli import parse_corpus
-from udparse.conllu import DependencyTree, validate_tree
+from udparse.conllu import DependencyTree, as_corpus, validate_tree
 from udparse.decoder import decode_corpus
-from udparse.ranker import rule_counts
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, NAIVE_RULESET,
-                           FREE_POLICY, UPOS_TAGS, Direction, is_content)
+                           FREE_POLICY, UPOS_TAGS, Direction, RuleSet, is_content)
 
 from helpers import EXAMPLE_HEADS, example_sentence, make_sentence, orders_of, tag_ids
-from oracles import closest_first_heads, rule_edges
+from oracles import (adjacency_parse, baseline_parse, closest_first_heads, rule_counts,
+                     rule_edges)
 
 ADP_RIGHT = DEFAULT_POLICY.with_direction("ADP", Direction.RIGHT)
 ADP_LEFT = DEFAULT_POLICY.with_direction("ADP", Direction.LEFT)
@@ -176,42 +178,85 @@ def test_reading_order_decode_always_yields_valid_trees(tags):
 
 
 # The decoder against the sequential closest-first decode it replaced, on
-# the dense oracle's ranking: every policy shape and both rule tables, in
-# both modes.
+# the dense oracle's ranking: every policy shape, both rule tables and a
+# drawn one (the empty one among them), in both modes; and both baselines
+# against their per-sentence loops in both backoff directions.  The
+# nearest-head search takes one lifting step per power of two of the
+# longest sentence, so lengths at and around powers of two need every step,
+# and a long run of function words sends a search all the way to a
+# sentence edge.
+EDGE_LENGTHS = (1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 255, 256, 257)
 ORACLE_SETTINGS = (
-    (DEFAULT_RULESET, ADP_RIGHT, False),
-    (DEFAULT_RULESET, ADP_LEFT, False),
-    (DEFAULT_RULESET, FREE_POLICY, False),
-    (NAIVE_RULESET, FREE_POLICY, True),
+    (DEFAULT_RULESET, (ADP_RIGHT, ADP_LEFT, FREE_POLICY), False),
+    (NAIVE_RULESET, (FREE_POLICY,), True),
 )
+CONTENT_UPOS = [tag for tag in ALL_TAGS if is_content(tag)]
+rule_sets = st.lists(st.tuples(st.sampled_from(CONTENT_UPOS), st.sampled_from(ALL_TAGS)),
+                     max_size=30).map(lambda pairs: RuleSet(tuple(pairs)))
 
 
-@given(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=40))
-@example(tags=(ALL_TAGS * 3)[:40])
-@example(tags=["PUNCT", "AUX", "DET"])
+def edge_sentence(n, reverse=False):
+    """n tags: every tag once, then function words that must look far for
+    a head; reversed, the run of function words comes first."""
+    tags = (ALL_TAGS + ["DET", "PUNCT", "AUX"] * n)[:n]
+    return tags[::-1] if reverse else tags
+
+
+# Every edge length once, in alternating orientation, and the other way round.
+EDGE_SENTENCES = [edge_sentence(n, i % 2 == 1) for i, n in enumerate(EDGE_LENGTHS)]
+OTHER_EDGE_SENTENCES = [edge_sentence(n, i % 2 == 0) for i, n in enumerate(EDGE_LENGTHS)]
+
+
+def at_edge_lengths(**drawn):
+    """An ``@example`` of each of ``EDGE_SENTENCES``."""
+    def decorate(test):
+        for tags in EDGE_SENTENCES:
+            test = example(tags=tags, **drawn)(test)
+        return test
+    return decorate
+
+
+@given(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=40), rule_sets)
+@example(tags=(ALL_TAGS * 3)[:40], drawn=DEFAULT_RULESET)
+@example(tags=["PUNCT", "AUX", "DET"], drawn=RuleSet(()))
+@at_edge_lengths(drawn=RuleSet(()))
 @settings(derandomize=True, max_examples=300, deadline=None)
-def test_decode_matches_sequential_oracle(tags):
-    for ruleset, policy, naive in ORACLE_SETTINGS:
+def test_decode_matches_sequential_oracle(tags, drawn):
+    for ruleset, policies, naive in ORACLE_SETTINGS + ((drawn, (ADP_LEFT,), False),):
         used = ["CONTENT" if is_content(tag) else "FUNCTION" for tag in tags] if naive else tags
         sentence = make_sentence(used)
-        edges = np.zeros((len(used), len(used)), dtype=int)
-        for dependent, head in rule_edges(used, ruleset.pairs):
-            edges[dependent - 1, head - 1] += 1
-        assert (rule_counts(tag_ids([sentence]), ruleset)[0] == edges).all()
-        directions = {tag: side.value for tag, side in policy.directions.items()}
-        for mode in ("udp", "udp-nopr"):
-            heads = decode_corpus([sentence], ruleset, policy, mode)
-            expected = closest_first_heads(used, *orders_of(sentence, ruleset, mode),
-                                           ruleset.pairs, directions)
-            assert tuple(heads.tolist()) == expected, (used, policy, mode)
+        # The oracle walk's edge counts against a plain edge list, which is
+        # slow enough in Python to keep to the drawn lengths.
+        if len(used) <= 40:
+            edges = np.zeros((len(used), len(used)), dtype=int)
+            for dependent, head in rule_edges(used, ruleset.pairs):
+                edges[dependent - 1, head - 1] += 1
+            assert (rule_counts(tag_ids([sentence]), ruleset)[0] == edges).all()
+        for policy in policies:
+            directions = {tag: side.value for tag, side in policy.directions.items()}
+            for mode in ("udp", "udp-nopr"):
+                heads = decode_corpus([sentence], ruleset, policy, mode)
+                expected = closest_first_heads(used, *orders_of(sentence, ruleset, mode),
+                                               ruleset.pairs, directions)
+                assert tuple(heads.tolist()) == expected, (used, policy, mode)
+        for direction in (Direction.LEFT, Direction.RIGHT):
+            heads = decode_corpus([sentence], ruleset, mode="baseline",
+                                  backoff_direction=direction)
+            expected = baseline_parse(used, ruleset.pairs, direction.value)
+            assert tuple(heads.tolist()) == expected, (used, direction)
+    for direction in (Direction.LEFT, Direction.RIGHT):
+        heads = decode_corpus([make_sentence(tags)], mode="adjacency", backoff_direction=direction)
+        assert tuple(heads.tolist()) == adjacency_parse(len(tags), direction.value), direction
 
 
-# parse_corpus ranks and decodes a stack of equal-length sentences at a
-# time; per sentence its heads must be the sequential decode of the dense
-# oracle's one-sentence ranking.  Corpora mix repeated and interleaved
-# lengths.  With a cap of 32 stacked elements, 4-token sentences go two to a
-# stack, 3-token ones three, and from 5 tokens on one, so stack boundaries
-# and the restore of input order are crossed too.
+# parse_corpus searches the whole corpus at once; per sentence its heads
+# must be the sequential decode of the dense oracle's one-sentence ranking,
+# so no search may cross into a neighboring sentence.  Corpora mix repeated
+# and interleaved lengths, up to the edge lengths above.  The class walk
+# solves a stack of sentences with equal class counts at a time; with a cap
+# of 32 stacked elements, class stacks hold 32, 8, 3 and 2 sentences of one
+# to four classes and one from five on, so stack boundaries and the
+# restore of input order are crossed too.
 SMALL_STACKS = 32
 CORPUS_SETTINGS = (
     (DEFAULT_RULESET, ADP_RIGHT, "right", False),
@@ -228,6 +273,8 @@ CORPUS_SETTINGS = (
                  ["NOUN", "ADP", "PROPN", "PUNCT"], ["SCONJ", "PRON", "VERB", "ADV"],
                  ["CONJ", "PART", "SYM", "INTJ", "NUM", "X"], ["NOUN", "NOUN", "NOUN", "NOUN"],
                  ["DET", "PUNCT"], ["ADV", "ADJ", "NOUN", "VERB", "PUNCT"]])
+@example(corpus=EDGE_SENTENCES)
+@example(corpus=OTHER_EDGE_SENTENCES[::-1])
 @settings(derandomize=True, max_examples=120, deadline=None)
 def test_parse_corpus_matches_sequential_oracle_per_sentence(corpus):
     for ruleset, policy, adp_direction, naive in CORPUS_SETTINGS:
@@ -246,3 +293,24 @@ def test_parse_corpus_matches_sequential_oracle_per_sentence(corpus):
                                           ruleset=ruleset, policy=policy)
                 got = list(map(tuple, parsed.per_sentence(parsed.predicted)))
                 assert got == expected, (used, policy, mode, cap)
+
+
+def test_decode_of_an_empty_corpus():
+    for mode in ("udp", "udp-nopr", "baseline", "adjacency"):
+        heads = decode_corpus(as_corpus([]), mode=mode)
+        assert heads.dtype == np.intp and heads.tolist() == []
+
+
+# Decoding memory grows as N log n: one 2,000-token sentence's (n, n) grid
+# of int64 costs 30.5 MiB, its search table under 1 MiB.
+@pytest.mark.parametrize("mode", ["udp", "udp-nopr", "baseline"])
+def test_decode_memory_is_linear_in_sentence_length(mode):
+    corpus = as_corpus([make_sentence((ALL_TAGS * 118)[:2000])])
+    decode_corpus(corpus, mode=mode)
+    tracemalloc.start()
+    try:
+        decode_corpus(corpus, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20

@@ -11,7 +11,7 @@ from udparse.cli import parse_corpus
 from udparse.conllu import as_corpus
 from udparse.decoder import decode_corpus
 from udparse.ranker import (_walk_scores, check_walk, class_scores, content_ranks,
-                            main_predicates, ranking_keys, rule_counts)
+                            main_predicates, ranking_keys)
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY, NAIVE_RULESET,
                            RuleSet, UPOS_TAGS, Direction, is_content)
 
@@ -19,7 +19,8 @@ from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FUNCTION_ORDER,
                      EXAMPLE_IN_DEGREES, EXAMPLE_TAGS, example_sentence,
                      make_sentence, orders_of, rank_orders, tag_ids)
 from oracles import (closest_first_heads, content_ranking, estimate_main_predicate,
-                     power_iteration, rule_edges, teleport_vectors, token_walk_scores)
+                     power_iteration, rule_counts, rule_edges, teleport_vectors,
+                     token_walk_scores)
 
 # Stationary scores for the example sentence, frozen from the dense
 # power-iteration reference (cross-checked against a direct linear solve,
@@ -50,7 +51,7 @@ def ranks_of(sentence, mode="udp", ruleset=DEFAULT_RULESET, **options):
     corpus = as_corpus([sentence])
     predicates = main_predicates(corpus.tags, corpus.offsets)
     keys = ranking_keys(corpus.tags, corpus.offsets, predicates, ruleset, mode, **options)
-    ranks = content_ranks(corpus.tags[None], keys[None], predicates)[0].tolist()
+    ranks = content_ranks(corpus.tags, corpus.offsets, predicates, keys).tolist()
     assert rank_orders(sentence, ranks) == orders_of(
         sentence, ruleset, mode, options.get("teleport", 0.05),
         options.get("predicate_weight", 5.0))
@@ -334,6 +335,7 @@ class TestClassWalk:
         predicates = main_predicates(empty.tags, empty.offsets)
         assert predicates.tolist() == []
         assert ranking_keys(empty.tags, empty.offsets, predicates, DEFAULT_RULESET).tolist() == []
+        assert content_ranks(empty.tags, empty.offsets, predicates, np.zeros(0)).tolist() == []
 
 
 # The class walk against the token-level walk it replaced, and parse_corpus
@@ -342,8 +344,8 @@ class TestClassWalk:
 # or from all tags, under the default, naive and a drawn rule table with
 # repeated pairs, at drawn walk parameters.  With a cap of 32 stacked
 # elements, class stacks hold 32, 8, 3 and 2 sentences of one to four
-# classes and one from five on, and length stacks likewise by tokens, so
-# both loops cross stack boundaries.
+# classes and one from five on, so the class walk crosses stack
+# boundaries.
 SMALL_STACKS = 32
 CONTENT_UPOS = [tag for tag in ALL_TAGS if is_content(tag)]
 
