@@ -11,10 +11,15 @@ one ``\\n`` and hold no other.
 It returns a ``Corpus``: flat arrays plus sentence offsets, the layout of
 Apache Arrow's list arrays.  ``tags`` (``rules.TAG_IDS``) and
 ``heads`` (column 7, -1 for ``_``) hold one entry per syntactic word, and
-``offsets[s]:offsets[s + 1]`` is sentence s's slice of them and of
-``lines``, its raw token lines.  Multiword-token range lines (ids like
-``3-4``) and empty-node lines (ids like ``5.1``) are not syntactic words:
-they are kept verbatim per sentence in ``extras``, and comment lines in
+``offsets[s]:offsets[s + 1]`` is sentence s's slice of them.  The text
+stays the UTF-8 buffer that the reader scanned, a ``RawText`` that also
+holds each token's line number and the byte bounds of its column 2, after
+Apache Arrow's variable-size binary layout; ``eval`` compares forms on
+those bounds.  ``lines`` (the raw token lines), ``forms``, ``comments``
+and ``extras`` are decoded from the buffer on first use, once for every
+corpus that shares it.  Multiword-token range lines (ids like ``3-4``)
+and empty-node lines (ids like ``5.1``) are not syntactic words: they are
+kept verbatim per sentence in ``extras``, and comment lines in
 ``comments``; ``# key = value`` comments are read as ``Sentence.meta``.  A
 parse is one more flat array, ``predicted``, never stored on tokens.
 
@@ -36,7 +41,6 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -86,10 +90,10 @@ class Sentence:
 
     Read-only.  ``Sentence(tokens, meta, comments, extras)`` wraps tokens
     that a library caller built, numbered from 1.  ``Corpus[i]`` is a view
-    that builds its tokens and meta from the corpus on first use, so its
-    ``len`` costs nothing.  ``extras`` holds range/empty-node lines as
-    ``(k, raw_line)`` pairs, meaning the raw line came after the first
-    ``k`` token lines.
+    that builds its tokens, meta, comments and extras from the corpus on
+    first use, so its ``len`` costs nothing.  ``extras`` holds
+    range/empty-node lines as ``(k, raw_line)`` pairs, meaning the raw line
+    came after the first ``k`` token lines.
     """
 
     def __init__(self, tokens: Iterable[Token], meta: dict[str, str] | None = None,
@@ -109,13 +113,12 @@ class Sentence:
     def _view(cls, corpus: "Corpus", number: int) -> "Sentence":
         view = cls.__new__(cls)
         start, end = corpus.offsets[number:number + 2].tolist()
-        vars(view).update(comments=corpus.comments[number], extras=corpus.extras[number],
-                          _length=end - start, _source=(corpus, start))
+        vars(view).update(_length=end - start, _source=(corpus, number, start))
         return view
 
     @cached_property
     def tokens(self) -> tuple[Token, ...]:
-        corpus, start = self._source
+        corpus, _, start = self._source
         end = start + self._length
         return tuple(
             _token(position, line, tag, head) for position, (line, tag, head) in enumerate(
@@ -125,6 +128,16 @@ class Sentence:
     @cached_property
     def meta(self) -> dict[str, str]:
         return _meta(self.comments)
+
+    @cached_property
+    def comments(self) -> tuple[str, ...]:
+        corpus, number, _ = self._source
+        return corpus.comments[number]
+
+    @cached_property
+    def extras(self) -> tuple[tuple[int, str], ...]:
+        corpus, number, _ = self._source
+        return corpus.extras[number]
 
     def __setattr__(self, name, value):
         raise AttributeError("Sentence is read-only")
@@ -163,23 +176,97 @@ def _meta(comments: Iterable[str]) -> dict[str, str]:
     return meta
 
 
+def _position_type(size: int) -> type:
+    """The dtype of byte and line positions in ``size`` bytes: int32 where
+    they fit, to keep the arrays small."""
+    return np.int32 if size < 2**31 else np.int64
+
+
+def _decoded(data: bytes) -> list[str]:
+    """The ``\\n``-ended lines of ``data``, decoded."""
+    lines = data.decode(errors="surrogatepass").split("\n")
+    lines.pop()  # what follows the last line end
+    return lines
+
+
+@dataclass(frozen=True, eq=False)
+class RawText:
+    """The text of a corpus as UTF-8 bytes, and where its parts lie in it.
+
+    ``data`` holds every line, each ended by ``\\n``.  ``token_lines``,
+    ``comment_lines`` and ``extra_lines`` are the 0-based numbers of its
+    token, comment and range/empty-node lines in reading order, and
+    ``sentence_lines[s]`` is the number of sentence s's first line.  Token
+    t's column 2 is ``data[form_starts[t]:form_ends[t]]``.  The arrays are
+    read-only.  The lines are decoded into strings once, on first use, for
+    every corpus that shares this text.
+    """
+
+    data: bytes
+    token_lines: np.ndarray
+    form_starts: np.ndarray
+    form_ends: np.ndarray
+    comment_lines: np.ndarray
+    extra_lines: np.ndarray
+    sentence_lines: np.ndarray
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    @cached_property
+    def all_lines(self) -> list[str]:
+        """Every line of ``data``, decoded."""
+        return _decoded(self.data)
+
+    def _at(self, numbers: np.ndarray) -> tuple[str, ...]:
+        return tuple(map(self.all_lines.__getitem__, numbers.tolist()))
+
+    def _grouped(self, numbers: np.ndarray, items: tuple) -> tuple[tuple, ...]:
+        """``items``, one per line in ``numbers``, as one tuple per sentence."""
+        bounds = [*np.searchsorted(numbers, self.sentence_lines).tolist(), len(items)]
+        return tuple(map(items.__getitem__, map(slice, bounds, bounds[1:])))
+
+    @cached_property
+    def lines(self) -> tuple[str, ...]:
+        return self._at(self.token_lines)
+
+    @cached_property
+    def forms(self) -> list[str]:
+        return [line.split("\t", 2)[1] for line in self.lines]
+
+    @cached_property
+    def comments(self) -> tuple[tuple[str, ...], ...]:
+        return self._grouped(self.comment_lines, self._at(self.comment_lines))
+
+    @cached_property
+    def extras(self) -> tuple[tuple[tuple[int, str], ...], ...]:
+        sentence = np.searchsorted(self.sentence_lines, self.extra_lines, side="right") - 1
+        first = np.searchsorted(self.token_lines, self.sentence_lines)
+        after = np.searchsorted(self.token_lines, self.extra_lines) - first[sentence]
+        return self._grouped(self.extra_lines,
+                             tuple(zip(after.tolist(), self._at(self.extra_lines))))
+
+
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """A CoNLL-U corpus as flat per-token arrays and per-sentence lines.
+    """A CoNLL-U corpus as flat per-token arrays over its raw text.
 
-    ``tags``, ``heads`` and ``lines`` have one entry per syntactic word,
-    sentence s owning ``offsets[s]:offsets[s + 1]``; ``comments`` and
-    ``extras`` have one entry per sentence.  ``predicted`` is None, or the
-    flat heads of a parse (0 for the root).  The arrays are read-only;
-    ``dataclasses.replace`` makes a retagged or parsed corpus in O(1).
+    ``tags`` and ``heads`` have one entry per syntactic word, sentence s
+    owning ``offsets[s]:offsets[s + 1]``, and ``raw`` holds the text.
+    ``lines`` (one per token), ``forms`` (column 2 of each), ``comments``
+    and ``extras`` (one entry per sentence) are decoded from it on first
+    use.  ``predicted`` is None, or the flat heads of a parse (0 for the
+    root).  The arrays are read-only; ``dataclasses.replace`` makes a
+    retagged or parsed corpus in O(1) that shares the text and what has
+    been decoded from it.
     """
 
     tags: np.ndarray
     heads: np.ndarray
     offsets: np.ndarray
-    lines: tuple[str, ...]
-    comments: tuple[tuple[str, ...], ...]
-    extras: tuple[tuple[tuple[int, str], ...], ...]
+    raw: RawText
     predicted: np.ndarray | None = None
 
     def __post_init__(self):
@@ -188,7 +275,7 @@ class Corpus:
                 array.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.comments)
+        return len(self.offsets) - 1
 
     def __getitem__(self, number: int) -> Sentence:
         return Sentence._view(self, range(len(self))[number])
@@ -206,10 +293,21 @@ class Corpus:
 
     __hash__ = None
 
-    @cached_property
+    @property
+    def lines(self) -> tuple[str, ...]:
+        return self.raw.lines
+
+    @property
     def forms(self) -> list[str]:
-        """Column 2 of every token line."""
-        return [line.split("\t", 2)[1] for line in self.lines]
+        return self.raw.forms
+
+    @property
+    def comments(self) -> tuple[tuple[str, ...], ...]:
+        return self.raw.comments
+
+    @property
+    def extras(self) -> tuple[tuple[tuple[int, str], ...], ...]:
+        return self.raw.extras
 
     def per_sentence(self, values: Sequence) -> list[list]:
         """A flat per-token array, such as ``predicted``, as one list per
@@ -219,30 +317,29 @@ class Corpus:
         return [values[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
-def _corpus(tags: list[int], heads: list[int], offsets: list[int], lines: list[str],
-            comments: list[tuple[str, ...]], extras: list[tuple[tuple[int, str], ...]]) -> Corpus:
-    return Corpus(np.array(tags, dtype=np.intp), np.array(heads, dtype=np.intp),
-                  np.array(offsets, dtype=np.intp), tuple(lines), tuple(comments), tuple(extras))
-
-
 def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
     """``sentences`` as a corpus; a ``Corpus`` is returned as it is.
 
-    Raises ConlluError for a token field that contains a tab or a line
-    break, and for a comment line, or a metadata key or value, that
-    contains a line break, since such a line would not read back.  A
-    sentence with metadata but no comments gets one ``# key = value``
-    comment per entry.  Sentences carry no parse: a view of a parsed
-    corpus brings its column 7 as read, not the corpus's ``predicted``.
+    The text is what ``write_conllu`` writes for the sentences.  Raises
+    ConlluError for a token field that contains a tab or a line break, for
+    a comment line, range/empty-node line, or metadata key or value that
+    contains a line break, since such a line would not read back, and for
+    range/empty-node lines out of order or placed after more tokens than
+    the sentence has.  A sentence with metadata but no comments gets one
+    ``# key = value`` comment per entry.  Sentences carry no parse: a view
+    of a parsed corpus brings its column 7 as read, not the corpus's
+    ``predicted``.
     """
     if isinstance(sentences, Corpus):
         return sentences
     tags: list[int] = []
     heads: list[int] = []
     offsets = [0]
-    lines: list[str] = []
-    comments_of: list[tuple[str, ...]] = []
-    extras_of: list[tuple[tuple[int, str], ...]] = []
+    text: list[str] = []
+    token_lines: list[int] = []
+    comment_lines: list[int] = []
+    extra_lines: list[int] = []
+    sentence_lines: list[int] = []
     for number, sentence in enumerate(sentences, start=1):
         comments = sentence.comments or tuple(
             f"# {key} = {value}" for key, value in sentence.meta.items())
@@ -250,7 +347,24 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
             if "\n" in comment or "\r" in comment:
                 raise ConlluError(
                     f"sentence {number}: comment {comment!r} contains a line break")
+        extras = sentence.extras
+        for _, raw in extras:
+            if "\n" in raw or "\r" in raw:
+                raise ConlluError(f"sentence {number}: line {raw!r} contains a line break")
+        afters = [after for after, _ in extras]
+        if afters != sorted(afters) or not 0 <= min(afters, default=0) <= max(
+                afters, default=0) <= len(sentence):
+            raise ConlluError(f"sentence {number}: range or empty-node lines out of order")
+        sentence_lines.append(len(text))
+        comment_lines.extend(range(len(text), len(text) + len(comments)))
+        text.extend(comments)
+        pending = iter(extras)
+        extra = next(pending, None)
         for token in sentence.tokens:
+            while extra is not None and extra[0] < token.index:
+                extra_lines.append(len(text))
+                text.append(extra[1])
+                extra = next(pending, None)
             head = token.gold_head
             line = "\t".join((
                 str(token.index), token.form, token.lemma, token.upos, token.xpos,
@@ -261,11 +375,28 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
                     f"token {token.index} ({token.form!r}): a field contains a tab or newline")
             tags.append(TAG_IDS[token.upos])
             heads.append(-1 if head is None else head)
-            lines.append(line)
+            token_lines.append(len(text))
+            text.append(line)
+        while extra is not None:
+            extra_lines.append(len(text))
+            text.append(extra[1])
+            extra = next(pending, None)
+        text.append("")
         offsets.append(len(tags))
-        comments_of.append(tuple(comments))
-        extras_of.append(tuple(sentence.extras))
-    return _corpus(tags, heads, offsets, lines, comments_of, extras_of)
+    data = "".join(line + "\n" for line in text).encode(errors="surrogatepass")
+    position_type = _position_type(len(data))
+    token_lines = np.array(token_lines, position_type)
+    # Token lines hold nine tabs, so column 2 ends at the second tab after
+    # the line's start.
+    array = np.frombuffer(data, np.uint8)
+    line_starts = np.append(0, np.flatnonzero(array == ord("\n"))[:-1] + 1)
+    tabs = np.flatnonzero(array == ord("\t")).astype(position_type)
+    at = np.searchsorted(tabs, line_starts[token_lines])
+    return Corpus(np.array(tags, dtype=np.intp), np.array(heads, dtype=np.intp),
+                  np.array(offsets, dtype=np.intp),
+                  RawText(data, token_lines, tabs[at] + 1, tabs[at + 1],
+                          *(np.array(numbers, position_type)
+                            for numbers in (comment_lines, extra_lines, sentence_lines))))
 
 
 def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
@@ -288,7 +419,10 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     reading order, with the id its sentence has reached.  Faults that
     depend on a line's place are found from the settled kinds, and the
     first in reading order is raised, with the line and message of a
-    reader that takes one line at a time.
+    reader that takes one line at a time.  The corpus keeps the scanned
+    bytes as its ``RawText``; line strings are built here only when some
+    line goes to ``_line`` or a head fault is reported, so that reading
+    holds no more than about twice its input.
     """
     # One carriage return before a line's end belongs to the line end.
     if callable(getattr(source, "read", None)):
@@ -305,20 +439,16 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
         # A line break left inside an element would shift the byte scan's
         # lines; a carriage return in its place sends the line to ``_line``.
         data = "".join(line.replace("\n", "\r") + "\n" for line in lines).encode()
-    kind, ids, tags, heads = _settle(np.frombuffer(data, np.uint8))
-    if lines is None:
-        # Split only now, without the bytes: the line strings are most of
-        # the memory that reading takes.
-        text = data.decode()
-        del data
-        lines = text.split("\n")
-        lines.pop()  # what follows the last line end
-        del text
-    fault = _settle_the_rest(lines, kind, ids, tags, heads)
+    kind, ids, tags, heads, form_starts, form_ends = _settle(np.frombuffer(data, np.uint8))
+    fault = None
+    if (kind == _UNSETTLED).any():
+        # The strings of all lines, as ``_line`` takes them.
+        lines = lines if lines is not None else _decoded(data)
+        fault = _settle_the_rest(lines, kind, ids, tags, heads)
 
     # Blank lines end blocks; a block with token lines is a sentence.
     token = np.flatnonzero(kind == _TOKEN)
-    block_ends = np.append(np.flatnonzero(kind == _BLANK), len(lines))
+    block_ends = np.append(np.flatnonzero(kind == _BLANK), len(kind))
     token_block = np.searchsorted(block_ends, token)
     sizes = np.bincount(token_block, minlength=len(block_ends))
     positions = np.arange(1, len(token) + 1) - (np.cumsum(sizes) - sizes)[token_block]
@@ -342,27 +472,21 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     # A head beyond its sentence is found when the sentence ends.
     for t in np.flatnonzero(heads[token] > sizes[token_block])[:1]:
         block = token_block[t]
+        lines = lines if lines is not None else _decoded(data)
         head = int(lines[token[t]].split("\t")[6])
         faults.append((block_ends[block], ConlluError(
             f"line {token[t] + 1}: head {head} outside a sentence of {sizes[block]} tokens")))
     if faults:
         raise min(faults, key=lambda fault: fault[0])[1]
 
-    del ids, positions
-    sentence_of = np.cumsum(sizes > 0) - 1
-    sentences = int(sentence_of[-1]) + 1
-    offsets = np.append(0, np.cumsum(sizes[sizes > 0]))
-    comment = np.flatnonzero(kind == _COMMENT)
-    extra = np.flatnonzero(kind == _EXTRA)
-    extra_sentence = sentence_of[np.searchsorted(block_ends, extra)]
-    after = (np.searchsorted(token, extra) - offsets[extra_sentence]).tolist()
-    return Corpus(
-        tags[token].astype(np.intp), heads[token], offsets,
-        tuple(compress(lines, (kind == _TOKEN).tolist())),
-        _grouped(list(compress(lines, (kind == _COMMENT).tolist())),
-                 sentence_of[np.searchsorted(block_ends, comment)], sentences),
-        _grouped(list(zip(after, compress(lines, (kind == _EXTRA).tolist()))),
-                 extra_sentence, sentences))
+    del ids, positions, lines
+    position_type = form_starts.dtype
+    sentence_lines = np.append(0, block_ends[:-1] + 1)[sizes > 0].astype(position_type)
+    raw = RawText(data, token.astype(position_type), form_starts[token], form_ends[token],
+                  np.flatnonzero(kind == _COMMENT).astype(position_type),
+                  np.flatnonzero(kind == _EXTRA).astype(position_type), sentence_lines)
+    return Corpus(tags[token].astype(np.intp), heads[token],
+                  np.append(0, np.cumsum(sizes[sizes > 0])), raw)
 
 
 # Line kinds.  The array pass leaves a line it cannot settle _UNSETTLED.
@@ -377,9 +501,9 @@ _TAG_KEYS = np.array([int.from_bytes(name.encode().ljust(8, b"\t"), "big")
 def _settle(data: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per line of the UTF-8 bytes ``data``, each line ended by ``\\n``:
     its kind, and a token line's id, tag id and head (-1 for ``_``), for
-    the lines that the byte scan settles."""
-    # Byte positions as int32 where they fit, to keep the scan small.
-    position_type = np.int32 if data.size < 2**31 else np.int64
+    the lines that the byte scan settles; and the byte bounds of column 2
+    of every line with ten columns."""
+    position_type = _position_type(data.size)
     # The tabs and line ends in reading order, and where each line's are;
     # built a step at a time, so that each step frees what the last made.
     stops = data == ord("\t")
@@ -404,6 +528,7 @@ def _settle(data: np.ndarray) -> tuple[np.ndarray, ...]:
     at = first[candidate]
     id_end, tag_end, head_end = stops[at], stops[at + 3], stops[at + 6]
     tag_start, head_start = stops[at + 2] + 1, stops[at + 5] + 1
+    form_end = stops[at + 1]
     del stops, first, at
     id_digits, id_values, joined = _digits(data, starts[candidate], id_end)
     kind[candidate[joined]] = _EXTRA
@@ -425,7 +550,10 @@ def _settle(data: np.ndarray) -> tuple[np.ndarray, ...]:
     tags[token] = found[settled]
     heads = np.zeros(len(kind), np.intp)
     heads[token] = np.where(no_head, -1, head_values)[settled]
-    return kind, ids, tags, heads
+    form_starts = np.zeros(len(kind), position_type)
+    form_ends = np.zeros(len(kind), position_type)
+    form_starts[candidate], form_ends[candidate] = id_end + 1, form_end
+    return kind, ids, tags, heads, form_starts, form_ends
 
 
 def _digits(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -528,12 +656,6 @@ def _line(line: str, line_no: int, position: int) -> tuple[int, int, int]:
         raise ConlluError(f"line {line_no}: head has too many digits") from None
 
 
-def _grouped(items: list, sentence_of: np.ndarray, count: int) -> tuple[tuple, ...]:
-    """``items``, in sentence order, as one tuple per sentence."""
-    bounds = np.searchsorted(sentence_of, np.arange(count + 1)).tolist()
-    return tuple(map(tuple, map(items.__getitem__, map(slice, bounds, bounds[1:]))))
-
-
 def parse_conllu(text: str) -> Corpus:
     return read_conllu(io.StringIO(text))
 
@@ -563,11 +685,12 @@ def write_conllu(corpus: "Corpus | Iterable[Sentence]", out: TextIO) -> None:
     corpus = as_corpus(corpus)
     lines = corpus.lines if corpus.predicted is None else _parsed_lines(corpus)
     bounds = corpus.offsets.tolist()
+    extras = corpus.extras
     text: list[str] = []
     for number, comments in enumerate(corpus.comments):
         text.extend(comments)
         start, end = bounds[number], bounds[number + 1]
-        for after, raw in corpus.extras[number]:
+        for after, raw in extras[number]:
             text.extend(lines[start:bounds[number] + after])
             text.append(raw)
             start = bounds[number] + after

@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .conllu import Corpus, Sentence, as_corpus
+from .conllu import Corpus, RawText, Sentence, as_corpus
 from .rules import TAG_NAMES
 
 
@@ -62,7 +62,12 @@ class DomainReport:
 
 def _check_aligned(gold: Corpus, pred: Corpus) -> None:
     """Raise AlignmentError at the first sentence whose token count or
-    forms differ between the corpora."""
+    forms differ between the corpora.
+
+    Forms are compared as the UTF-8 byte spans of column 2, so that no
+    string is built unless a form differs: first their lengths, then the
+    bytes of the tokens before the first length mismatch, in one gather.
+    """
     if len(gold) != len(pred):
         raise AlignmentError(
             f"sentence count differs: gold {len(gold)}, predicted {len(pred)}")
@@ -70,19 +75,37 @@ def _check_aligned(gold: Corpus, pred: Corpus) -> None:
     differs = np.flatnonzero(gold_lengths != pred_lengths)
     # Sentences before the first count mismatch line up token by token.
     aligned = int(gold.offsets[differs[0]]) if len(differs) else len(gold.tags)
-    gold_forms, pred_forms = gold.forms[:aligned], pred.forms[:aligned]
-    if gold_forms != pred_forms:
-        token = next(i for i, pair in enumerate(zip(gold_forms, pred_forms))
-                     if pair[0] != pair[1])
+    token = _first_form_mismatch(gold.raw, pred.raw, aligned)
+    if token is not None:
         number, index = _locate(gold.offsets, token)
         raise AlignmentError(
             f"sentence {number}, token {index}: form mismatch "
-            f"(gold {gold_forms[token]!r}, predicted {pred_forms[token]!r})")
+            f"(gold {gold.forms[token]!r}, predicted {pred.forms[token]!r})")
     if len(differs):
         number = int(differs[0])
         raise AlignmentError(
             f"sentence {number + 1}: token count differs "
             f"(gold {gold_lengths[number]}, predicted {pred_lengths[number]})")
+
+
+def _first_form_mismatch(gold: RawText, pred: RawText, count: int) -> int | None:
+    """The first of the first ``count`` tokens whose forms differ, or None."""
+    starts, pred_starts = gold.form_starts[:count], pred.form_starts[:count]
+    lengths = gold.form_ends[:count] - starts
+    unequal = np.flatnonzero(lengths != pred.form_ends[:count] - pred_starts)[:1]
+    # Before the first length mismatch, the forms' bytes laid end to end.
+    count = int(unequal[0]) if len(unequal) else count
+    lengths = lengths[:count]
+    ends = np.cumsum(lengths)
+    laid = np.arange(int(ends[-1]) if count else 0)
+    gold_bytes, pred_bytes = (
+        np.frombuffer(raw.data, np.uint8)[
+            np.repeat(first[:count] - (ends - lengths), lengths) + laid]
+        for raw, first in ((gold, starts), (pred, pred_starts)))
+    differ = np.flatnonzero(gold_bytes != pred_bytes)[:1]
+    if len(differ):
+        return int(np.searchsorted(ends, differ[0], side="right"))
+    return int(unequal[0]) if len(unequal) else None
 
 
 def _locate(offsets: np.ndarray, token: int) -> tuple[int, int]:

@@ -32,6 +32,11 @@ def with_column7(sentence, heads) -> Sentence:
                     sentence.meta, sentence.comments, sentence.extras)
 
 
+def decoded(corpus):
+    """What has been decoded from the corpus's text into strings so far."""
+    return {"all_lines", "lines", "forms", "comments", "extras"} & vars(corpus.raw).keys()
+
+
 def tag_ids(sentences):
     """``(B, n)`` tag ids of equal-length sentences: the stack that
     ``oracles.rule_counts`` and ``oracles.token_walk_scores`` take."""

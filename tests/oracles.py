@@ -8,14 +8,16 @@ lumped words into classes: it runs the package's ``_walk_scores`` kernel,
 which ``power_iteration`` checks, on the full token graph of
 ``rule_counts``, the dense edge counts the package built before it did.
 ``sequential_read_conllu`` is the line-at-a-time reader that the package's
-array reader replaced.
+array reader replaced, and ``check_aligned`` the alignment check that
+compared lists of form strings before ``eval`` compared byte spans.
 """
 
 import re
 
 import numpy as np
 
-from udparse.conllu import ConlluError, Corpus
+from udparse.conllu import ConlluError, Corpus, RawText
+from udparse.evaluation import AlignmentError
 from udparse.ranker import _walk_scores
 from udparse.rules import TAG_IDS
 
@@ -256,6 +258,32 @@ def adjacent_bigram_counts(tag_sequences):
     return adp_nominal, nominal_adp
 
 
+def check_aligned(gold, pred):
+    """``evaluation._check_aligned`` over the corpora's ``forms`` lists:
+    the first sentence count, form or token count mismatch, in that order
+    of precedence within the sentences that line up."""
+    if len(gold) != len(pred):
+        raise AlignmentError(
+            f"sentence count differs: gold {len(gold)}, predicted {len(pred)}")
+    gold_lengths, pred_lengths = np.diff(gold.offsets), np.diff(pred.offsets)
+    differs = np.flatnonzero(gold_lengths != pred_lengths)
+    aligned = int(gold.offsets[differs[0]]) if len(differs) else len(gold.tags)
+    gold_forms, pred_forms = gold.forms[:aligned], pred.forms[:aligned]
+    if gold_forms != pred_forms:
+        token = next(i for i, pair in enumerate(zip(gold_forms, pred_forms))
+                     if pair[0] != pair[1])
+        number = int(np.searchsorted(gold.offsets, token, side="right"))
+        index = token - int(gold.offsets[number - 1]) + 1
+        raise AlignmentError(
+            f"sentence {number}, token {index}: form mismatch "
+            f"(gold {gold_forms[token]!r}, predicted {pred_forms[token]!r})")
+    if len(differs):
+        number = int(differs[0])
+        raise AlignmentError(
+            f"sentence {number + 1}: token count differs "
+            f"(gold {gold_lengths[number]}, predicted {pred_lengths[number]})")
+
+
 def top_frequency_forms(form_sequences, limit=100):
     counts = {}
     for forms in form_sequences:
@@ -271,16 +299,21 @@ _EMPTY_NODE_ID = re.compile(r"[0-9]+\.[0-9]+")
 
 def sequential_read_conllu(source):
     """``conllu.read_conllu`` as one loop over the lines of ``source``,
-    with every check made on one line at a time in reading order."""
+    with every check made on one line at a time in reading order.  The
+    corpus's ``RawText`` is built from the lines and their encoded lengths."""
     tags = []
     heads = []
-    lines = []
     offsets = [0]
-    comments_of = []
-    extras_of = []
+    text = []
+    form_bounds = []
+    sentence_lines = []
+    all_tokens = []
+    all_comments = []
+    all_extras = []
     comments = []
     extras = []
     token_lines = []
+    size = 0
 
     def flush(line_no):
         nonlocal comments, extras, token_lines
@@ -294,8 +327,10 @@ def sequential_read_conllu(source):
                 raise ConlluError(f"line {token_line}: head {head} "
                                   f"outside a sentence of {n} tokens")
             offsets.append(len(tags))
-            comments_of.append(tuple(comments))
-            extras_of.append(tuple(extras))
+            sentence_lines.append(min(comments + extras + token_lines) - 1)
+            all_tokens.extend(token_lines)
+            all_comments.extend(comments)
+            all_extras.extend(extras)
         elif comments or extras:
             raise ConlluError(f"line {line_no}: sentence block contains no token lines")
         comments, extras, token_lines = [], [], []
@@ -305,6 +340,9 @@ def sequential_read_conllu(source):
         line = raw.rstrip("\n")
         if line_no == 1:
             line = line.removeprefix("\ufeff")
+        line_start = size
+        text.append(line.removesuffix("\r"))
+        size += len(text[-1].encode()) + 1
         if not line.strip():
             flush(line_no)
             continue
@@ -318,7 +356,7 @@ def sequential_read_conllu(source):
             if token_lines or extras:
                 raise ConlluError(f"line {line_no}: comment inside a sentence; "
                                   "comments go before its first line")
-            comments.append(line)
+            comments.append(line_no)
             continue
         columns = line.split("\t")
         if len(columns) != 10:
@@ -327,7 +365,7 @@ def sequential_read_conllu(source):
         token_id = columns[0]
         if not (token_id.isascii() and token_id.isdigit()):
             if _RANGE_ID.fullmatch(token_id) or _EMPTY_NODE_ID.fullmatch(token_id):
-                extras.append((len(tags) - offsets[-1], line))
+                extras.append(line_no)
                 continue
             raise ConlluError(f"line {line_no}: invalid token id {token_id!r}")
         # Compared as text: int() refuses more than 4300 digits.
@@ -352,9 +390,14 @@ def sequential_read_conllu(source):
                 f"line {line_no}: head must be a non-negative integer or '_', "
                 f"got {head!r}")
         tags.append(tag)
-        lines.append(line)
         token_lines.append(line_no)
+        form_start = line_start + len(token_id.encode()) + 1
+        form_bounds.append((form_start, form_start + len(columns[1].encode())))
     flush(line_no + 1)
+    raw = RawText("".join(line + "\n" for line in text).encode(),
+                  np.array(all_tokens, np.int32) - 1,
+                  *np.array(form_bounds, np.int32).reshape(-1, 2).T,
+                  *(np.array(numbers, np.int32) - 1 for numbers in (all_comments, all_extras)),
+                  np.array(sentence_lines, np.int32))
     return Corpus(np.array(tags, dtype=np.intp), np.array(heads, dtype=np.intp),
-                  np.array(offsets, dtype=np.intp), tuple(lines), tuple(comments_of),
-                  tuple(extras_of))
+                  np.array(offsets, dtype=np.intp), raw)

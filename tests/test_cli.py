@@ -6,10 +6,10 @@ from unittest import mock
 import pytest
 
 from udparse.cli import main, parse_corpus
-from udparse.conllu import Token, as_corpus, parse_conllu
+from udparse.conllu import Token, as_corpus, parse_conllu, read_conllu
 from udparse.rules import Direction
 
-from helpers import (EXAMPLE_FORMS, EXAMPLE_HEADS, EXAMPLE_TAGS,
+from helpers import (EXAMPLE_FORMS, EXAMPLE_HEADS, EXAMPLE_TAGS, decoded,
                      example_conllu, make_sentence)
 
 SAMPLE_PATH = Path(__file__).parent / "data" / "sample.conllu"
@@ -293,6 +293,17 @@ class TestEvalCommand:
         assert code == 2
         assert "sentence count" in err
 
+    def test_form_differing_in_one_multi_byte_character_exits_two(self, tmp_path, capsys):
+        # ``é`` and ``è`` have the same UTF-8 length and differ in one byte.
+        gold = tmp_path / "gold.conllu"
+        gold.write_text("1\tcafé\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n", encoding="utf-8")
+        pred = tmp_path / "pred.conllu"
+        pred.write_text("1\tcafè\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n", encoding="utf-8")
+        code, out, err = run(["eval", str(gold), str(pred)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: sentence 1, token 1: form mismatch "
+                       "(gold 'café', predicted 'cafè')\n")
+
 
     def test_gold_head_out_of_range_exits_two(self, tmp_path, capsys):
         path = tmp_path / "gold.conllu"
@@ -407,6 +418,28 @@ class TestNoTokenObjects:
             # The count works: reading a sentence's tokens builds them.
             assert len(parse_conllu(MIXED_PATH.read_text(encoding="utf-8"))[0].tokens) == 5
         assert len(built) == 5
+
+
+class TestNoLineStrings:
+    """``eval`` and ``stats`` work on the bytes that they read: neither
+    decodes a token line, form or comment into a string."""
+
+    def test_eval_and_stats_decode_no_line(self, tmp_path, capsys):
+        parsed = str(tmp_path / "parsed.conllu")
+        assert main(["parse", str(SAMPLE_PATH), "-o", parsed]) == 0
+        read = []
+
+        def recorded(source):
+            read.append(read_conllu(source))
+            return read[-1]
+
+        with mock.patch("udparse.cli.read_conllu", recorded):
+            for argv in (["eval", str(SAMPLE_PATH), parsed], ["stats", str(SAMPLE_PATH)]):
+                assert main(argv) == 0, capsys.readouterr().err
+        assert len(read) == 3
+        assert all(decoded(corpus) == set() for corpus in read)
+        # The check works: a sentence's comments are decoded on first use.
+        assert read[0][0].comments and decoded(read[0]) == {"all_lines", "comments"}
 
 
 # Peak memory without timing: some numpy calls (``np.unique`` among them)

@@ -17,7 +17,7 @@ from udparse.conllu import (ConlluError, DependencyTree, Sentence, Token, as_cor
                             format_conllu, parse_conllu, read_conllu, validate_tree)
 from udparse.rules import KNOWN_TAGS, TAG_IDS
 
-from helpers import (EXAMPLE_HEADS, EXAMPLE_TAGS, example_conllu,
+from helpers import (EXAMPLE_HEADS, EXAMPLE_TAGS, decoded, example_conllu,
                      example_sentence, make_sentence)
 from oracles import sequential_read_conllu
 
@@ -189,8 +189,8 @@ class TestRead:
         assert len(read_conllu([])) == 0
 
     def test_reading_holds_at_most_ten_times_the_input(self, tmp_path):
-        # The line strings the corpus keeps are about three times the
-        # input; the byte scan must not add much more than as much again.
+        # The byte scan holds a few numbers per tab and line end; reading
+        # must not hold much more than that at any time.
         text = MIXED_PATH.read_text(encoding="utf-8") * 10
         path = tmp_path / "mixed.conllu"
         path.write_text(text, encoding="utf-8")
@@ -203,6 +203,41 @@ class TestRead:
                 tracemalloc.stop()
         assert len(corpus) == 10 * len(parse_conllu(MIXED_PATH.read_text(encoding="utf-8")))
         assert peak <= 10 * len(text.encode())
+
+    def test_read_corpus_retains_less_than_three_times_its_input(self):
+        # The corpus keeps the input's bytes and a few numbers per token; one
+        # string per line would cost more than 50 bytes each on top.
+        tags = sorted(KNOWN_TAGS)
+        blocks = []
+        for number in range(300):
+            forms = [f"w{(number * 17 + i) % 997}" for i in range(17)]
+            lines = [f"# sent_id = s{number}", "# text = " + " ".join(forms)]
+            lines += [f"{i}\t{form}\t_\t{tags[i % len(tags)]}\t_\t_\t{i - 1}\t_\t_\t_"
+                      for i, form in enumerate(forms, start=1)]
+            blocks.append("\n".join(lines) + "\n\n")
+        text = "".join(blocks)
+        stream = io.StringIO(text)
+        read_conllu(io.StringIO(text))
+        tracemalloc.start()
+        try:
+            corpus = read_conllu(stream)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus.tags) == 5100
+        assert retained < 3 * len(text.encode()), retained / len(text.encode())
+
+    def test_lines_are_decoded_on_first_use(self):
+        corpus = parse_conllu(SAMPLE_PATH.read_text(encoding="utf-8"))
+        parsed = replace(corpus, predicted=corpus.heads)
+        assert (len(corpus), len(corpus[0]), [len(s) for s in corpus]) == (3, 9, [9, 6, 3])
+        assert corpus.per_sentence(corpus.heads)[2] == [2, 0, 2]
+        assert decoded(corpus) == set()
+        assert corpus[0].tokens[0].form == "They"
+        # One decoding serves every corpus that shares the text.
+        assert decoded(parsed) == {"all_lines", "lines"}
+        assert parsed[1].comments == corpus.comments[1] and parsed.raw is corpus.raw
+        assert decoded(corpus) == {"all_lines", "lines", "comments"}
 
     def test_gold_head_equal_to_the_length_is_accepted(self):
         (sentence,) = parse_conllu("1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
@@ -260,6 +295,17 @@ class TestWrite:
         broken = Sentence((token,), meta=meta, comments=comments)
         with pytest.raises(ConlluError, match="sentence 2: comment .* line break"):
             format_conllu([fine, broken])
+
+    @pytest.mark.parametrize("extras, message", [
+        (((1, "1.1\tz\t_\t_\t_\t_\t_\t_\t_\n"),), "line '1.1.*' contains a line break"),
+        (((1, "1.1\r"),), "line '1.1\\\\r' contains a line break"),
+        (((2, "2.1"), (1, "1.1")), "range or empty-node lines out of order"),
+        (((3, "3.1"),), "range or empty-node lines out of order"),
+        (((-1, "0.1"),), "range or empty-node lines out of order")])
+    def test_misplaced_range_or_empty_node_line_is_an_error(self, extras, message):
+        tokens = (Token(1, "a", "NOUN", gold_head=0), Token(2, "b", "NOUN", gold_head=1))
+        with pytest.raises(ConlluError, match=f"sentence 2: {message}"):
+            as_corpus([Sentence(tokens), Sentence(tokens, extras=extras)])
 
     def test_meta_synthesized_when_no_raw_comments(self):
         sentence = make_sentence(["NOUN"], meta={"genre": "legal"})
@@ -418,6 +464,25 @@ def test_read_write_read_is_the_identity(text):
     assert parse_conllu(written) == corpus
 
 
+def form_spans(corpus):
+    """Column 2 of each token, decoded from its byte bounds in the text."""
+    raw = corpus.raw
+    return [raw.data[start:end].decode()
+            for start, end in zip(raw.form_starts.tolist(), raw.form_ends.tolist())]
+
+
+@given(valid_conllu())
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_sentences_convert_to_the_text_that_is_written(text):
+    sentences = list(parse_conllu(text))
+    converted = as_corpus(sentences)
+    assert list(converted) == sentences
+    written = format_conllu(sentences)
+    assert converted.raw.data == written.encode()
+    assert parse_conllu(written) == converted
+    assert form_spans(converted) == converted.forms
+
+
 # Lines made of CoNLL-U-like pieces, so that most examples get past the
 # column count and into the id, tag and head checks.
 PIECES = ["1", "2", "3", "0", "01", "_", "1-2", "2.1", "x", "NOUN", "VERB", "PUNCT",
@@ -554,3 +619,7 @@ def test_reader_matches_the_sequential_reader(text):
         assert got == expected
         if not isinstance(got, str):
             assert {got.tags.dtype, got.heads.dtype, got.offsets.dtype} == {np.dtype(np.intp)}
+            for name in ("token_lines", "form_starts", "form_ends", "comment_lines",
+                         "extra_lines", "sentence_lines"):
+                assert getattr(got.raw, name).tolist() == getattr(expected.raw, name).tolist()
+            assert form_spans(got) == got.forms

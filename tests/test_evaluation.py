@@ -1,13 +1,17 @@
+import io
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from udparse.evaluation import (AlignmentError, domain_report,
+from udparse.conllu import as_corpus, format_conllu, read_conllu
+from udparse.evaluation import (AlignmentError, _check_aligned, domain_report,
                                 error_propagation, format_domain_report,
                                 format_report, uas)
 
-from helpers import make_sentence, with_column7
-from oracles import (attachment_counts, mean_and_population_std,
+from helpers import decoded, make_sentence, with_column7
+from oracles import (attachment_counts, check_aligned, mean_and_population_std,
                      per_pos_counts, root_match_count)
 
 TAGS = ["NOUN", "VERB", "DET", "ADP", "PRON", "ADJ", "PUNCT"]
@@ -116,6 +120,85 @@ class TestUas:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             uas([], [])
+
+
+# Forms that share a byte length but not their bytes (``café``, ``cafè``),
+# multi-byte and empty forms.
+FORMS = st.one_of(st.sampled_from(["a", "b", "ab", "café", "cafè", "日本", "_", ""]),
+                  st.text(alphabet="aé\u65e5", max_size=3))
+
+
+@st.composite
+def misaligned_forms(draw):
+    """Gold forms per sentence, and predicted forms with some forms changed,
+    most at the first or last token, some in their first byte only, and
+    maybe a token or a sentence added or dropped, before or after the
+    changed forms."""
+    gold = draw(st.lists(st.lists(FORMS, min_size=1, max_size=5), min_size=1, max_size=5))
+    pred = [list(forms) for forms in gold]
+    tokens = [(s, t) for s, forms in enumerate(pred) for t in range(len(forms))]
+    for _ in range(draw(st.integers(0, 2))):
+        s, t = draw(st.sampled_from([tokens[0], tokens[-1], *tokens]))
+        pred[s][t] = draw(st.one_of(FORMS, st.just("z" + pred[s][t][1:])))
+    change = draw(st.sampled_from(["none"] * 4 + ["add token", "drop token", "add sentence",
+                                                  "drop sentence"]))
+    s = draw(st.integers(0, len(pred) - 1))
+    if change == "add token":
+        pred[s].insert(draw(st.integers(0, len(pred[s]))), draw(FORMS))
+    elif change == "drop token" and len(pred[s]) > 1:
+        del pred[s][draw(st.integers(0, len(pred[s]) - 1))]
+    elif change == "add sentence":
+        pred.append(["x"])
+    elif change == "drop sentence" and len(pred) > 1:
+        del pred[s]
+    return gold, pred
+
+
+def built(forms, reader):
+    """A corpus of NOUN tokens with these forms, read from its CoNLL-U text
+    or converted from sentences."""
+    sentences = [make_sentence(["NOUN"] * len(words), words) for words in forms]
+    return read_conllu(io.StringIO(format_conllu(sentences))) if reader else as_corpus(sentences)
+
+
+def alignment_error(check, gold, pred):
+    try:
+        check(gold, pred)
+    except AlignmentError as error:
+        return type(error), str(error)
+    return None
+
+
+@given(misaligned_forms(), st.booleans(), st.booleans())
+@example(([["café"]], [["cafè"]]), True, False)
+@example(([["a", "b"], ["c"]], [["a", "x"], ["c"]]), False, True)
+@example(([["a", "café"], ["b"]], [["a", "cafè"], ["b"]]), True, True)
+@example(([["a"], ["café", "b"]], [["a", "x"], ["cafè", "b"]]), False, True)
+@example(([["café"], ["a", "b"]], [["cafè"], ["a"]]), True, False)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_alignment_on_byte_spans_matches_form_lists(forms, gold_read, pred_read):
+    gold, pred = built(forms[0], gold_read), built(forms[1], pred_read)
+    assert alignment_error(_check_aligned, gold, pred) == alignment_error(
+        check_aligned, gold, pred)
+
+
+def test_scoring_read_corpora_decodes_no_line():
+    text = ("# text = a café\n"
+            "1\ta\t_\tDET\t_\t_\t2\t_\t_\t_\n"
+            "2\tcafé\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n")
+    gold, pred = read_conllu(io.StringIO(text)), read_conllu(io.StringIO(text))
+    assert len(gold) == len(pred) == 1
+    assert uas(gold, pred).uas == 1.0
+    assert decoded(gold) == decoded(pred) == set()
+
+
+def test_alignment_names_the_first_differing_multi_byte_form():
+    gold = built([["a", "café"], ["b"]], reader=True)
+    pred = built([["a", "cafè"], ["c", "d"]], reader=False)
+    with pytest.raises(AlignmentError) as raised:
+        _check_aligned(gold, pred)
+    assert str(raised.value) == ("sentence 1, token 2: form mismatch "
+                                 "(gold 'café', predicted 'cafè')")
 
 
 class TestErrorPropagation:
