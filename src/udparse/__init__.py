@@ -14,7 +14,7 @@ from .conllu import (ConlluError, Corpus, DependencyTree, Sentence, Token,
 from .decoder import decode_corpus
 from .direction import AdpDirectionEstimate, estimate_adp_direction
 from .evaluation import (AlignmentError, DomainReport, EvalReport,
-                         domain_report, error_propagation, uas)
+                         domain_report, error_propagation, evaluate, uas)
 from .rules import (CONTENT_TAGS, DEFAULT_POLICY, DEFAULT_RULESET,
                     FREE_POLICY, KNOWN_TAGS, NAIVE_RULESET, NOMINAL_TAGS,
                     UPOS_TAGS, Direction, DirectionPolicy, RuleSet,

@@ -7,6 +7,7 @@ two-tag POS scenario: the 100 most frequent word forms of the input become
 FUNCTION, everything else CONTENT.
 """
 
+import heapq
 from collections import Counter
 from dataclasses import replace
 from typing import Iterable
@@ -65,8 +66,8 @@ def naive_pos_tag(corpus: Corpus | Iterable[Sentence]) -> Corpus:
     """
     corpus = as_corpus(corpus)
     counts = Counter(corpus.forms)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    function_forms = {form for form, _ in ranked[:FUNCTION_FORM_COUNT]}
+    function_forms = {form for form, _ in heapq.nsmallest(
+        FUNCTION_FORM_COUNT, counts.items(), key=lambda item: (-item[1], item[0]))}
     function = np.fromiter(map(function_forms.__contains__, corpus.forms), dtype=bool,
                            count=len(corpus.forms))
     tags = np.where(function, TAG_IDS["FUNCTION"], TAG_IDS["CONTENT"]).astype(np.intp)

@@ -19,7 +19,7 @@ from .baselines import forms_trees, naive_pos_tag
 from .conllu import Corpus, Sentence, as_corpus, read_conllu, write_conllu
 from .decoder import decode_corpus
 from .direction import estimate_adp_direction
-from .evaluation import domain_report, format_domain_report, format_report, uas
+from .evaluation import evaluate, format_domain_report, format_report, uas
 from .ranker import DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT
 from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY,
                     NAIVE_RULESET, TAG_NAMES, Direction, DirectionPolicy,
@@ -209,10 +209,9 @@ def _cmd_parse(args) -> int:
 def _cmd_eval(args) -> int:
     gold = _read_corpus(args.gold)
     pred = _read_corpus(args.pred)
-    report = uas(gold, pred)
+    report, grouped = evaluate(gold, pred, args.group_by)
     lines = format_report(report, machine=args.machine)
-    if args.group_by:
-        grouped = domain_report(gold, pred, args.group_by)
+    if grouped is not None:
         lines.extend(format_domain_report(grouped, args.group_by,
                                           machine=args.machine))
     print("\n".join(lines))

@@ -17,18 +17,21 @@ holds each token's line number and the byte bounds of its column 2, after
 Apache Arrow's variable-size binary layout; ``eval`` compares forms on
 those bounds.  ``lines`` (the raw token lines), ``forms``, ``comments``
 and ``extras`` are decoded from the buffer on first use, once for every
-corpus that shares it.  Multiword-token range lines (ids like ``3-4``)
-and empty-node lines (ids like ``5.1``) are not syntactic words: they are
-kept verbatim per sentence in ``extras``, and comment lines in
-``comments``; ``# key = value`` comments are read as ``Sentence.meta``.  A
-parse is one more flat array, ``predicted``, never stored on tokens.
+corpus that shares it; writing a corpus decodes none of them.
+Multiword-token range lines (ids like ``3-4``) and empty-node lines (ids
+like ``5.1``) are not syntactic words: they are kept verbatim per sentence
+in ``extras``, and comment lines in ``comments``; ``# key = value``
+comments are read as ``Sentence.meta``.  A parse is one more flat array,
+``predicted``, never stored on tokens.
 
 ``write_conllu`` writes a corpus without a parse back verbatim, so a plain
 round-trip keeps every byte after a leading byte-order mark.  A parsed
 corpus has each token line rebuilt from its raw columns: column 1 is the
 token's position, column 4 the name of its tag id (CONTENT or FUNCTION
 after ``naive_pos_tag``), column 7 its predicted head and column 8 ``dep``;
-every other column and line passes through.
+every other column and line passes through.  The written text is one
+gather over the buffer and a small table of those inserted strings, with
+one source position per output byte; no line is decoded into a string.
 
 ``Token`` and ``Sentence`` are read-only views for library callers.
 Indexing or iterating a corpus gives sentences that build their tokens on
@@ -234,7 +237,10 @@ class RawText:
 
     @cached_property
     def forms(self) -> list[str]:
-        return [line.split("\t", 2)[1] for line in self.lines]
+        # Each form with the tab after it, in one gather.
+        index = _gather_index(self.form_starts.copy(), self.form_ends - self.form_starts + 1)
+        forms = str(np.frombuffer(self.data, np.uint8)[index], "utf-8", "surrogatepass")
+        return forms.split("\t")[:-1]
 
     @cached_property
     def comments(self) -> tuple[tuple[str, ...], ...]:
@@ -660,44 +666,142 @@ def parse_conllu(text: str) -> Corpus:
     return read_conllu(io.StringIO(text))
 
 
-def _parsed_lines(corpus: Corpus) -> list[str]:
-    """Token lines with position, tag name, predicted head and ``dep``."""
-    starts = np.repeat(corpus.offsets[:-1], np.diff(corpus.offsets))
-    positions = (np.arange(1, len(corpus.tags) + 1) - starts).tolist()
-    names = [TAG_NAMES[tag] for tag in corpus.tags.tolist()]
-    rebuilt = []
-    for line, position, tag, head in zip(corpus.lines, positions, names,
-                                         corpus.predicted.tolist()):
-        _, form, lemma, _, xpos, feats, _, _, rest = line.split("\t", 8)
-        rebuilt.append(f"{position}\t{form}\t{lemma}\t{tag}\t{xpos}\t{feats}\t{head}\tdep\t{rest}")
-    return rebuilt
-
-
 def write_conllu(corpus: "Corpus | Iterable[Sentence]", out: TextIO) -> None:
     """Write a corpus as CoNLL-U, one blank line after each sentence.
 
     A corpus without ``predicted`` heads is written back verbatim; a parsed
     one gets its token lines rebuilt as the module docstring says.
     Comments and preserved range/empty-node lines are re-emitted in their
-    original positions either way.  Sentences are converted by
-    ``as_corpus`` first, which may raise ConlluError.
+    original positions either way.  The text is one gather of the
+    segments that ``_segments`` lays out, decoded once and passed to
+    ``out.write`` whole; nothing is written for an empty corpus.
+    Sentences are converted by ``as_corpus`` first, which may raise
+    ConlluError; so does a predicted head outside its sentence, as its
+    line would not read back.
     """
     corpus = as_corpus(corpus)
-    lines = corpus.lines if corpus.predicted is None else _parsed_lines(corpus)
-    bounds = corpus.offsets.tolist()
-    extras = corpus.extras
-    text: list[str] = []
-    for number, comments in enumerate(corpus.comments):
-        text.extend(comments)
-        start, end = bounds[number], bounds[number + 1]
-        for after, raw in extras[number]:
-            text.extend(lines[start:bounds[number] + after])
-            text.append(raw)
-            start = bounds[number] + after
-        text.extend(lines[start:end])
-        text.append("")
+    data, inserts, starts, lengths = _segments(corpus)
+    index = _gather_index(starts, lengths)
+    del starts, lengths
+    written = np.concatenate((data, inserts))[index]
+    del index
+    text = str(written, "utf-8", "surrogatepass")
+    del written
     if text:
-        out.write("\n".join(text) + "\n")
+        out.write(text)
+
+
+def _gather_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """One source position per output byte of the segments at ``starts``
+    with ``lengths``, none of them empty, laid end to end; ``starts`` is
+    overwritten.
+
+    The positions are the running sum of steps: one inside a segment, and
+    at a segment's first byte the jump from the last byte of the segment
+    before.
+    """
+    ends = np.cumsum(lengths, dtype=_position_type(int(lengths.sum(dtype=np.int64))))
+    starts[1:] -= starts[:-1] + lengths[:-1] - 1
+    index = np.ones(ends[-1] if len(ends) else 0, starts.dtype)
+    index[ends[:-1]] = starts[1:]
+    index[:1] = starts[:1]
+    del ends
+    return np.cumsum(index, out=index)
+
+
+def _segments(corpus: Corpus) -> tuple[np.ndarray, ...]:
+    """The text that ``write_conllu`` writes, as segments of one source:
+    the corpus's bytes followed by the inserted strings ``\\n``, the tag
+    names, and the numbers 0 to the longest sentence's length, alone and
+    followed by ``\\tdep``.  Returns the bytes, the inserted strings, and
+    each non-empty segment's start and length in the source, in writing
+    order.  Each token has eight segments:
+
+    0. the bytes from the previous token's cut, or from the start of its
+       sentence's first line, to its line's start: the previous line's
+       columns 9-10, comments and range/empty-node lines;
+    1. its position;
+    2. columns 2-3 with their tabs;
+    3. its tag name;
+    4. columns 5-6 with their tabs;
+    5. its predicted head and ``\\tdep``;
+    6. a sentence's last token only: the bytes from its cut to the end of
+       its sentence's last line;
+    7. a sentence's last token only: ``\\n``, the blank line.
+
+    A parsed token's cut is the tab before its column 9.  Without a parse
+    segments 1-5 are empty and the cut is the line's start, so that whole
+    lines are copied.  Blank and whitespace-only lines outside sentences
+    are left out, and every sentence gets one blank line after it.
+    """
+    raw, offsets, heads = corpus.raw, corpus.offsets, corpus.predicted
+    sizes = np.diff(offsets)
+    if heads is not None:
+        for token in np.flatnonzero((heads < 0) | (heads > np.repeat(sizes, sizes)))[:1].tolist():
+            number, index = _locate(offsets, token)
+            raise ConlluError(f"sentence {number}, token {index}: predicted head "
+                              f"{heads[token]} outside a sentence of {sizes[number - 1]} tokens")
+    data = np.frombuffer(raw.data, np.uint8)
+    longest = int(sizes.max(initial=0))
+    numbers = [str(number) for number in range(longest + 1)]
+    pieces = [piece.encode() for piece in (
+        "\n", *TAG_NAMES, *numbers, *(number + "\tdep" for number in numbers))]
+    inserts = np.frombuffer(b"".join(pieces), np.uint8)
+    position_type = _position_type(len(data) + len(inserts))
+    insert_lengths = np.array([len(piece) for piece in pieces], position_type)
+    insert_starts = len(data) + np.cumsum(insert_lengths) - insert_lengths
+
+    # The tabs and line ends in reading order, built a step at a time so
+    # that each step frees what the last made.  Line i ends at stop
+    # ``line_ends[i]``, so a token line's tab k is the k-th stop after the
+    # previous line's end.
+    stops = data == ord("\t")
+    stops |= data == ord("\n")
+    stops = np.flatnonzero(stops)
+    line_ends = np.flatnonzero(data[stops] == ord("\n"))
+    stops = stops.astype(position_type)
+    # Line i starts at line_starts[i]; the entry past the last line is the
+    # end of the text.
+    line_starts = np.zeros(len(line_ends) + 1, position_type)
+    line_starts[1:] = stops[line_ends] + 1
+    token_starts = line_starts[raw.token_lines]
+    starts = np.zeros((len(corpus.tags), 8), position_type)
+    lengths = np.zeros_like(starts)
+    if heads is None:
+        cuts = token_starts
+    else:
+        tab = np.append(-1, line_ends)[raw.token_lines] + 1
+        starts[:, 2], starts[:, 4], cuts = stops[tab], stops[tab + 3], stops[tab + 7]
+        lengths[:, 2] = stops[tab + 2] + 1 - starts[:, 2]
+        lengths[:, 4] = stops[tab + 5] + 1 - starts[:, 4]
+        positions = np.arange(1, len(heads) + 1) - np.repeat(offsets[:-1], sizes)
+        for segment, at in ((1, 1 + len(TAG_NAMES) + positions), (3, 1 + corpus.tags),
+                            (5, 2 + len(TAG_NAMES) + longest + heads)):
+            starts[:, segment] = insert_starts[at]
+            lengths[:, segment] = insert_lengths[at]
+    del stops
+
+    firsts, lasts = offsets[:-1], offsets[1:] - 1
+    starts[1:, 0] = cuts[:-1]
+    starts[firsts, 0] = line_starts[raw.sentence_lines]
+    lengths[:, 0] = token_starts - starts[:, 0]
+    # A sentence's last line is its last token line or a range/empty-node
+    # line after that, the last one before the next sentence.
+    following = np.append(raw.sentence_lines[1:], len(line_ends))
+    last_extras = np.append(-1, raw.extra_lines)[np.searchsorted(raw.extra_lines, following)]
+    starts[lasts, 6] = cuts[lasts]
+    lengths[lasts, 6] = line_starts[np.maximum(raw.token_lines[lasts], last_extras) + 1] - cuts[lasts]
+    starts[lasts, 7] = insert_starts[0]
+    lengths[lasts, 7] = 1
+    del line_ends, line_starts, token_starts, cuts
+    kept = lengths != 0
+    return data, inserts, starts[kept], lengths[kept]
+
+
+def _locate(offsets: np.ndarray, token: int) -> tuple[int, int]:
+    """1-based sentence number and token index of a flat token position."""
+    number = int(np.searchsorted(offsets, token, side="right"))
+    return number, token - int(offsets[number - 1]) + 1
 
 
 def format_conllu(corpus: "Corpus | Iterable[Sentence]") -> str:

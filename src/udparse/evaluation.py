@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .conllu import Corpus, RawText, Sentence, as_corpus
+from .conllu import Corpus, RawText, Sentence, _locate, _meta, as_corpus
 from .rules import TAG_NAMES
 
 
@@ -108,12 +108,6 @@ def _first_form_mismatch(gold: RawText, pred: RawText, count: int) -> int | None
     return int(unequal[0]) if len(unequal) else None
 
 
-def _locate(offsets: np.ndarray, token: int) -> tuple[int, int]:
-    """1-based sentence number and token index of a flat token position."""
-    number = int(np.searchsorted(offsets, token, side="right"))
-    return number, token - int(offsets[number - 1]) + 1
-
-
 def _scored_heads(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sentence]
                   ) -> tuple[Corpus, np.ndarray]:
     """The gold corpus and the predicted heads of aligned corpora.
@@ -184,10 +178,18 @@ def uas(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sentence]) ->
     gold one; sentences with several gold roots (malformed gold) are
     counted in ``multi_root_gold``.
     """
+    return evaluate(gold, pred)[0]
+
+
+def evaluate(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sentence],
+             group_key: str | None = None) -> tuple[EvalReport, DomainReport | None]:
+    """``uas`` of the corpora and, for a ``group_key``, their
+    ``domain_report``, from one alignment."""
     gold, pred_heads = _scored_heads(gold, pred)
     if not len(gold):
         raise ValueError("cannot evaluate an empty corpus")
-    return _reports(gold, pred_heads, np.zeros(len(gold), dtype=np.intp), 1)[0]
+    report = _reports(gold, pred_heads, np.zeros(len(gold), dtype=np.intp), 1)[0]
+    return report, None if group_key is None else _domains(gold, pred_heads, group_key)
 
 
 def error_propagation(parse_acc_pred_pos: float, parse_acc_gold_pos: float,
@@ -214,9 +216,15 @@ def domain_report(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sen
     Sentences missing the field collect under ``unknown``.  Groups are
     weighted equally in the mean and population standard deviation.
     """
-    gold, pred_heads = _scored_heads(gold, pred)
-    names, groups = np.unique([sentence.meta.get(group_key, "unknown") for sentence in gold],
-                              return_inverse=True)
+    return _domains(*_scored_heads(gold, pred), group_key)
+
+
+def _domains(gold: Corpus, pred_heads: np.ndarray, group_key: str) -> DomainReport:
+    """``domain_report`` of aligned corpora; the key is read from each
+    sentence's comments, as ``Sentence.meta`` reads it."""
+    names, groups = np.unique(
+        [_meta(comments).get(group_key, "unknown") for comments in gold.comments],
+        return_inverse=True)
     return DomainReport(dict(zip(names.tolist(),
                                  _reports(gold, pred_heads, groups, len(names)))))
 

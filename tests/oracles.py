@@ -8,18 +8,20 @@ lumped words into classes: it runs the package's ``_walk_scores`` kernel,
 which ``power_iteration`` checks, on the full token graph of
 ``rule_counts``, the dense edge counts the package built before it did.
 ``sequential_read_conllu`` is the line-at-a-time reader that the package's
-array reader replaced, and ``check_aligned`` the alignment check that
-compared lists of form strings before ``eval`` compared byte spans.
+array reader replaced, ``check_aligned`` the alignment check that
+compared lists of form strings before ``eval`` compared byte spans, and
+``format_conllu_lines`` the writer that rebuilt each token line as a
+string before ``write_conllu`` gathered bytes.
 """
 
 import re
 
 import numpy as np
 
-from udparse.conllu import ConlluError, Corpus, RawText
+from udparse.conllu import ConlluError, Corpus, RawText, as_corpus
 from udparse.evaluation import AlignmentError
 from udparse.ranker import _walk_scores
-from udparse.rules import TAG_IDS
+from udparse.rules import TAG_IDS, TAG_NAMES
 
 
 def dense_transition(n, edges):
@@ -401,3 +403,37 @@ def sequential_read_conllu(source):
                   np.array(sentence_lines, np.int32))
     return Corpus(np.array(tags, dtype=np.intp), np.array(heads, dtype=np.intp),
                   np.array(offsets, dtype=np.intp), raw)
+
+
+def parsed_lines(corpus):
+    """Token lines with position, tag name, predicted head and ``dep``."""
+    starts = np.repeat(corpus.offsets[:-1], np.diff(corpus.offsets))
+    positions = (np.arange(1, len(corpus.tags) + 1) - starts).tolist()
+    names = [TAG_NAMES[tag] for tag in corpus.tags.tolist()]
+    rebuilt = []
+    for line, position, tag, head in zip(corpus.lines, positions, names,
+                                         corpus.predicted.tolist()):
+        _, form, lemma, _, xpos, feats, _, _, rest = line.split("\t", 8)
+        rebuilt.append(f"{position}\t{form}\t{lemma}\t{tag}\t{xpos}\t{feats}\t{head}\tdep\t{rest}")
+    return rebuilt
+
+
+def format_conllu_lines(corpus):
+    """``conllu.format_conllu`` as one loop over decoded line strings:
+    comments, token lines (rebuilt by ``parsed_lines`` for a parsed corpus)
+    and range/empty-node lines in place, and a blank line per sentence."""
+    corpus = as_corpus(corpus)
+    lines = corpus.lines if corpus.predicted is None else parsed_lines(corpus)
+    bounds = corpus.offsets.tolist()
+    extras = corpus.extras
+    text = []
+    for number, comments in enumerate(corpus.comments):
+        text.extend(comments)
+        start, end = bounds[number], bounds[number + 1]
+        for after, raw in extras[number]:
+            text.extend(lines[start:bounds[number] + after])
+            text.append(raw)
+            start = bounds[number] + after
+        text.extend(lines[start:end])
+        text.append("")
+    return "\n".join(text) + "\n" if text else ""

@@ -212,6 +212,19 @@ class TestNaivePosTag:
         assert tags["w100"] == "CONTENT"
         assert all(tags[f"w{i:03d}"] == "FUNCTION" for i in range(100))
 
+    def test_tie_across_the_boundary_keeps_the_smallest_forms(self):
+        # 95 forms seen three times fill 95 slots; ten forms seen twice,
+        # first met out of order, compete for the last 5; 20 are seen once.
+        frequent = [f"f{i:02d}" for i in range(95)]
+        tied = [f"t{i}" for i in (7, 2, 9, 0, 5, 3, 8, 1, 6, 4)]
+        forms = tied + frequent * 3 + [f"r{i:02d}" for i in range(20)] + tied
+        corpus = [make_sentence(["X"] * 5, forms=tuple(forms[i:i + 5]))
+                  for i in range(0, len(forms), 5)]
+        retagged = naive_pos_tag(corpus)
+        function = {t.form for s in retagged for t in s if t.upos == "FUNCTION"}
+        assert function == {*frequent, "t0", "t1", "t2", "t3", "t4"}
+        assert function == top_frequency_forms([[t.form for t in s] for s in corpus])
+
     def test_case_sensitive_counting(self):
         corpus = [make_sentence(["X", "X"], forms=("The", "the"))]
         retagged = naive_pos_tag(corpus)

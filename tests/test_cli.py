@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -5,8 +6,9 @@ from unittest import mock
 
 import pytest
 
+from udparse import evaluation
 from udparse.cli import main, parse_corpus
-from udparse.conllu import Token, as_corpus, parse_conllu, read_conllu
+from udparse.conllu import Sentence, Token, as_corpus, parse_conllu, read_conllu
 from udparse.rules import Direction
 
 from helpers import (EXAMPLE_FORMS, EXAMPLE_HEADS, EXAMPLE_TAGS, decoded,
@@ -263,6 +265,39 @@ class TestEvalCommand:
         assert "news" in out and "wiki" in out
         assert "Domain mean UAS:" in out
 
+    # Gold is the udp parse of ``mixed_lengths.conllu`` and the prediction
+    # its baseline parse; 13 of its 40 sentences carry a ``genre``.
+    @pytest.mark.parametrize("options, stdout_sha256", [
+        ([], "1a2e30faeaca6b0bcea3b1bf5f5355813cacafa4a4aef87dc0289eac5a5502f2"),
+        (["--group-by", "genre"],
+         "7ad24fef0cad1b4a34a136b8550c4719c98f3c7219aee270a4eb48ca83fb83ca"),
+        (["--machine"], "02d2ca011d4ade951c42d49f9290660807fd54351995cb8d63d1dcc4283d781b"),
+        (["--group-by", "genre", "--machine"],
+         "d25fa8f45a33286ced5656d1db295f71a1aecab3295c1e68dd1cad1f33b87831")])
+    def test_eval_output_is_byte_identical(self, options, stdout_sha256, tmp_path, capsys):
+        gold, pred = str(tmp_path / "gold.conllu"), str(tmp_path / "pred.conllu")
+        assert main(["parse", str(MIXED_PATH), "-o", gold]) == 0
+        assert main(["parse", str(MIXED_PATH), "--mode", "baseline", "-o", pred]) == 0
+        capsys.readouterr()
+        code, out, _ = run(["eval", gold, pred, *options], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256, out
+        if "--group-by" in options and "--machine" not in options:
+            assert out.splitlines()[-6:] == [
+                "Domain UAS (genre):", "  news          72.73 (24/33)",
+                "  unknown       60.23 (106/176)", "  wiki          57.14 (16/28)",
+                "Domain mean UAS: 63.37", "Domain std UAS: 6.74"]
+
+    def test_group_by_aligns_once(self, tmp_path, capsys):
+        path = str(tmp_path / "gold.conllu")
+        assert main(["parse", str(MIXED_PATH), "-o", path]) == 0
+        with mock.patch("udparse.evaluation._check_aligned",
+                        side_effect=evaluation._check_aligned) as aligned, \
+                mock.patch.object(Sentence, "meta", new_callable=mock.PropertyMock) as meta:
+            code, _, err = run(["eval", path, path, "--group-by", "genre"], capsys)
+        assert code == 0, err
+        assert aligned.call_count == 1 and meta.call_count == 0
+
     def test_machine_format(self, tmp_path, capsys):
         path = tmp_path / "gold.conllu"
         path.write_text(SAMPLE_PATH.read_text(encoding="utf-8"), encoding="utf-8")
@@ -421,8 +456,23 @@ class TestNoTokenObjects:
 
 
 class TestNoLineStrings:
-    """``eval`` and ``stats`` work on the bytes that they read: neither
-    decodes a token line, form or comment into a string."""
+    """``parse``, ``eval`` and ``stats`` work on the bytes that they read:
+    none decodes a token line, form or comment into a string, except
+    ``parse --pos naive``, which decodes the forms that it counts."""
+
+    @pytest.mark.parametrize("options", PARSE_OPTIONS)
+    def test_parse_decodes_no_line(self, options, tmp_path, capsys):
+        read = []
+
+        def recorded(source):
+            read.append(read_conllu(source))
+            return read[-1]
+
+        with mock.patch("udparse.cli.read_conllu", recorded):
+            assert main(["parse", str(MIXED_PATH), *options,
+                         "-o", str(tmp_path / "parsed.conllu")]) == 0
+        assert len(read) == 1
+        assert decoded(read[0]) == ({"forms"} if "naive" in options else set())
 
     def test_eval_and_stats_decode_no_line(self, tmp_path, capsys):
         parsed = str(tmp_path / "parsed.conllu")

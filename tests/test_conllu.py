@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from udparse.cli import main
+from udparse.baselines import naive_pos_tag
+from udparse.cli import main, parse_corpus
 from udparse.conllu import (ConlluError, DependencyTree, Sentence, Token, as_corpus,
-                            format_conllu, parse_conllu, read_conllu, validate_tree)
+                            format_conllu, parse_conllu, read_conllu, validate_tree,
+                            write_conllu)
 from udparse.rules import KNOWN_TAGS, TAG_IDS
 
 from helpers import (EXAMPLE_HEADS, EXAMPLE_TAGS, decoded, example_conllu,
                      example_sentence, make_sentence)
-from oracles import sequential_read_conllu
+from oracles import format_conllu_lines, sequential_read_conllu
 
 SAMPLE_PATH = Path(__file__).parent / "data" / "sample.conllu"
 MIXED_PATH = Path(__file__).parent / "data" / "mixed_lengths.conllu"
@@ -623,3 +625,177 @@ def test_reader_matches_the_sequential_reader(text):
                          "extra_lines", "sentence_lines"):
                 assert getattr(got.raw, name).tolist() == getattr(expected.raw, name).tolist()
             assert form_spans(got) == got.forms
+
+
+# The array writer against ``oracles.format_conllu_lines``, the writer that
+# rebuilt each token line as a string.  ``messy_conllu`` draws a valid file
+# and then spaces its blocks out with blank and whitespace-only lines, drops
+# its last blank line or ends its lines with ``\r\n``: all of it is read,
+# and none of it is written back.
+@st.composite
+def messy_conllu(draw):
+    text = draw(valid_conllu())
+    gaps = draw(st.lists(st.sampled_from(["\n", " \n", "\t \n"]), max_size=3))
+    text = text.replace("\n\n", "\n\n" + "".join(gaps))
+    if draw(st.booleans()):
+        text = text.rstrip("\n \t") + "\n"
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    return text
+
+
+@st.composite
+def written_corpora(draw):
+    """A corpus read from ``messy_conllu``: as read, with drawn heads in its
+    sentences (after ``naive_pos_tag`` or not), or as its sentences,
+    sometimes followed by one that cannot be written."""
+    corpus = parse_conllu(draw(messy_conllu()))
+    kind = draw(st.sampled_from(["read", "parsed", "retagged", "sentences"]))
+    if kind == "read":
+        return corpus
+    if kind == "sentences":
+        sentences = list(corpus)
+        if draw(st.booleans()):
+            form = draw(st.sampled_from(["a\tb", "a\nb", "a\rb"]))
+            sentences.append(Sentence((Token(1, form, "NOUN"),)))
+        return sentences
+    if kind == "retagged":
+        corpus = naive_pos_tag(corpus)
+    heads = [draw(st.integers(0, len(sentence))) for sentence in corpus
+             for _ in range(len(sentence))]
+    return replace(corpus, predicted=np.array(heads))
+
+
+def written_or_refused(write, corpus):
+    try:
+        return write(corpus)
+    except ConlluError as error:
+        return error
+
+
+def assert_writes_as_the_oracle(corpus):
+    expected = written_or_refused(format_conllu_lines, corpus)
+    got = written_or_refused(format_conllu, corpus)
+    if isinstance(expected, Exception):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+    else:
+        assert got == expected
+
+
+@given(written_corpora())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_writer_matches_the_line_string_writer(corpus):
+    assert_writes_as_the_oracle(corpus)
+    if isinstance(corpus, list):
+        return
+    # Forms are gathered from their byte spans, as the writer gathers.
+    assert corpus.forms == [line.split("\t")[1] for line in corpus.lines]
+    if corpus.predicted is not None:
+        written = parse_conllu(format_conllu(corpus))
+        assert written.heads.tolist() == corpus.predicted.tolist()
+
+
+WRITER_CASES = {
+    "zero-padded ids": "# a = b\n001\tx\t_\tNOUN\t_\t_\t02\tnsubj\t_\t_\n"
+                       "0002\ty\t_\tVERB\t_\t_\t0\troot\t_\t_\n\n",
+    "range and empty-node lines first and last":
+        "# c\n1-2\txy\t_\t_\t_\t_\t_\t_\t_\t_\n1\tx\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
+        "2\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\n2.1\tz\t_\t_\t_\t_\t_\t_\t2:dep\t_\n\n"
+        "1.1\tz\t_\t_\t_\t_\t_\t_\t_\t_\n1\tw\t_\tX\t_\t_\t0\t_\t_\tM\n1.1\tv\t_\t_\t_\t_\t_\t_\t_\t_\n",
+    "blank and whitespace-only lines, no final blank line":
+        "\n \n1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n\n \t\n\n# c\n1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\n",
+    "CRLF and a byte-order mark":
+        "\ufeff# c\r\n1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\r\n\r\n1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\r\n\r\n",
+    "multi-byte forms": "# text = café ✓\n1\tcafé\tcafé\tNOUN\tNN\t_\t0\t_\t_\tGloss=コーヒー\n"
+                        "2\t✓\t_\tSYM\t_\t_\t1\t_\t_\t😀\n\n",
+    "every tag": "".join(f"{i}\tx{i}\t_\t{tag}\t_\t_\t0\t_\t_\t_\n"
+                         for i, tag in enumerate(sorted(KNOWN_TAGS), start=1)) + "\n",
+    "positions and heads past 10 and 100":
+        "".join(f"{i}\tw{i}\t_\tNOUN\t_\t_\t{i - 1}\t_\t_\t_\n" for i in range(1, 121)) + "\n",
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_writer_cases_match_the_line_string_writer(case):
+    corpus = parse_conllu(WRITER_CASES[case])
+    sizes = np.diff(corpus.offsets)
+    heads = np.concatenate([np.arange(size)[::-1] for size in sizes])
+    for variant in (corpus, replace(corpus, predicted=heads),
+                    replace(naive_pos_tag(corpus), predicted=heads)):
+        assert_writes_as_the_oracle(variant)
+    written = parse_conllu(format_conllu(replace(corpus, predicted=heads)))
+    assert written.heads.tolist() == heads.tolist()
+
+
+def test_writer_of_a_retagged_corpus_writes_content_and_function():
+    corpus = parse_conllu(WRITER_CASES["positions and heads past 10 and 100"])
+    retagged = naive_pos_tag(corpus)
+    written = format_conllu(replace(retagged, predicted=np.zeros(120, np.intp)))
+    assert {line.split("\t")[3] for line in token_lines(written)} == {"CONTENT", "FUNCTION"}
+    assert token_lines(written)[119] == "120\tw120\t_\tFUNCTION\t_\t_\t0\tdep\t_\t_"
+
+
+def test_writer_of_an_empty_corpus_writes_nothing():
+    for corpus in (parse_conllu(""), parse_conllu("\n \n"), as_corpus([])):
+        out = mock.Mock()
+        write_conllu(replace(corpus, predicted=np.zeros(0, np.intp)), out)
+        write_conllu(corpus, out)
+        assert out.write.call_count == 0
+        assert format_conllu_lines(corpus) == ""
+
+
+def test_writer_keeps_a_lone_surrogate_as_the_line_string_writer(tmp_path):
+    sentence = Sentence((Token(1, "a\ud800b", "NOUN", gold_head=0),))
+    corpus = as_corpus([sentence])
+    parsed = replace(corpus, predicted=np.array([0]))
+    for variant in (corpus, parsed):
+        assert_writes_as_the_oracle(variant)
+        assert "a\ud800b" in format_conllu(variant)
+        errors = []
+        for text in (format_conllu_lines(variant), None):
+            with open(tmp_path / "out.conllu", "w", encoding="utf-8") as handle:
+                with pytest.raises(UnicodeEncodeError) as error:
+                    if text is None:
+                        write_conllu(variant, handle)
+                    else:
+                        handle.write(text)
+                        handle.flush()
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("heads", [[0, 3], [-1, 0]])
+def test_writer_refuses_a_predicted_head_outside_its_sentence(heads):
+    corpus = parse_conllu("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"
+                          "1\tb\t_\tNOUN\t_\t_\t2\t_\t_\t_\n2\tc\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n")
+    parsed = replace(corpus, predicted=np.array([0, *heads]))
+    token = 1 + (heads[0] == 0)
+    with pytest.raises(ConlluError, match=f"sentence 2, token {token}: predicted head "
+                                          f"{heads[token - 1]} outside a sentence of 2"):
+        format_conllu(parsed)
+
+
+def test_writer_peaks_below_the_reader():
+    # The gather holds one 4-byte source position per output byte; one
+    # string per line, or 8-byte positions, would cost more than reading.
+    tags = sorted(KNOWN_TAGS)
+    blocks = []
+    for number in range(300):
+        forms = [f"w{(number * 17 + i) % 997}" for i in range(17)]
+        lines = [f"# sent_id = s{number}", "# text = " + " ".join(forms)]
+        lines += [f"{i}\t{form}\t_\t{tags[i % len(tags)]}\t_\t_\t{i - 1}\t_\t_\t_"
+                  for i, form in enumerate(forms, start=1)]
+        blocks.append("\n".join(lines) + "\n\n")
+    text = "".join(blocks)
+    parsed = parse_corpus(parse_conllu(text), mode="adjacency")
+    format_conllu(parse_conllu(text))
+    peaks = []
+    for run in (lambda: parse_conllu(text), lambda: write_conllu(parsed, io.StringIO())):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(parsed.tags) == 5100
+    assert peaks[1] <= peaks[0], peaks
