@@ -6,11 +6,10 @@ words are leaves.  Ships with closest-head and adjacency baselines, a naive
 two-tag POS scenario, and attachment-score evaluation.
 """
 
-from .baselines import naive_pos_tag
+from .baselines import DependencyTree, naive_pos_tag, validate_tree
 from .cli import best_baseline_direction, main, parse_corpus
-from .conllu import (ConlluError, Corpus, DependencyTree, Sentence, Token,
-                     as_corpus, format_conllu, parse_conllu, read_conllu,
-                     validate_tree, write_conllu)
+from .conllu import (ConlluError, Corpus, Sentence, Token, as_corpus,
+                     format_conllu, parse_conllu, read_conllu, write_conllu)
 from .decoder import decode_corpus
 from .direction import AdpDirectionEstimate, estimate_adp_direction
 from .evaluation import (AlignmentError, DomainReport, EvalReport,

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .baselines import forms_trees, naive_pos_tag
+from .baselines import naive_pos_tag, tree_violations
 from .conllu import Corpus, Sentence, as_corpus, read_conllu, write_conllu
 from .decoder import decode_corpus
 from .direction import estimate_adp_direction
@@ -197,7 +197,8 @@ def _cmd_parse(args) -> int:
             backoff_direction=backoff, ruleset=ruleset, policy=policy)
 
     if args.mode == "baseline":
-        well_formed = int(forms_trees(parsed.predicted, parsed.offsets).sum())
+        broken = tree_violations(parsed.predicted, parsed.offsets, parsed.tags)[:, :2]
+        well_formed = len(parsed) - int(broken.any(axis=1).sum())
         share = well_formed / len(parsed) * 100 if parsed else 0.0
         print(f"baseline well-formed trees: {well_formed}/{len(parsed)} "
               f"({share:.2f})", file=sys.stderr)

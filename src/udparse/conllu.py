@@ -1,4 +1,4 @@
-"""CoNLL-U reading and writing over a columnar corpus, plus tree validation.
+"""CoNLL-U reading and writing over a columnar corpus.
 
 ``read_conllu`` reads its input whole and checks the columns of all of it
 at once, as numpy arrays over its UTF-8 bytes; only the lines the arrays
@@ -48,7 +48,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .rules import KNOWN_TAGS, TAG_IDS, TAG_NAMES, is_content
+from .rules import KNOWN_TAGS, TAG_IDS, TAG_NAMES
 
 # ASCII digits only, here and in the isascii-and-isdigit checks of ids and
 # heads: ``\d`` and ``str.isdigit`` alone also take other scripts' digits.
@@ -326,26 +326,25 @@ class Corpus:
 def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
     """``sentences`` as a corpus; a ``Corpus`` is returned as it is.
 
-    The text is what ``write_conllu`` writes for the sentences.  Raises
+    The sentences are written as CoNLL-U lines and read back with
+    ``read_conllu``, so the text is what ``write_conllu`` writes for them
+    and a sentence whose lines would not read back is refused.  Raises
     ConlluError for a token field that contains a tab or a line break, for
     a comment line, range/empty-node line, or metadata key or value that
-    contains a line break, since such a line would not read back, and for
-    range/empty-node lines out of order or placed after more tokens than
-    the sentence has.  A sentence with metadata but no comments gets one
-    ``# key = value`` comment per entry.  Sentences carry no parse: a view
-    of a parsed corpus brings its column 7 as read, not the corpus's
-    ``predicted``.
+    contains a line break, for a comment line without a leading ``#`` or a
+    range/empty-node line without such an id, which would read back as
+    another kind of line, for range/empty-node lines out of order or
+    placed after more tokens than the sentence has, and for any error
+    ``read_conllu`` finds in the lines, such as a range/empty-node line
+    without ten columns or a gold head outside its sentence; such an error
+    names a line of the written text.  A sentence with metadata but no
+    comments gets one ``# key = value`` comment per entry.  Sentences
+    carry no parse: a view of a parsed corpus brings its column 7 as read,
+    not the corpus's ``predicted``.
     """
     if isinstance(sentences, Corpus):
         return sentences
-    tags: list[int] = []
-    heads: list[int] = []
-    offsets = [0]
-    text: list[str] = []
-    token_lines: list[int] = []
-    comment_lines: list[int] = []
-    extra_lines: list[int] = []
-    sentence_lines: list[int] = []
+    lines: list[str] = []
     for number, sentence in enumerate(sentences, start=1):
         comments = sentence.comments or tuple(
             f"# {key} = {value}" for key, value in sentence.meta.items())
@@ -353,24 +352,23 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
             if "\n" in comment or "\r" in comment:
                 raise ConlluError(
                     f"sentence {number}: comment {comment!r} contains a line break")
+            if not comment.startswith("#"):
+                raise ConlluError(
+                    f"sentence {number}: comment {comment!r} does not start with '#'")
         extras = sentence.extras
         for _, raw in extras:
             if "\n" in raw or "\r" in raw:
                 raise ConlluError(f"sentence {number}: line {raw!r} contains a line break")
+            token_id = raw.split("\t", 1)[0]
+            if not (_RANGE_ID.fullmatch(token_id) or _EMPTY_NODE_ID.fullmatch(token_id)):
+                raise ConlluError(
+                    f"sentence {number}: line {raw!r} is not a range or empty-node line")
         afters = [after for after, _ in extras]
         if afters != sorted(afters) or not 0 <= min(afters, default=0) <= max(
                 afters, default=0) <= len(sentence):
             raise ConlluError(f"sentence {number}: range or empty-node lines out of order")
-        sentence_lines.append(len(text))
-        comment_lines.extend(range(len(text), len(text) + len(comments)))
-        text.extend(comments)
-        pending = iter(extras)
-        extra = next(pending, None)
+        body = []
         for token in sentence.tokens:
-            while extra is not None and extra[0] < token.index:
-                extra_lines.append(len(text))
-                text.append(extra[1])
-                extra = next(pending, None)
             head = token.gold_head
             line = "\t".join((
                 str(token.index), token.form, token.lemma, token.upos, token.xpos,
@@ -379,30 +377,12 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
             if line.count("\t") != 9 or "\n" in line or "\r" in line:
                 raise ConlluError(
                     f"token {token.index} ({token.form!r}): a field contains a tab or newline")
-            tags.append(TAG_IDS[token.upos])
-            heads.append(-1 if head is None else head)
-            token_lines.append(len(text))
-            text.append(line)
-        while extra is not None:
-            extra_lines.append(len(text))
-            text.append(extra[1])
-            extra = next(pending, None)
-        text.append("")
-        offsets.append(len(tags))
-    data = "".join(line + "\n" for line in text).encode(errors="surrogatepass")
-    position_type = _position_type(len(data))
-    token_lines = np.array(token_lines, position_type)
-    # Token lines hold nine tabs, so column 2 ends at the second tab after
-    # the line's start.
-    array = np.frombuffer(data, np.uint8)
-    line_starts = np.append(0, np.flatnonzero(array == ord("\n"))[:-1] + 1)
-    tabs = np.flatnonzero(array == ord("\t")).astype(position_type)
-    at = np.searchsorted(tabs, line_starts[token_lines])
-    return Corpus(np.array(tags, dtype=np.intp), np.array(heads, dtype=np.intp),
-                  np.array(offsets, dtype=np.intp),
-                  RawText(data, token_lines, tabs[at] + 1, tabs[at + 1],
-                          *(np.array(numbers, position_type)
-                            for numbers in (comment_lines, extra_lines, sentence_lines))))
+            body.append(line)
+        # Inserted from the last, each after the first ``after`` token lines.
+        for after, raw in reversed(extras):
+            body.insert(after, raw)
+        lines += [*comments, *body, ""]
+    return read_conllu(lines)
 
 
 def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
@@ -411,7 +391,8 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     A stream is read whole and split at ``\\n`` only; each element of any
     other iterable is one line.  A line's ending ``\\n``, and one ``\\r``
     before it, are dropped.  A UTF-8 byte-order mark at the start of the
-    input is skipped.  Raises ConlluError naming the first offending line
+    input is skipped.  Lone surrogates in the text are kept, as the writer
+    keeps them.  Raises ConlluError naming the first offending line
     in reading order for malformed column counts, bad token ids, unknown
     UPOS tags, unparseable head fields (``_`` is accepted as "no gold
     head"), heads beyond the end of their sentence (found when the
@@ -433,7 +414,7 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     # One carriage return before a line's end belongs to the line end.
     if callable(getattr(source, "read", None)):
         text = source.read().removeprefix("\ufeff").replace("\r\n", "\n")
-        data = text.removesuffix("\r").encode()
+        data = text.removesuffix("\r").encode(errors="surrogatepass")
         del text
         if data and not data.endswith(b"\n"):
             data += b"\n"
@@ -444,7 +425,8 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
             lines[0] = lines[0].removeprefix("\ufeff")
         # A line break left inside an element would shift the byte scan's
         # lines; a carriage return in its place sends the line to ``_line``.
-        data = "".join(line.replace("\n", "\r") + "\n" for line in lines).encode()
+        data = "".join(line.replace("\n", "\r") + "\n" for line in lines).encode(
+            errors="surrogatepass")
     kind, ids, tags, heads, form_starts, form_ends = _settle(np.frombuffer(data, np.uint8))
     fault = None
     if (kind == _UNSETTLED).any():
@@ -809,71 +791,3 @@ def format_conllu(corpus: "Corpus | Iterable[Sentence]") -> str:
     write_conllu(corpus, buffer)
     return buffer.getvalue()
 
-
-@dataclass(frozen=True)
-class DependencyTree:
-    """Head assignment for every token; head 0 is the virtual root.
-
-    The container itself accepts any assignment so that defective structures
-    can be represented and inspected; ``validate_tree`` reports whether the
-    assignment actually is a single-rooted tree with function-word leaves.
-    """
-
-    heads: dict[int, int]
-
-
-def validate_tree(sentence: Sentence, tree: DependencyTree) -> list[str]:
-    """Check the structural constraints on an output tree.
-
-    Returns the violated constraint names, empty when the tree is valid:
-
-    * ``single-root``: exactly one token attaches to the virtual root;
-    * ``connectivity``: every token reaches the root through head links;
-    * ``acyclicity``: no head cycles;
-    * ``function-leaf``: function words have no dependents.  In a sentence
-      with no content words one token must still carry the structure, so
-      there the root's dependent is exempt.
-
-    A tree whose head map does not cover the tokens, or points outside the
-    sentence, is a caller error and raises ValueError.
-    """
-    n = len(sentence)
-    heads = tree.heads
-    if set(heads) != set(range(1, n + 1)):
-        raise ValueError("tree must assign exactly one head to every token")
-    for dependent, head in heads.items():
-        if not 0 <= head <= n:
-            raise ValueError(f"head index {head} out of range for token {dependent}")
-
-    violations: list[str] = []
-    roots = [d for d in range(1, n + 1) if heads[d] == 0]
-    if len(roots) != 1:
-        violations.append("single-root")
-
-    # Heads form a functional graph; a chain either terminates at the root
-    # or enters a cycle, so unreachable and cyclic coincide here.
-    reaches_root: dict[int, bool] = {0: True}
-    for start in range(1, n + 1):
-        chain: list[int] = []
-        on_chain: set[int] = set()
-        node = start
-        while node not in reaches_root and node not in on_chain:
-            on_chain.add(node)
-            chain.append(node)
-            node = heads[node]
-        resolved = reaches_root.get(node, False)
-        for visited in chain:
-            reaches_root[visited] = resolved
-    if not all(reaches_root[i] for i in range(1, n + 1)):
-        violations.append("connectivity")
-        violations.append("acyclicity")
-
-    has_content = any(is_content(t.upos) for t in sentence.tokens)
-    for dependent, head in heads.items():
-        if head == 0 or is_content(sentence.tokens[head - 1].upos):
-            continue
-        if not has_content and heads[head] == 0:
-            continue
-        violations.append("function-leaf")
-        break
-    return violations

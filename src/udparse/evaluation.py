@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .conllu import Corpus, RawText, Sentence, _locate, _meta, as_corpus
+from .conllu import Corpus, RawText, Sentence, _gather_index, _locate, _meta, as_corpus
 from .rules import TAG_NAMES
 
 
@@ -93,18 +93,16 @@ def _first_form_mismatch(gold: RawText, pred: RawText, count: int) -> int | None
     starts, pred_starts = gold.form_starts[:count], pred.form_starts[:count]
     lengths = gold.form_ends[:count] - starts
     unequal = np.flatnonzero(lengths != pred.form_ends[:count] - pred_starts)[:1]
-    # Before the first length mismatch, the forms' bytes laid end to end.
+    # Before the first length mismatch, each form and the tab after it, laid
+    # end to end.  An intp index gathers several times faster than int32.
     count = int(unequal[0]) if len(unequal) else count
-    lengths = lengths[:count]
-    ends = np.cumsum(lengths)
-    laid = np.arange(int(ends[-1]) if count else 0)
+    lengths = lengths[:count] + 1
     gold_bytes, pred_bytes = (
-        np.frombuffer(raw.data, np.uint8)[
-            np.repeat(first[:count] - (ends - lengths), lengths) + laid]
+        np.frombuffer(raw.data, np.uint8)[_gather_index(first[:count].astype(np.intp), lengths)]
         for raw, first in ((gold, starts), (pred, pred_starts)))
     differ = np.flatnonzero(gold_bytes != pred_bytes)[:1]
     if len(differ):
-        return int(np.searchsorted(ends, differ[0], side="right"))
+        return int(np.searchsorted(np.cumsum(lengths), differ[0], side="right"))
     return int(unequal[0]) if len(unequal) else None
 
 

@@ -11,7 +11,9 @@ which ``power_iteration`` checks, on the full token graph of
 array reader replaced, ``check_aligned`` the alignment check that
 compared lists of form strings before ``eval`` compared byte spans, and
 ``format_conllu_lines`` the writer that rebuilt each token line as a
-string before ``write_conllu`` gathered bytes.
+string before ``write_conllu`` gathered bytes, and
+``walk_tree_violations`` the per-sentence dict walk that checked trees
+before ``baselines.tree_violations`` checked a whole corpus as arrays.
 """
 
 import re
@@ -21,7 +23,7 @@ import numpy as np
 from udparse.conllu import ConlluError, Corpus, RawText, as_corpus
 from udparse.evaluation import AlignmentError
 from udparse.ranker import _walk_scores
-from udparse.rules import TAG_IDS, TAG_NAMES
+from udparse.rules import CONTENT_TAGS, TAG_IDS, TAG_NAMES
 
 
 def dense_transition(n, edges):
@@ -437,3 +439,43 @@ def format_conllu_lines(corpus):
         text.extend(lines[start:end])
         text.append("")
     return "\n".join(text) + "\n" if text else ""
+
+
+def walk_tree_violations(tags, heads):
+    """``baselines.validate_tree`` as a walk over dicts: the tree constraints
+    that the heads ``{dependent: head}`` of a sentence with UPOS ``tags``
+    break, in the order single-root, connectivity, acyclicity,
+    function-leaf.  Every head must lie in 0..n."""
+    n = len(tags)
+    violations = []
+    roots = [d for d in range(1, n + 1) if heads[d] == 0]
+    if len(roots) != 1:
+        violations.append("single-root")
+
+    # Heads form a functional graph; a chain either terminates at the root
+    # or enters a cycle, so unreachable and cyclic coincide here.
+    reaches_root = {0: True}
+    for start in range(1, n + 1):
+        chain = []
+        on_chain = set()
+        node = start
+        while node not in reaches_root and node not in on_chain:
+            on_chain.add(node)
+            chain.append(node)
+            node = heads[node]
+        resolved = reaches_root.get(node, False)
+        for visited in chain:
+            reaches_root[visited] = resolved
+    if not all(reaches_root[i] for i in range(1, n + 1)):
+        violations.append("connectivity")
+        violations.append("acyclicity")
+
+    has_content = any(tag in CONTENT_TAGS for tag in tags)
+    for dependent, head in heads.items():
+        if head == 0 or tags[head - 1] in CONTENT_TAGS:
+            continue
+        if not has_content and heads[head] == 0:
+            continue
+        violations.append("function-leaf")
+        break
+    return violations

@@ -11,8 +11,9 @@ import time
 
 import pytest
 
+from udparse.baselines import DependencyTree, validate_tree
 from udparse.cli import main, parse_corpus
-from udparse.conllu import DependencyTree, as_corpus, parse_conllu, validate_tree
+from udparse.conllu import as_corpus, parse_conllu
 from udparse.decoder import decode_corpus
 from udparse.direction import estimate_adp_direction
 from udparse.evaluation import domain_report, error_propagation, uas

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from udparse.baselines import forms_tree, forms_trees, naive_pos_tag
+from udparse.baselines import (DependencyTree, forms_tree, naive_pos_tag, tree_violations,
+                               validate_tree)
 from udparse.cli import best_baseline_direction
 from udparse.conllu import as_corpus
 from udparse.decoder import decode_corpus
-from udparse.rules import DEFAULT_RULESET, NAIVE_RULESET, UPOS_TAGS, Direction, is_content
+from udparse.rules import (CONTENT_TAGS, DEFAULT_RULESET, KNOWN_TAGS, NAIVE_RULESET, UPOS_TAGS,
+                           Direction, is_content)
 
 from helpers import make_sentence
-from oracles import adjacency_parse, baseline_parse, top_frequency_forms
+from oracles import adjacency_parse, baseline_parse, top_frequency_forms, walk_tree_violations
 
 ALL_TAGS = sorted(UPOS_TAGS)
 
@@ -132,43 +134,67 @@ def test_baselines_match_sequential_oracles(corpus):
                 assert got == expected, (used, mode, direction)
 
 
+FUNCTION_TAGS = sorted(KNOWN_TAGS - CONTENT_TAGS)
+
+
 @st.composite
 def head_rows(draw):
-    """One sentence's heads: arbitrary ones (mostly cycles, several roots
-    or none), or a tree drawn by attaching tokens in a random order."""
+    """One sentence's tags and heads.  The tags are drawn from every known
+    tag, or from the function tags only.  The heads are arbitrary ones
+    (mostly cycles, several roots or none), or a tree drawn by attaching
+    tokens in a random order, sometimes with the content words first and
+    every later word under one of them, so that function words are leaves."""
     n = draw(st.integers(1, 12))
+    only_function = draw(st.integers(0, 2)) == 0
+    tags = draw(st.lists(st.sampled_from(FUNCTION_TAGS if only_function else sorted(KNOWN_TAGS)),
+                         min_size=n, max_size=n))
     if draw(st.booleans()):
-        return draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+        return tags, draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
     order = draw(st.permutations(range(1, n + 1)))
+    heads_from = n
+    if draw(st.booleans()):
+        order = sorted(order, key=lambda token: tags[token - 1] not in CONTENT_TAGS)
+        heads_from = max(1, sum(tag in CONTENT_TAGS for tag in tags))
     heads = [0] * n
     for place, token in enumerate(order[1:], start=1):
-        heads[token - 1] = order[draw(st.integers(0, place - 1))]
-    return heads
+        heads[token - 1] = order[draw(st.integers(0, min(place, heads_from) - 1))]
+    return tags, heads
 
 
-def chain(n):
+def chain(n, tag="NOUN"):
     """1 -> 2 -> ... -> n -> root: n pointer steps from token 1."""
-    return list(range(2, n + 1)) + [0]
+    return [tag] * n, list(range(2, n + 1)) + [0]
 
 
-# The stacked check against ``forms_tree``, sentence by sentence.  The
+# The corpus-wide check against the dict walk it replaced, sentence by
+# sentence, and ``validate_tree`` and ``forms_tree`` against both.  The
 # longest sentence sets the number of pointer-jumping rounds, so chains of
 # lengths around powers of two need every round.
 @given(st.lists(head_rows(), min_size=1, max_size=12))
 @example(rows=[chain(17)])
-@example(rows=[chain(15), chain(16), [2, 1, 0]])
-@example(rows=[chain(33), chain(32), chain(31), [0, 0], [2, 1], [1], [0]])
+@example(rows=[chain(15), chain(16, "DET"), (["X", "X", "X"], [2, 1, 0])])
+@example(rows=[chain(33), chain(32), chain(31, "PUNCT"), (["X", "X"], [0, 0]),
+               (["NOUN", "X"], [2, 1]), (["X"], [1]), (["X"], [0])])
+# Function-only sentences: the root's dependent may head, no other word.
+@example(rows=[(["DET", "ADP"], [0, 1]), (["DET", "ADP", "X"], [0, 1, 2]),
+               (["DET", "NOUN"], [0, 1]), (["PUNCT", "PUNCT"], [2, 2])])
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_stacked_tree_check_matches_forms_tree(rows):
-    corpus = as_corpus([make_sentence(["X"] * len(row)) for row in rows])
-    expected = [forms_tree(sentence, dict(enumerate(row, start=1)))
-                for sentence, row in zip(corpus, rows)]
-    heads = np.array([head for row in rows for head in row], dtype=np.intp)
-    assert forms_trees(heads, corpus.offsets).tolist() == expected
+    corpus = as_corpus([make_sentence(tags) for tags, _ in rows])
+    heads = np.array([head for _, row in rows for head in row], dtype=np.intp)
+    flags = tree_violations(heads, corpus.offsets, corpus.tags).tolist()
+    for sentence, (tags, row), got in zip(corpus, rows, flags):
+        head_map = dict(enumerate(row, start=1))
+        expected = walk_tree_violations(tags, head_map)
+        assert got == [name in expected
+                       for name in ("single-root", "connectivity", "function-leaf")], (tags, row)
+        assert validate_tree(sentence, DependencyTree(head_map)) == expected
+        assert forms_tree(sentence, head_map) == (not got[0] and not got[1])
 
 
 def test_stacked_tree_check_of_an_empty_corpus():
-    assert forms_trees(np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)).tolist() == []
+    empty = np.zeros(0, dtype=np.intp)
+    assert tree_violations(empty, np.zeros(1, dtype=np.intp), empty).shape == (0, 3)
 
 
 class TestNaivePosTag:

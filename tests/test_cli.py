@@ -5,14 +5,17 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
 
 from udparse import evaluation
+from udparse.baselines import tree_violations
 from udparse.cli import main, parse_corpus
 from udparse.conllu import Sentence, Token, as_corpus, parse_conllu, read_conllu
 from udparse.rules import Direction
 
 from helpers import (EXAMPLE_FORMS, EXAMPLE_HEADS, EXAMPLE_TAGS, decoded,
                      example_conllu, make_sentence)
+from test_conllu import valid_conllu
 
 SAMPLE_PATH = Path(__file__).parent / "data" / "sample.conllu"
 MIXED_PATH = Path(__file__).parent / "data" / "mixed_lengths.conllu"
@@ -92,8 +95,7 @@ class TestParseCommand:
         assert parsed == [3, 3, 0, 6, 3, 3, 9, 9, 6]
 
     def test_emitted_trees_validate(self, tmp_path, capsys):
-        from udparse.baselines import forms_tree
-        from udparse.conllu import DependencyTree, validate_tree
+        from udparse.baselines import DependencyTree, forms_tree, validate_tree
         source = tmp_path / "in.conllu"
         source.write_text(SAMPLE_PATH.read_text(encoding="utf-8"), encoding="utf-8")
         for mode in ("udp", "udp-nopr", "adjacency"):
@@ -428,6 +430,28 @@ class TestLibraryPipeline:
         parsed = parse_corpus(corpus, mode="adjacency",
                               backoff_direction=Direction.LEFT)
         assert parsed.predicted.tolist() == [0, 1, 2]
+
+
+# The north star's correctness clause, one check per parsed corpus: every
+# corpus that the reader accepts parses to single-rooted, connected, acyclic
+# trees whose function words are leaves in the ranked modes and the naive
+# scenario, to trees in ``adjacency``, and to one root per sentence in
+# ``baseline``, whose neighbor fallback may close a cycle.  The number is how
+# many of ``tree_violations``' columns must stay clear.
+TREE_CHECKS = (({"mode": "udp"}, 3), ({"mode": "udp-nopr"}, 3), ({"pos_source": "naive"}, 3),
+               *(({"mode": mode, "backoff_direction": direction}, checked)
+                 for mode, checked in (("adjacency", 2), ("baseline", 1))
+                 for direction in (Direction.RIGHT, Direction.LEFT)))
+
+
+@given(valid_conllu())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_every_readable_corpus_parses_to_trees(text):
+    corpus = parse_conllu(text)
+    for options, checked in TREE_CHECKS:
+        parsed = parse_corpus(corpus, **options)
+        flags = tree_violations(parsed.predicted, parsed.offsets, parsed.tags)
+        assert not flags[:, :checked].any(), (options, flags.tolist())
 
 
 class TestNoTokenObjects:

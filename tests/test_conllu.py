@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from udparse.baselines import naive_pos_tag
+from udparse.baselines import DependencyTree, forms_tree, naive_pos_tag, validate_tree
 from udparse.cli import main, parse_corpus
-from udparse.conllu import (ConlluError, DependencyTree, Sentence, Token, as_corpus,
-                            format_conllu, parse_conllu, read_conllu, validate_tree,
-                            write_conllu)
+from udparse.conllu import (ConlluError, Sentence, Token, as_corpus, format_conllu,
+                            parse_conllu, read_conllu, write_conllu)
 from udparse.rules import KNOWN_TAGS, TAG_IDS
 
 from helpers import (EXAMPLE_HEADS, EXAMPLE_TAGS, decoded, example_conllu,
@@ -309,6 +308,24 @@ class TestWrite:
         with pytest.raises(ConlluError, match=f"sentence 2: {message}"):
             as_corpus([Sentence(tokens), Sentence(tokens, extras=extras)])
 
+    @pytest.mark.parametrize("sentence, message", [
+        (Sentence((Token(1, "a", "NOUN", gold_head=0),), comments=("no hash",)),
+         "sentence 1: comment 'no hash' does not start with '#'"),
+        (Sentence((Token(1, "a", "NOUN", gold_head=0),), comments=("  ",)),
+         "sentence 1: comment '  ' does not start with '#'"),
+        (Sentence((Token(1, "a", "NOUN", gold_head=0),), extras=((1, "junk"),)),
+         "sentence 1: line 'junk' is not a range or empty-node line"),
+        (Sentence((Token(1, "a", "NOUN", gold_head=0),), extras=((0, "# c"),)),
+         "sentence 1: line '# c' is not a range or empty-node line"),
+        (Sentence((Token(1, "a", "NOUN", gold_head=0),), extras=((1, "1-2\tjunk"),)),
+         "line 2: expected 10 tab-separated columns, got 2"),
+        (Sentence((Token(1, "a", "NOUN", gold_head=5),)),
+         "line 1: head 5 outside a sentence of 1 tokens")])
+    def test_sentence_whose_lines_would_not_read_back_is_an_error(self, sentence, message):
+        for convert in (as_corpus, format_conllu):
+            with pytest.raises(ConlluError, match=re.escape(message)):
+                convert([sentence])
+
     def test_meta_synthesized_when_no_raw_comments(self):
         sentence = make_sentence(["NOUN"], meta={"genre": "legal"})
         out = format_conllu([sentence])
@@ -404,6 +421,16 @@ class TestValidateTree:
         sentence = make_sentence(["NOUN", "VERB"])
         with pytest.raises(ValueError):
             validate_tree(sentence, DependencyTree({1: 2, 2: 9}))
+
+    @pytest.mark.parametrize("head", [None, "2", 1.5])
+    def test_head_that_is_not_an_index_is_a_caller_error(self, head):
+        # Column 7 ``_`` reads as a gold head of None.
+        sentence = make_sentence(["NOUN", "VERB"])
+        for check in (lambda: validate_tree(sentence, DependencyTree({1: head, 2: 0})),
+                      lambda: forms_tree(sentence, {1: head, 2: 0})):
+            with pytest.raises(ValueError, match=f"token 1: head {re.escape(repr(head))} "
+                                                 "is not an index in 0..2"):
+                check()
 
 
 @given(st.lists(st.sampled_from(["NOUN", "VERB", "DET", "PUNCT", "ADP"]),

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udparse import ranker
+from udparse.baselines import DependencyTree, validate_tree
 from udparse.cli import parse_corpus
-from udparse.conllu import DependencyTree, as_corpus, validate_tree
+from udparse.conllu import as_corpus
 from udparse.decoder import decode_corpus
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, NAIVE_RULESET,
                            FREE_POLICY, UPOS_TAGS, Direction, RuleSet, is_content)

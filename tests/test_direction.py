@@ -52,7 +52,7 @@ def test_zero_adp_corpus_defaults_right():
 
 def test_zero_adp_corpus_still_parses_to_valid_trees():
     from udparse.cli import parse_corpus
-    from udparse.conllu import DependencyTree, validate_tree
+    from udparse.baselines import DependencyTree, validate_tree
     corpus = [make_sentence(["DET", "NOUN", "VERB", "PUNCT"]),
               make_sentence(["NOUN", "AUX", "VERB"])]
     for parsed in (parse_corpus(corpus), parse_corpus(corpus, mode="udp-nopr")):
