@@ -16,12 +16,10 @@ from typing import Iterable
 import numpy as np
 
 from .conllu import Corpus, Sentence, as_corpus
-from .rules import TAG_IDS, TAG_NAMES, is_content
+from .rules import CONTENT_MASK, TAG_IDS
 
 FUNCTION_FORM_COUNT = 100
 
-# Whether each tag id may head other words.
-_CONTENT = np.array([is_content(tag) for tag in TAG_NAMES])
 # The constraint names of each column of ``tree_violations``: in a head
 # map, a token that cannot reach the root is on a cycle or hangs below one.
 _VIOLATIONS = (("single-root",), ("connectivity", "acyclicity"), ("function-leaf",))
@@ -73,7 +71,7 @@ def tree_violations(heads: np.ndarray, offsets: np.ndarray, tags: np.ndarray) ->
         reached = reached[reached]
     violations[:, 0] = np.add.reduceat((heads == 0).astype(np.intp), firsts) != 1
     violations[:, 1] = ~np.logical_and.reduceat(reached[:-1] == root, firsts)
-    content = _CONTENT[tags]
+    content = CONTENT_MASK[tags]
     content_free = np.repeat(~np.logical_or.reduceat(content, firsts), lengths)
     # The root heads as a content word does.
     under_function = ~np.append(content, True)[heads_at]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import naive_pos_tag, tree_violations
 from .conllu import Corpus, Sentence, as_corpus, read_conllu, write_conllu
-from .decoder import decode_corpus
+from .decoder import MODES, RANKED_MODES, decode_corpus
 from .direction import estimate_adp_direction
 from .evaluation import evaluate, format_domain_report, format_report, uas
 from .ranker import DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT
@@ -25,9 +25,7 @@ from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY,
                     NAIVE_RULESET, TAG_NAMES, Direction, DirectionPolicy,
                     RuleSet, parse_rules)
 
-MODES = ("udp", "udp-nopr", "baseline", "adjacency")
 ADP_DIRECTIONS = ("auto", "left", "right")
-_RANKED_MODES = ("udp", "udp-nopr")
 
 
 def parse_corpus(corpus: Corpus | Iterable[Sentence], *, mode: str = "udp",
@@ -45,8 +43,6 @@ def parse_corpus(corpus: Corpus | Iterable[Sentence], *, mode: str = "udp",
     ``right``; it only matters for the ranked modes under the standard tag
     set, where the direction policy gains an ADP entry.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     if adp_direction not in ADP_DIRECTIONS:
         raise ValueError(f"unknown ADP direction {adp_direction!r}")
     corpus = as_corpus(corpus)
@@ -57,7 +53,7 @@ def parse_corpus(corpus: Corpus | Iterable[Sentence], *, mode: str = "udp",
     elif pos_source == "gold-column":
         active_rules = ruleset if ruleset is not None else DEFAULT_RULESET
         active_policy = policy if policy is not None else DEFAULT_POLICY
-        if mode in _RANKED_MODES:
+        if mode in RANKED_MODES:
             if adp_direction == "auto":
                 resolved = estimate_adp_direction(corpus).resolved
             else:

@@ -57,7 +57,15 @@ _EMPTY_NODE_ID = re.compile(r"[0-9]+\.[0-9]+")
 
 
 class ConlluError(ValueError):
-    """Malformed CoNLL-U input, or a sentence that cannot be serialized."""
+    """Malformed CoNLL-U input, or a sentence that cannot be serialized.
+
+    A reader error carries the 1-based input ``line`` that it names, and
+    its message is ``line N: `` and then its ``reason``; ``line`` is None
+    for every other error."""
+
+    def __init__(self, reason: str, line: int | None = None):
+        super().__init__(reason if line is None else f"line {line}: {reason}")
+        self.reason, self.line = reason, line
 
 
 @dataclass(frozen=True)
@@ -337,14 +345,17 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
     placed after more tokens than the sentence has, and for any error
     ``read_conllu`` finds in the lines, such as a range/empty-node line
     without ten columns or a gold head outside its sentence; such an error
-    names a line of the written text.  A sentence with metadata but no
-    comments gets one ``# key = value`` comment per entry.  Sentences
+    is raised again as ``sentence N: `` and the reader's reason, N being
+    the sentence whose written line it names.  A sentence with metadata
+    but no comments gets one ``# key = value`` comment per entry.  Sentences
     carry no parse: a view of a parsed corpus brings its column 7 as read,
     not the corpus's ``predicted``.
     """
     if isinstance(sentences, Corpus):
         return sentences
     lines: list[str] = []
+    # The number of lines written up to the end of each sentence.
+    ends: list[int] = []
     for number, sentence in enumerate(sentences, start=1):
         comments = sentence.comments or tuple(
             f"# {key} = {value}" for key, value in sentence.meta.items())
@@ -382,7 +393,12 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
         for after, raw in reversed(extras):
             body.insert(after, raw)
         lines += [*comments, *body, ""]
-    return read_conllu(lines)
+        ends.append(len(lines))
+    try:
+        return read_conllu(lines)
+    except ConlluError as error:
+        number = int(np.searchsorted(ends, error.line)) + 1
+        raise ConlluError(f"sentence {number}: {error.reason}") from None
 
 
 def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
@@ -392,12 +408,13 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     other iterable is one line.  A line's ending ``\\n``, and one ``\\r``
     before it, are dropped.  A UTF-8 byte-order mark at the start of the
     input is skipped.  Lone surrogates in the text are kept, as the writer
-    keeps them.  Raises ConlluError naming the first offending line
-    in reading order for malformed column counts, bad token ids, unknown
-    UPOS tags, unparseable head fields (``_`` is accepted as "no gold
-    head"), heads beyond the end of their sentence (found when the
-    sentence ends), a carriage return or a line break inside a line, and a
-    comment after a sentence's first token, range or empty-node line.
+    keeps them.  Raises ConlluError naming the first offending line in
+    reading order, also as its ``line``, for malformed column counts, bad
+    token ids, unknown UPOS tags, unparseable head fields (``_`` is
+    accepted as "no gold head"), heads beyond the end of their sentence
+    (found when the sentence ends), a carriage return or a line break
+    inside a line, and a comment after a sentence's first token, range or
+    empty-node line.
 
     The input's columns are checked as arrays over its UTF-8 bytes.  Empty
     lines, comments, range and empty-node lines, and token lines with an
@@ -445,25 +462,25 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     # others.  Such an id has at most 18 digits and is printed as a number.
     for t in np.flatnonzero(ids[token] != positions)[:1]:
         faults.append((token[t], ConlluError(
-            f"line {token[t] + 1}: token id {ids[token[t]]} out of sequence "
-            f"(expected {positions[t]})")))
+            f"token id {ids[token[t]]} out of sequence (expected {positions[t]})",
+            int(token[t]) + 1)))
     # The first comment inside a sentence follows a token, range or
     # empty-node line.
     previous = kind[:-1]
     for c in np.flatnonzero((kind[1:] == _COMMENT)
                             & ((previous == _TOKEN) | (previous == _EXTRA)))[:1] + 1:
-        faults.append((c, ConlluError(f"line {c + 1}: comment inside a sentence; "
-                                      "comments go before its first line")))
+        faults.append((c, ConlluError("comment inside a sentence; "
+                                      "comments go before its first line", int(c) + 1)))
     lengths = np.diff(block_ends, prepend=-1) - 1
     for end in block_ends[(sizes == 0) & (lengths > 0)][:1]:
-        faults.append((end, ConlluError(f"line {end + 1}: sentence block contains no token lines")))
+        faults.append((end, ConlluError("sentence block contains no token lines", int(end) + 1)))
     # A head beyond its sentence is found when the sentence ends.
     for t in np.flatnonzero(heads[token] > sizes[token_block])[:1]:
         block = token_block[t]
         lines = lines if lines is not None else _decoded(data)
         head = int(lines[token[t]].split("\t")[6])
         faults.append((block_ends[block], ConlluError(
-            f"line {token[t] + 1}: head {head} outside a sentence of {sizes[block]} tokens")))
+            f"head {head} outside a sentence of {sizes[block]} tokens", int(token[t]) + 1)))
     if faults:
         raise min(faults, key=lambda fault: fault[0])[1]
 
@@ -605,43 +622,41 @@ def _line(line: str, line_no: int, position: int) -> tuple[int, int, int]:
     must have.  Raises ConlluError naming ``line_no``.  Where a comment
     may stand is for ``read_conllu`` to check."""
     if "\n" in line:
-        raise ConlluError(f"line {line_no}: line break inside the line")
+        raise ConlluError("line break inside the line", line_no)
     if not line.strip():
         return _BLANK, 0, 0
     if "\r" in line:
         # A file reader splits lines at a bare \r too, so such a line
         # would not read back once written.
-        raise ConlluError(f"line {line_no}: carriage return inside the line")
+        raise ConlluError("carriage return inside the line", line_no)
     if line.startswith("#"):
         return _COMMENT, 0, 0
     columns = line.split("\t")
     if len(columns) != 10:
-        raise ConlluError(
-            f"line {line_no}: expected 10 tab-separated columns, got {len(columns)}")
+        raise ConlluError(f"expected 10 tab-separated columns, got {len(columns)}", line_no)
     token_id = columns[0]
     if not (token_id.isascii() and token_id.isdigit()):
         if _RANGE_ID.fullmatch(token_id) or _EMPTY_NODE_ID.fullmatch(token_id):
             return _EXTRA, 0, 0
-        raise ConlluError(f"line {line_no}: invalid token id {token_id!r}")
+        raise ConlluError(f"invalid token id {token_id!r}", line_no)
     # Compared as text: int() refuses more than 4300 digits.
     if token_id.lstrip("0") != str(position):
-        raise ConlluError(
-            f"line {line_no}: token id {token_id.lstrip('0') or '0'} out of sequence "
-            f"(expected {position})")
+        raise ConlluError(f"token id {token_id.lstrip('0') or '0'} out of sequence "
+                          f"(expected {position})", line_no)
     tag = TAG_IDS.get(columns[3])
     if tag is None:
-        raise ConlluError(f"line {line_no}: unknown UPOS tag {columns[3]!r}")
+        raise ConlluError(f"unknown UPOS tag {columns[3]!r}", line_no)
     head = columns[6]
     if head == "_":
         return _TOKEN, tag, -1
     if not (head.isascii() and head.isdigit()):
-        raise ConlluError(
-            f"line {line_no}: head must be a non-negative integer or '_', got {head!r}")
+        raise ConlluError(f"head must be a non-negative integer or '_', got {head!r}",
+                          line_no)
     try:
         # Any head past the array's range is past its sentence's end too.
         return _TOKEN, tag, min(int(head), sys.maxsize)
     except ValueError:  # more digits than int() converts
-        raise ConlluError(f"line {line_no}: head has too many digits") from None
+        raise ConlluError("head has too many digits", line_no) from None
 
 
 def parse_conllu(text: str) -> Corpus:

@@ -18,7 +18,8 @@ tokens and sentences of at most n.  ``decode_corpus``, the one entry to
 parsing in every mode, ranks the corpus's content words once (``ranker``)
 and runs that search on its flat arrays.  The closest-head baseline is the
 same search with every word eligible, and an adjacency chain is one
-``np.where``.
+``np.where``.  The parse modes are defined here, once: ``MODES``, of which
+``RANKED_MODES`` rank content words before decoding.
 """
 
 from typing import Iterable
@@ -30,6 +31,9 @@ from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, check_walk,
                      content_ranks, main_predicates, ranking_keys)
 from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY, TAG_IDS, Direction,
                     DirectionPolicy, RuleSet)
+
+MODES = ("udp", "udp-nopr", "baseline", "adjacency")
+RANKED_MODES = MODES[:2]
 
 _PUNCT = TAG_IDS["PUNCT"]
 
@@ -46,25 +50,28 @@ def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAUL
 
     The one entry to parsing, also for a single sentence
     (``decode_corpus([sentence], ...)``).  ``udp`` and ``udp-nopr`` rank
-    the corpus by ``ranker.content_ranks`` on its ``ranker.ranking_keys``
-    in that mode and attach every word by ``_nearest``; the word ranked 0
-    takes the root, and sentence-final PUNCT then attaches to the root's
-    dependent, unless it is that word.  ``baseline`` attaches every word to
-    its closest licensed head, leftward on a distance tie, else to its
-    neighbor towards ``backoff_direction`` (LEFT or RIGHT, the other one at
-    a sentence edge), and its main predicate to the root; the output is
-    single-rooted but need not be a tree.  ``adjacency`` chains neighbors
-    towards ``backoff_direction``.  Walk parameters that
-    ``ranker.check_walk`` refuses are refused in every mode.  Heads are
-    1-based, 0 for the root, aligned with ``corpus.tags``.
+    the corpus by ``ranker.content_ranks``, on ``ranker.ranking_keys`` in
+    ``udp`` and on all-zero keys (reading order) in ``udp-nopr``, and
+    attach every word by ``_nearest``; the word ranked 0 takes the root,
+    and sentence-final PUNCT then attaches to the root's dependent, unless
+    it is that word.  ``baseline`` attaches every word to its closest
+    licensed head, leftward on a distance tie, else to its neighbor towards
+    ``backoff_direction`` (LEFT or RIGHT, the other one at a sentence
+    edge), and its main predicate to the root; the output is single-rooted
+    but need not be a tree.  ``adjacency`` chains neighbors towards
+    ``backoff_direction``.  Walk parameters that ``ranker.check_walk``
+    refuses are refused in every mode, then modes not in ``MODES``.  Heads
+    are 1-based, 0 for the root, aligned with ``corpus.tags``.
     """
     check_walk(teleport, predicate_weight)
-    if mode in ("baseline", "adjacency") and backoff_direction not in _STEPS:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode not in RANKED_MODES and backoff_direction not in _STEPS:
         raise ValueError(f"backoff direction must be LEFT or RIGHT, got {backoff_direction}")
     corpus = as_corpus(corpus)
     tags, offsets = corpus.tags, corpus.offsets
     starts, lasts = offsets[:-1], offsets[1:] - 1
-    if mode in ("baseline", "adjacency"):
+    if mode not in RANKED_MODES:
         step = _STEPS[backoff_direction]
         edge = np.zeros(len(tags), dtype=bool)
         edge[lasts if step == 1 else starts] = True
@@ -78,8 +85,9 @@ def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAUL
         heads[starts + main_predicates(tags, offsets)] = 0
         return heads
     predicates = main_predicates(tags, offsets)
-    keys = ranking_keys(tags, offsets, predicates, ruleset, mode,
-                        teleport=teleport, predicate_weight=predicate_weight)
+    keys = (ranking_keys(tags, offsets, predicates, ruleset, teleport=teleport,
+                         predicate_weight=predicate_weight)
+            if mode == "udp" else np.zeros(len(tags)))
     ranks = content_ranks(tags, offsets, predicates, keys)
     heads, _ = _nearest(tags, offsets, ranks, ranks, ruleset, policy)
     roots = np.flatnonzero(ranks == 0)

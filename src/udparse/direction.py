@@ -12,11 +12,9 @@ from typing import Iterable
 import numpy as np
 
 from .conllu import Corpus, Sentence, as_corpus
-from .rules import TAG_IDS, TAG_NAMES, Direction, is_nominal
+from .rules import NOMINAL_MASK, TAG_IDS, Direction
 
 _ADP = TAG_IDS["ADP"]
-# Whether each tag id is a nominal tag.
-_NOMINAL = np.array([is_nominal(tag) for tag in TAG_NAMES])
 
 
 @dataclass(frozen=True)
@@ -38,6 +36,6 @@ def estimate_adp_direction(corpus: Corpus | Iterable[Sentence]) -> AdpDirectionE
     left, right = corpus.tags[:-1], corpus.tags[1:]
     within = np.ones(len(left), dtype=bool)
     within[corpus.offsets[1:-1] - 1] = False
-    adp_nominal = (left == _ADP) & _NOMINAL[right] & within
-    nominal_adp = _NOMINAL[left] & (right == _ADP) & within
+    adp_nominal = (left == _ADP) & NOMINAL_MASK[right] & within
+    nominal_adp = NOMINAL_MASK[left] & (right == _ADP) & within
     return AdpDirectionEstimate(int(adp_nominal.sum()), int(nominal_adp.sum()))

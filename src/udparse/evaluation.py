@@ -12,6 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .baselines import tree_violations
 from .conllu import Corpus, RawText, Sentence, _gather_index, _locate, _meta, as_corpus
 from .rules import TAG_NAMES
 
@@ -28,6 +29,8 @@ class EvalReport:
     root_correct: int
     sentence_count: int
     multi_root_gold: int = 0
+    # Gold sentences with a token that does not reach the root: a head cycle.
+    unrooted_gold: int = 0
 
     @property
     def uas(self) -> float:
@@ -142,9 +145,10 @@ def _roots(heads: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return first, np.bincount(sentences, minlength=len(offsets) - 1)
 
 
-def _reports(gold: Corpus, pred_heads: np.ndarray, groups: np.ndarray,
-             group_count: int) -> list[EvalReport]:
-    """One report per group; ``groups`` holds each sentence's group."""
+def _reports(gold: Corpus, pred_heads: np.ndarray, unrooted: np.ndarray,
+             groups: np.ndarray, group_count: int) -> list[EvalReport]:
+    """One report per group; ``unrooted`` flags the gold sentences that are
+    not connected to the root, and ``groups`` holds each sentence's group."""
     tag_count = len(TAG_NAMES)
     keys = np.repeat(groups, np.diff(gold.offsets)) * tag_count + gold.tags
     size = group_count * tag_count
@@ -156,12 +160,13 @@ def _reports(gold: Corpus, pred_heads: np.ndarray, groups: np.ndarray,
     root_correct = np.bincount(groups[(gold_first >= 0) & (gold_first == pred_first)],
                                minlength=group_count)
     multi_root = np.bincount(groups[gold_roots > 1], minlength=group_count)
+    unrooted_gold = np.bincount(groups[unrooted], minlength=group_count)
     sentences = np.bincount(groups, minlength=group_count)
     return [EvalReport(int(correct[group].sum()), int(totals[group].sum()),
                        {TAG_NAMES[tag]: (int(correct[group, tag]), int(totals[group, tag]))
                         for tag in np.flatnonzero(totals[group])},
                        int(root_correct[group]), int(sentences[group]),
-                       int(multi_root[group]))
+                       int(multi_root[group]), int(unrooted_gold[group]))
             for group in range(group_count)]
 
 
@@ -173,8 +178,10 @@ def uas(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sentence]) ->
     from.  A token counts as correct when its predicted head index equals
     the gold head index; per-tag buckets use the gold tags.  Root accuracy
     compares each sentence's first predicted root dependent with its first
-    gold one; sentences with several gold roots (malformed gold) are
-    counted in ``multi_root_gold``.
+    gold one.  Malformed gold is scored as it is, and counted: sentences
+    with several gold roots in ``multi_root_gold``, and sentences with a
+    token that does not reach the root, by ``baselines.tree_violations``,
+    in ``unrooted_gold``.
     """
     return evaluate(gold, pred)[0]
 
@@ -182,12 +189,21 @@ def uas(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sentence]) ->
 def evaluate(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sentence],
              group_key: str | None = None) -> tuple[EvalReport, DomainReport | None]:
     """``uas`` of the corpora and, for a ``group_key``, their
-    ``domain_report``, from one alignment."""
+    ``domain_report``, from one alignment and one gold tree check.  The
+    key is read from each gold sentence's comments, as ``Sentence.meta``
+    reads it."""
     gold, pred_heads = _scored_heads(gold, pred)
     if not len(gold):
         raise ValueError("cannot evaluate an empty corpus")
-    report = _reports(gold, pred_heads, np.zeros(len(gold), dtype=np.intp), 1)[0]
-    return report, None if group_key is None else _domains(gold, pred_heads, group_key)
+    unrooted = tree_violations(gold.heads, gold.offsets, gold.tags)[:, 1]
+    report = _reports(gold, pred_heads, unrooted, np.zeros(len(gold), dtype=np.intp), 1)[0]
+    if group_key is None:
+        return report, None
+    names, groups = np.unique(
+        [_meta(comments).get(group_key, "unknown") for comments in gold.comments],
+        return_inverse=True)
+    return report, DomainReport(dict(zip(
+        names.tolist(), _reports(gold, pred_heads, unrooted, groups, len(names)))))
 
 
 def error_propagation(parse_acc_pred_pos: float, parse_acc_gold_pos: float,
@@ -212,19 +228,10 @@ def domain_report(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sen
     """Group-wise attachment scores keyed by a gold sentence metadata field.
 
     Sentences missing the field collect under ``unknown``.  Groups are
-    weighted equally in the mean and population standard deviation.
+    weighted equally in the mean and population standard deviation.  The
+    report is ``evaluate``'s, so it refuses what ``evaluate`` refuses.
     """
-    return _domains(*_scored_heads(gold, pred), group_key)
-
-
-def _domains(gold: Corpus, pred_heads: np.ndarray, group_key: str) -> DomainReport:
-    """``domain_report`` of aligned corpora; the key is read from each
-    sentence's comments, as ``Sentence.meta`` reads it."""
-    names, groups = np.unique(
-        [_meta(comments).get(group_key, "unknown") for comments in gold.comments],
-        return_inverse=True)
-    return DomainReport(dict(zip(names.tolist(),
-                                 _reports(gold, pred_heads, groups, len(names)))))
+    return evaluate(gold, pred, group_key)[1]
 
 
 def format_report(report: EvalReport, machine: bool = False) -> list[str]:
@@ -240,6 +247,8 @@ def format_report(report: EvalReport, machine: bool = False) -> list[str]:
             f"tokens\t{report.total}",
             f"multi_root_gold\t{report.multi_root_gold}",
         ]
+        if report.unrooted_gold:
+            lines.append(f"unrooted_gold\t{report.unrooted_gold}")
         for tag in sorted(report.per_pos):
             c, t = report.per_pos[tag]
             lines.append(f"pos_uas.{tag}\t{c / t:.6f}\t{c}\t{t}")
@@ -257,6 +266,9 @@ def format_report(report: EvalReport, machine: bool = False) -> list[str]:
     if report.multi_root_gold:
         lines.append(f"Multi-root gold sentences: {report.multi_root_gold} "
                      f"(scored against the first gold root)")
+    if report.unrooted_gold:
+        lines.append(f"Gold sentences not connected to the root: {report.unrooted_gold} "
+                     f"(a head cycle; scored as they are)")
     return lines
 
 

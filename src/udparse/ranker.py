@@ -4,8 +4,7 @@ Every token pair licensed by the head rules contributes one directed edge
 from dependent to head, so a word collects an incoming edge per eligible
 dependent.  A personalized random walk over this multigraph scores the
 tokens; its stationary distribution is solved exactly as one linear system.
-Content words are then ordered by descending score, or simply by reading
-order when ranking is disabled.
+Content words are then ordered by descending score, ties in reading order.
 
 The walk is solved on word classes, not on tokens.  An edge's multiplicity
 depends only on the tags at its two ends, and the teleport vector singles
@@ -21,16 +20,18 @@ the class size.
 
 The class walks are solved in stacks: ``stacks`` groups sentences by class
 count and cuts each group so that a ``(B, k, k)`` system stays within one
-budget.  ``decoder.decode_corpus`` is the one entry to parsing; it takes the
-flat sort keys of ``ranking_keys`` once per corpus and ranks the whole
-corpus by them with ``content_ranks``.
+budget.  The ranker knows no parse modes: ``decoder`` owns them, and
+``decoder.decode_corpus``, the one entry to parsing, checks the walk
+parameters, takes the flat sort keys of ``ranking_keys`` once per corpus in
+``udp`` mode, or all-zero keys (reading order) in ``udp-nopr``, and ranks
+the whole corpus by them with ``content_ranks``.
 """
 
 from typing import Iterator
 
 import numpy as np
 
-from .rules import TAG_IDS, RuleSet, is_content
+from .rules import CONTENT_MASK, TAG_IDS, RuleSet
 
 DEFAULT_TELEPORT = 0.05
 DEFAULT_PREDICATE_WEIGHT = 5.0
@@ -45,8 +46,6 @@ _SCORE_DECIMALS = 8
 # forms a stack of its own.
 _STACK_ELEMENTS = 1 << 16
 
-# Whether each tag id is a content tag.
-_CONTENT = np.array([is_content(tag) for tag in TAG_IDS])
 _VERB = TAG_IDS["VERB"]
 
 
@@ -93,7 +92,7 @@ def main_predicates(tags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     # Verbs claim first, then the other content words, then any token; the
     # earliest claim of the best kind wins.
     span = max(len(tags), 1)
-    claims = 2 - _CONTENT[tags] - (tags == _VERB)
+    claims = 2 - CONTENT_MASK[tags] - (tags == _VERB)
     claims *= span
     claims += np.arange(len(tags))
     return np.minimum.reduceat(claims, starts) % span - starts
@@ -160,27 +159,21 @@ def class_scores(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
 
 
 def ranking_keys(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
-                 ruleset: RuleSet, mode: str = "udp", *,
-                 teleport: float = DEFAULT_TELEPORT,
+                 ruleset: RuleSet, *, teleport: float = DEFAULT_TELEPORT,
                  predicate_weight: float = DEFAULT_PREDICATE_WEIGHT) -> np.ndarray:
-    """One sort key per token of a corpus; ``content_ranks`` orders content
-    words by ascending key.
+    """The ``udp`` sort key of every token of a corpus; ``content_ranks``
+    orders content words by ascending key.
 
-    ``udp`` mode keys each content word by its negated ``class_scores``
-    score, rounded to ``_SCORE_DECIMALS`` once per class, and function words
-    0; ``udp-nopr`` mode keys every token 0, which leaves content words in sentence order.  Both
-    modes refuse the walk parameters that ``check_walk`` refuses.
+    A content word's key is its negated ``class_scores`` score, rounded to
+    ``_SCORE_DECIMALS`` once per class, and a function word's 0.  The walk
+    parameters are the caller's to check: ``decoder.decode_corpus`` refuses
+    what ``check_walk`` refuses before it ranks.
     """
-    check_walk(teleport, predicate_weight)
-    if mode == "udp-nopr":
-        return np.zeros(len(tags))
-    if mode != "udp":
-        raise ValueError(f"unknown ranking mode {mode!r}")
     classes, scores = class_scores(
         tags, offsets, predicates, ruleset, teleport=teleport,
         predicate_weight=predicate_weight)
     content = np.zeros(len(scores), dtype=bool)
-    content[classes[_CONTENT[tags]]] = True
+    content[classes[CONTENT_MASK[tags]]] = True
     keys = np.zeros(len(scores))
     keys[content] = [-round(score, _SCORE_DECIMALS) for score in scores[content].tolist()]
     return keys[classes]
@@ -198,7 +191,7 @@ def content_ranks(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     """
     lengths = np.diff(offsets)
     sentences = np.repeat(np.arange(len(lengths)), lengths)
-    content = _CONTENT[tags]
+    content = CONTENT_MASK[tags]
     # By sentence, content words first, then by key; lexsort is stable, so
     # ties keep sentence order.  Function words' places are then overwritten.
     order = np.lexsort((keys, ~content, sentences))

@@ -47,6 +47,13 @@ def is_nominal(upos: str) -> bool:
     return upos in NOMINAL_TAGS
 
 
+# Read-only: whether each tag id is a content tag, and a nominal tag.
+CONTENT_MASK = np.array([is_content(tag) for tag in TAG_NAMES])
+NOMINAL_MASK = np.array([is_nominal(tag) for tag in TAG_NAMES])
+CONTENT_MASK.setflags(write=False)
+NOMINAL_MASK.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class RuleSet:
     """Licensed (head tag, dependent tag) pairs.

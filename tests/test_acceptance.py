@@ -9,9 +9,10 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
-from udparse.baselines import DependencyTree, validate_tree
+from udparse.baselines import tree_violations
 from udparse.cli import main, parse_corpus
 from udparse.conllu import as_corpus, parse_conllu
 from udparse.decoder import decode_corpus
@@ -113,19 +114,35 @@ def test_criterion_4_structural_suite_over_ten_thousand_sentences():
         length = rng.randint(1, 40)
         cases.append([rng.choice(ALL_TAGS) for _ in range(length)])
 
+    def corpus_of(numbers, prefix):
+        """The cases as one corpus read from CoNLL-U text, token i of each
+        with the form ``prefix`` and i."""
+        return parse_conllu("".join(
+            "".join(f"{i}\t{prefix}{i}\t_\t{tag}\t_\t_\t_\t_\t_\t_\n"
+                    for i, tag in enumerate(cases[number], start=1)) + "\n"
+            for number in numbers))
+
+    # One corpus per policy, case k under policy k % 3, each decoded and
+    # checked with one call; every 7th case is decoded again with renamed
+    # forms, as one more corpus per policy.
     started = time.perf_counter()
     checked = 0
-    for case_number, tags in enumerate(cases):
-        sentence = make_sentence(tags)
-        policy = policies[case_number % len(policies)]
-        heads = decode_corpus([sentence], DEFAULT_RULESET, policy).tolist()
-        tree = DependencyTree(dict(enumerate(heads, start=1)))
-        assert validate_tree(sentence, tree) == [], f"invalid tree for tags {tags}"
-        if case_number % 7 == 0:
-            renamed = make_sentence(tags, forms=tuple(f"alt{i}" for i in range(len(tags))))
-            assert decode_corpus([renamed], DEFAULT_RULESET, policy).tolist() == heads, \
-                f"nondeterministic decode for {tags}"
-        checked += 1
+    for first, policy in enumerate(policies):
+        numbers = range(first, len(cases), len(policies))
+        corpus = corpus_of(numbers, "w")
+        heads = decode_corpus(corpus, DEFAULT_RULESET, policy)
+        lengths = np.repeat(np.diff(corpus.offsets), np.diff(corpus.offsets))
+        assert ((heads >= 0) & (heads <= lengths)).all(), "head outside its sentence"
+        broken = np.flatnonzero(tree_violations(heads, corpus.offsets, corpus.tags).any(axis=1))
+        assert not len(broken), f"invalid tree for tags {cases[numbers[broken[0]]]}"
+        sampled = [number for number in numbers if number % 7 == 0]
+        renamed = corpus_of(sampled, "alt")
+        rows = corpus.per_sentence(heads)
+        again = renamed.per_sentence(decode_corpus(renamed, DEFAULT_RULESET, policy))
+        for number, row in zip(sampled, again):
+            assert row == rows[(number - first) // len(policies)], \
+                f"nondeterministic decode for {cases[number]}"
+        checked += len(numbers)
     elapsed = time.perf_counter() - started
     assert checked >= 10_000
     assert elapsed < 60.0, f"structural suite took {elapsed:.1f}s"

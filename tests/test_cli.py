@@ -258,6 +258,20 @@ class TestEvalCommand:
         assert code == 0
         assert "UAS: 50.00 (2/4)" in out
 
+    def test_gold_cycle_is_reported(self, tmp_path, capsys):
+        # Tokens 1 and 2 head each other, so neither reaches the root; the
+        # sentence is still scored, and the report says so.
+        path = tmp_path / "gold.conllu"
+        path.write_text("1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
+                        "2\tb\t_\tNOUN\t_\t_\t1\t_\t_\t_\n\n", encoding="utf-8")
+        code, out, _ = run(["eval", str(path), str(path)], capsys)
+        assert code == 0
+        assert "UAS: 100.00 (2/2)" in out
+        assert "Gold sentences not connected to the root: 1" in out
+        code, out, _ = run(["eval", str(path), str(path), "--machine"], capsys)
+        assert code == 0
+        assert "multi_root_gold\t0\nunrooted_gold\t1\n" in out
+
     def test_group_by_prints_domain_rows(self, tmp_path, capsys):
         path = tmp_path / "gold.conllu"
         path.write_text(SAMPLE_PATH.read_text(encoding="utf-8"), encoding="utf-8")

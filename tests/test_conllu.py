@@ -318,13 +318,27 @@ class TestWrite:
         (Sentence((Token(1, "a", "NOUN", gold_head=0),), extras=((0, "# c"),)),
          "sentence 1: line '# c' is not a range or empty-node line"),
         (Sentence((Token(1, "a", "NOUN", gold_head=0),), extras=((1, "1-2\tjunk"),)),
-         "line 2: expected 10 tab-separated columns, got 2"),
+         "sentence 1: expected 10 tab-separated columns, got 2"),
         (Sentence((Token(1, "a", "NOUN", gold_head=5),)),
-         "line 1: head 5 outside a sentence of 1 tokens")])
+         "sentence 1: head 5 outside a sentence of 1 tokens")])
     def test_sentence_whose_lines_would_not_read_back_is_an_error(self, sentence, message):
         for convert in (as_corpus, format_conllu):
             with pytest.raises(ConlluError, match=re.escape(message)):
                 convert([sentence])
+
+    def test_reader_errors_name_the_callers_sentence(self):
+        # The reader names a line of the text that ``as_corpus`` writes,
+        # which the caller never sees; the caller gets its sentence.
+        fine = Sentence((Token(1, "a", "NOUN", gold_head=0),), meta={"text": "a"})
+        cases = [([fine, fine, Sentence((Token(1, "b", "NOUN", gold_head=5),))],
+                  "sentence 3: head 5 outside a sentence of 1 tokens"),
+                 ([fine, Sentence(fine.tokens, extras=((1, "1-2\tjunk"),)), fine],
+                  "sentence 2: expected 10 tab-separated columns, got 2")]
+        for sentences, message in cases:
+            with pytest.raises(ConlluError) as raised:
+                as_corpus(sentences)
+            assert str(raised.value) == message
+            assert raised.value.line is None
 
     def test_meta_synthesized_when_no_raw_comments(self):
         sentence = make_sentence(["NOUN"], meta={"genre": "legal"})

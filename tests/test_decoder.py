@@ -132,6 +132,11 @@ class TestDecode:
         assert crossing  # non-projective output survives decoding
         assert validate_tree(sentence, tree) == []
 
+    def test_unknown_mode_rejected(self):
+        # The decoder owns the parse modes; the ranker takes none.
+        with pytest.raises(ValueError, match="unknown mode 'pagerank'"):
+            decode_corpus([example_sentence()], mode="pagerank")
+
 
 class TestFinalPunctHeuristic:
     def test_final_punct_moves_to_main_predicate(self):

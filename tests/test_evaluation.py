@@ -121,6 +121,18 @@ class TestUas:
         with pytest.raises(ValueError, match="empty"):
             uas([], [])
 
+    def test_gold_cycle_flagged_and_scored(self):
+        # Tokens 1 and 2 head each other: neither reaches the root.
+        gold = [make_sentence(["NOUN", "NOUN"], heads=(2, 1), meta={"genre": "a"}),
+                make_sentence(["NOUN", "VERB"], heads=(2, 0), meta={"genre": "b"})]
+        pred = [with_predictions(gold[0], [2, 1]), with_predictions(gold[1], [2, 0])]
+        report = uas(gold, pred)
+        assert (report.correct, report.total) == (4, 4)
+        assert (report.unrooted_gold, report.multi_root_gold) == (1, 0)
+        grouped = domain_report(gold, pred, "genre")
+        assert grouped.groups["a"].unrooted_gold == 1
+        assert grouped.groups["b"].unrooted_gold == 0
+
 
 # Forms that share a byte length but not their bytes (``café``, ``cafè``),
 # multi-byte and empty forms.
@@ -224,6 +236,10 @@ class TestErrorPropagation:
 
 
 class TestDomainReport:
+    def test_empty_corpus_rejected_as_uas_rejects_it(self):
+        with pytest.raises(ValueError, match="^cannot evaluate an empty corpus$"):
+            domain_report([], [], "genre")
+
     def test_single_group_has_zero_std(self):
         gold = [make_sentence(["NOUN"], heads=(0,), meta={"genre": "news"})]
         pred = [with_predictions(gold[0], [0])]
@@ -285,6 +301,7 @@ class TestFormatting:
         lines = format_report(uas(gold, pred), machine=True)
         assert "uas\t1.000000" in lines
         assert "multi_root_gold\t0" in lines
+        assert not any(line.startswith("unrooted_gold") for line in lines)
         assert any(line.startswith("pos_uas.NOUN\t") for line in lines)
 
     def test_multi_root_gold_shows_in_plain_report(self):

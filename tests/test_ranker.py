@@ -46,11 +46,13 @@ def scores_of(sentence, personalization, ruleset=DEFAULT_RULESET, teleport=0.05)
 
 
 def ranks_of(sentence, mode="udp", ruleset=DEFAULT_RULESET, **options):
-    """One sentence's row of ``content_ranks`` on its ``ranking_keys``,
-    checked against the dense oracle's order."""
+    """One sentence's row of ``content_ranks``, on its ``ranking_keys`` in
+    ``udp`` mode and on all-zero keys in ``udp-nopr``, as ``decode_corpus``
+    ranks it, checked against the dense oracle's order."""
     corpus = as_corpus([sentence])
     predicates = main_predicates(corpus.tags, corpus.offsets)
-    keys = ranking_keys(corpus.tags, corpus.offsets, predicates, ruleset, mode, **options)
+    keys = (ranking_keys(corpus.tags, corpus.offsets, predicates, ruleset, **options)
+            if mode == "udp" else np.zeros(len(corpus.tags)))
     ranks = content_ranks(corpus.tags, corpus.offsets, predicates, keys).tolist()
     assert rank_orders(sentence, ranks) == orders_of(
         sentence, ruleset, mode, options.get("teleport", 0.05),
@@ -196,7 +198,10 @@ class TestPagerank:
     def test_bad_teleport_rejected(self):
         for teleport in (0.0, 1.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="teleport"):
-                ranks_of(example_sentence(), teleport=teleport)
+                check_walk(teleport, 5.0)
+            for mode in ("udp", "udp-nopr", "baseline", "adjacency"):
+                with pytest.raises(ValueError, match="teleport"):
+                    decode_corpus([example_sentence()], mode=mode, teleport=teleport)
 
     def test_predicate_weight_boost_never_hurts_the_boosted_node(self):
         rng = random.Random(20240817)
@@ -252,11 +257,6 @@ class TestRank:
         assert ranks == [9, 9, 0, 9, 1, 2, 9, 9, 3]
         assert rank_orders(example_sentence(), ranks)[:2] == \
             ((3, 5, 6, 9), EXAMPLE_FUNCTION_ORDER)
-
-    def test_modes_without_ranking_rejected(self):
-        for mode in ("baseline", "adjacency", "pagerank"):
-            with pytest.raises(ValueError, match="ranking mode"):
-                ranks_of(example_sentence(), mode)
 
     def test_single_content_word(self):
         assert ranks_of(make_sentence(["NOUN"])) == [0]
