@@ -6,7 +6,13 @@ cannot settle, such as one with a carriage return, a long head or an
 error, are checked one at a time.  An error names the first bad line in
 reading order, as a line-by-line reader would.  A text stream is split at
 ``\\n``; any other iterable gives one line per element, which may end in
-one ``\\n`` and hold no other.
+one ``\\n`` and hold no other.  Columns 1, 4 and 7 (id, tag and head) are
+each read as one 8-byte word, through a zero-copy view of the bytes that
+has an unaligned little-endian word at every byte position, as simdjson
+reads JSON (Langdale and Lemire 2019); ``eval`` compares forms 8 bytes at
+a time through the same view.  A word that would reach past the end of
+the bytes, as the words of columns 4 and 7 of the last line can, has
+those bytes cleared instead.
 
 It returns a ``Corpus``: flat arrays plus sentence offsets, the layout of
 Apache Arrow's list arrays.  ``tags`` (``rules.TAG_IDS``) and
@@ -30,8 +36,9 @@ corpus has each token line rebuilt from its raw columns: column 1 is the
 token's position, column 4 the name of its tag id (CONTENT or FUNCTION
 after ``naive_pos_tag``), column 7 its predicted head and column 8 ``dep``;
 every other column and line passes through.  The written text is one
-gather over the buffer and a small table of those inserted strings, with
-one source position per output byte; no line is decoded into a string.
+gather over the buffer and a small table of those inserted strings,
+taken 64 KiB of output at a time through one source position per output
+byte of the step; no line is decoded into a string.
 
 ``Token`` and ``Sentence`` are read-only views for library callers.
 Indexing or iterating a corpus gives sentences that build their tokens on
@@ -246,13 +253,45 @@ class RawText:
     @cached_property
     def forms(self) -> list[str]:
         # Each form with the tab after it, in one gather.
-        index = _gather_index(self.form_starts.copy(), self.form_ends - self.form_starts + 1)
-        forms = str(np.frombuffer(self.data, np.uint8)[index], "utf-8", "surrogatepass")
+        forms = str(_gather(np.frombuffer(self.data, np.uint8), self.form_starts.copy(),
+                            self.form_ends - self.form_starts + 1), "utf-8", "surrogatepass")
         return forms.split("\t")[:-1]
 
     @cached_property
     def comments(self) -> tuple[tuple[str, ...], ...]:
         return self._grouped(self.comment_lines, self._at(self.comment_lines))
+
+    def first_form_mismatch(self, other: "RawText", count: int) -> int | None:
+        """The first of the first ``count`` tokens whose column 2 differs
+        between this text and ``other``, or None.
+
+        Before the first pair of forms whose lengths differ, forms are
+        compared as words (``_words``): the XOR of the two forms' first
+        words, and of their second for forms of more than 8 bytes, masked
+        to the form's length, is 0 where the bytes agree.  The few forms of
+        more than 16 bytes are compared past that as byte strings.
+        """
+        starts, other_starts = self.form_starts[:count], other.form_starts[:count]
+        lengths = self.form_ends[:count] - starts
+        unequal = np.flatnonzero(lengths != other.form_ends[:count] - other_starts)[:1]
+        count = int(unequal[0]) if len(unequal) else count
+        starts, other_starts, lengths = starts[:count], other_starts[:count], lengths[:count]
+        differs = ((_words(self.data, starts) ^ _words(other.data, other_starts))
+                   & _LOW_BYTES.take(np.minimum(lengths, 8)))
+        rest = np.flatnonzero(lengths > 8)
+        differs[rest] |= ((_words(self.data, starts[rest] + 8)
+                           ^ _words(other.data, other_starts[rest] + 8))
+                          & _LOW_BYTES.take(np.minimum(lengths[rest] - 8, 8)))
+        differ = np.flatnonzero(differs)[:1]
+        first = int(differ[0]) if len(differ) else count
+        for t in np.flatnonzero(lengths[:first] > 16).tolist():
+            start, other_start, end = int(starts[t]) + 16, int(other_starts[t]) + 16, int(
+                self.form_ends[t])
+            if self.data[start:end] != other.data[other_start:other_start + end - start]:
+                return t
+        if first < count:
+            return first
+        return int(unequal[0]) if len(unequal) else None
 
     @cached_property
     def extras(self) -> tuple[tuple[tuple[int, str], ...], ...]:
@@ -411,16 +450,22 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     keeps them.  Raises ConlluError naming the first offending line in
     reading order, also as its ``line``, for malformed column counts, bad
     token ids, unknown UPOS tags, unparseable head fields (``_`` is
-    accepted as "no gold head"), heads beyond the end of their sentence
-    (found when the sentence ends), a carriage return or a line break
-    inside a line, and a comment after a sentence's first token, range or
-    empty-node line.
+    accepted as "no gold head"), a head equal to the token's own id, heads
+    beyond the end of their sentence (found when the sentence ends), a
+    carriage return or a line break inside a line, and a comment after a
+    sentence's first token, range or empty-node line.
 
-    The input's columns are checked as arrays over its UTF-8 bytes.  Empty
+    The input's columns are checked as arrays over its UTF-8 bytes, and
+    the carriage-return passes run only when it has a ``\\r``.  Empty
     lines, comments, range and empty-node lines, and token lines with an
     id of at most 18 digits, a known tag and a head of ``_`` or at most 18
-    digits are settled there.  Every other line goes to ``_line`` in
-    reading order, with the id its sentence has reached.  Faults that
+    digits are settled there.  A token line's id, tag and head are read
+    from the word at their start: a ten-column line has nine tabs and a
+    line end after its column 1, so that word lies inside the bytes, and
+    the words of columns 4 and 7 have the bytes past the end cleared.
+    Fields of up to 8 bytes are read from their word alone.  Every other
+    line goes to ``_line`` in reading order, with the id its sentence has
+    reached.  Faults that
     depend on a line's place are found from the settled kinds, and the
     first in reading order is raised, with the line and message of a
     reader that takes one line at a time.  The corpus keeps the scanned
@@ -428,10 +473,12 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     line goes to ``_line`` or a head fault is reported, so that reading
     holds no more than about twice its input.
     """
-    # One carriage return before a line's end belongs to the line end.
     if callable(getattr(source, "read", None)):
-        text = source.read().removeprefix("\ufeff").replace("\r\n", "\n")
-        data = text.removesuffix("\r").encode(errors="surrogatepass")
+        text = source.read().removeprefix("\ufeff")
+        if "\r" in text:
+            # One carriage return before a line's end belongs to the line end.
+            text = text.replace("\r\n", "\n").removesuffix("\r")
+        data = text.encode(errors="surrogatepass")
         del text
         if data and not data.endswith(b"\n"):
             data += b"\n"
@@ -444,26 +491,35 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
         # lines; a carriage return in its place sends the line to ``_line``.
         data = "".join(line.replace("\n", "\r") + "\n" for line in lines).encode(
             errors="surrogatepass")
-    kind, ids, tags, heads, form_starts, form_ends = _settle(np.frombuffer(data, np.uint8))
+    kind, candidate, ids, tags, heads, form_starts, form_ends = _settle(data)
     fault = None
     if (kind == _UNSETTLED).any():
         # The strings of all lines, as ``_line`` takes them.
         lines = lines if lines is not None else _decoded(data)
-        fault = _settle_the_rest(lines, kind, ids, tags, heads)
+        fault = _settle_the_rest(lines, kind, candidate, ids, tags, heads)
 
+    # Every token line has ten columns; keep the values of token lines.
+    is_token = kind[candidate] == _TOKEN
+    token = candidate[is_token]
+    ids, tags, heads, form_starts, form_ends = (
+        values[is_token] for values in (ids, tags, heads, form_starts, form_ends))
     # Blank lines end blocks; a block with token lines is a sentence.
-    token = np.flatnonzero(kind == _TOKEN)
-    block_ends = np.append(np.flatnonzero(kind == _BLANK), len(kind))
-    token_block = np.searchsorted(block_ends, token)
+    blank = kind == _BLANK
+    block_ends = np.append(np.flatnonzero(blank), len(kind))
+    token_block = np.cumsum(blank)[token]
+    del blank
     sizes = np.bincount(token_block, minlength=len(block_ends))
     positions = np.arange(1, len(token) + 1) - (np.cumsum(sizes) - sizes)[token_block]
     faults = [] if fault is None else [fault]
     # Only a settled token line can have a wrong id: ``_line`` refuses the
     # others.  Such an id has at most 18 digits and is printed as a number.
-    for t in np.flatnonzero(ids[token] != positions)[:1]:
+    for t in np.flatnonzero(ids != positions)[:1]:
         faults.append((token[t], ConlluError(
-            f"token id {ids[token[t]]} out of sequence (expected {positions[t]})",
+            f"token id {ids[t]} out of sequence (expected {positions[t]})",
             int(token[t]) + 1)))
+    for t in np.flatnonzero(heads == positions)[:1]:
+        faults.append((token[t], ConlluError(f"token {positions[t]} is its own head",
+                                             int(token[t]) + 1)))
     # The first comment inside a sentence follows a token, range or
     # empty-node line.
     previous = kind[:-1]
@@ -475,7 +531,7 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     for end in block_ends[(sizes == 0) & (lengths > 0)][:1]:
         faults.append((end, ConlluError("sentence block contains no token lines", int(end) + 1)))
     # A head beyond its sentence is found when the sentence ends.
-    for t in np.flatnonzero(heads[token] > sizes[token_block])[:1]:
+    for t in np.flatnonzero(heads > sizes[token_block])[:1]:
         block = token_block[t]
         lines = lines if lines is not None else _decoded(data)
         head = int(lines[token[t]].split("\t")[6])
@@ -487,47 +543,88 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     del ids, positions, lines
     position_type = form_starts.dtype
     sentence_lines = np.append(0, block_ends[:-1] + 1)[sizes > 0].astype(position_type)
-    raw = RawText(data, token.astype(position_type), form_starts[token], form_ends[token],
+    raw = RawText(data, token.astype(position_type), form_starts, form_ends,
                   np.flatnonzero(kind == _COMMENT).astype(position_type),
                   np.flatnonzero(kind == _EXTRA).astype(position_type), sentence_lines)
-    return Corpus(tags[token].astype(np.intp), heads[token],
+    return Corpus(tags.astype(np.intp), heads.astype(np.intp, copy=False),
                   np.append(0, np.cumsum(sizes[sizes > 0])), raw)
 
 
 # Line kinds.  The array pass leaves a line it cannot settle _UNSETTLED.
 _BLANK, _COMMENT, _TOKEN, _EXTRA, _UNSETTLED = range(5)
-# Each tag's UTF-8 bytes padded to 8 with tabs, as one big-endian integer:
-# the key ``_settle`` builds from a tag column.  A tab sorts before every
-# letter, so the keys sort as ``TAG_NAMES`` do: a key's index is its tag id.
-_TAG_KEYS = np.array([int.from_bytes(name.encode().ljust(8, b"\t"), "big")
-                      for name in TAG_NAMES], np.uint64)
+# ``_LOW_BYTES[k]`` keeps the first k bytes of a little-endian word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+# A field of k bytes shifted left by ``_PAD_BITS[k]`` ends at its word's
+# highest byte; ``_ZERO_PADS[k]`` fills the bytes before it with "0".
+_PAD_BITS = np.array([64 - 8 * k for k in range(9)], np.uint64)
+_ZERO_PADS = np.array([int.from_bytes(b"0" * (8 - k), "little") for k in range(9)], np.uint64)
+# A tag column of at most 8 bytes, read as a word with the bytes after it
+# cleared, is its tag's key.  The keys of ``TAG_NAMES`` differ modulo 74,
+# so a key's slot in these tables is the key modulo 74.  A column is its
+# slot's tag when it has the slot's key and length: a column that ends in
+# NUL bytes has the key of the column without them.  An empty slot has a
+# length that no column has.
+_TAG_SLOTS = 74
+_SLOT_KEYS = np.zeros(_TAG_SLOTS, np.uint64)
+_SLOT_LENGTHS = np.full(_TAG_SLOTS, -1, np.int8)
+_SLOT_TAGS = np.zeros(_TAG_SLOTS, np.int8)
+_TAG_KEYS = np.array([int.from_bytes(name.encode(), "little") for name in TAG_NAMES], np.uint64)
+_SLOT_KEYS[_TAG_KEYS % _TAG_SLOTS] = _TAG_KEYS
+_SLOT_LENGTHS[_TAG_KEYS % _TAG_SLOTS] = [len(name) for name in TAG_NAMES]
+_SLOT_TAGS[_TAG_KEYS % _TAG_SLOTS] = range(len(TAG_NAMES))
 
 
-def _settle(data: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per line of the UTF-8 bytes ``data``, each line ended by ``\\n``:
-    its kind, and a token line's id, tag id and head (-1 for ``_``), for
-    the lines that the byte scan settles; and the byte bounds of column 2
-    of every line with ten columns."""
-    position_type = _position_type(data.size)
+def _words(data: bytes, at: np.ndarray) -> np.ndarray:
+    """The 8 bytes of ``data`` from each position in ``at``, ascending, as
+    one little-endian word each: its first byte is the lowest.  The words
+    are read through a view of ``data`` that has one unaligned word per
+    byte position, not a copy; bytes past the end of ``data`` read as 0."""
+    words = np.ndarray((max(len(data) - 7, 0),), "<u8", data, 0, (1,))
+    limit = len(words) - 1
+    if not len(at) or at[-1] <= limit:
+        return words[at]
+    inside = np.minimum(at, limit)
+    return words[inside] >> ((at - inside) * 8).astype(np.uint64)
+
+
+def _settle(data: bytes) -> tuple[np.ndarray, ...]:
+    """Each line's kind, for the lines of the UTF-8 bytes ``data``, each
+    ended by ``\\n``, that the byte scan settles; the numbers of the lines
+    with ten columns; and per such line, its id, tag id and head (-1 for
+    ``_``), which hold for the token lines among them, and the byte bounds
+    of its column 2.
+
+    Columns 1, 4 and 7 are read from the word at their start (``_words``;
+    ``read_conllu`` says why those words lie inside ``data``, or have the
+    bytes past its end cleared).
+    """
+    buffer = np.frombuffer(data, np.uint8)
+    position_type = _position_type(len(data))
     # The tabs and line ends in reading order, and where each line's are;
     # built a step at a time, so that each step frees what the last made.
-    stops = data == ord("\t")
-    stops |= data == ord("\n")
+    stops = buffer == ord("\t")
+    stops |= buffer == ord("\n")
     stops = np.flatnonzero(stops)
     stops = stops.astype(position_type)
-    last = np.flatnonzero(data[stops] == ord("\n"))
+    last = np.flatnonzero(buffer[stops] == ord("\n"))
     first = np.zeros_like(last)
     first[1:] = last[:-1] + 1
     ends = stops[last]
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
     kind = np.full(len(ends), _UNSETTLED, np.int8)
-    has_return = np.zeros(len(ends), bool)
-    has_return[np.searchsorted(ends, np.flatnonzero(data == ord("\r")))] = True
     kind[starts == ends] = _BLANK
-    kind[(data[starts] == ord("#")) & ~has_return] = _COMMENT
-    candidate = np.flatnonzero((last - first == 9) & (kind == _UNSETTLED) & ~has_return)
-    del ends, has_return, last
+    kind[buffer[starts] == ord("#")] = _COMMENT
+    candidate = (last - first == 9) & (kind == _UNSETTLED)
+    if b"\r" in data:
+        # A line with a carriage return is left to ``_line``.
+        has_return = np.zeros(len(ends), bool)
+        has_return[np.searchsorted(ends, np.flatnonzero(buffer == ord("\r")))] = True
+        kind[has_return] = _UNSETTLED
+        candidate &= ~has_return
+        del has_return
+    candidate = np.flatnonzero(candidate)
+    del ends, last
 
     # Columns 1, 4 and 7 (id, tag and head) end at tabs 0, 3 and 6.
     at = first[candidate]
@@ -535,36 +632,58 @@ def _settle(data: np.ndarray) -> tuple[np.ndarray, ...]:
     tag_start, head_start = stops[at + 2] + 1, stops[at + 5] + 1
     form_end = stops[at + 1]
     del stops, first, at
-    id_digits, id_values, joined = _digits(data, starts[candidate], id_end)
-    kind[candidate[joined]] = _EXTRA
-    # Reads stop at the tab that ends the tag, which pads it as the keys are.
-    key = np.zeros(len(candidate), np.uint64)
-    for k in range(8):
-        key = key << 8 | data[np.minimum(tag_start + k, tag_end)]
-    found = np.minimum(np.searchsorted(_TAG_KEYS, key), len(_TAG_KEYS) - 1)
-    tag_ok = (_TAG_KEYS[found] == key) & (tag_end - tag_start <= 8)
-    head_digits, head_values, _ = _digits(data, head_start, head_end)
-    no_head = (head_end - head_start == 1) & (data[head_start] == ord("_"))
+    id_start = starts[candidate]
+    id_digits, id_values = _digits(data, id_start, id_end)
+    # Range and empty-node ids are among the few ids that are not numbers.
+    mixed = np.flatnonzero(~id_digits)
+    joined = _bytewise(data, id_start[mixed], id_end[mixed])[2]
+    kind[candidate[mixed[joined]]] = _EXTRA
+    tag_length = tag_end - tag_start
+    key = _words(data, tag_start) & _LOW_BYTES.take(np.minimum(tag_length, 8))
+    slot = (key % _TAG_SLOTS).view(np.int64)
+    tag_ok = (_SLOT_KEYS.take(slot) == key) & (_SLOT_LENGTHS.take(slot) == tag_length)
+    head_digits, head_values = _digits(data, head_start, head_end)
+    no_head = (head_end - head_start == 1) & (buffer[head_start] == ord("_"))
+    head_values[no_head] = -1
     settled = id_digits & tag_ok & (head_digits | no_head)
 
-    token = candidate[settled]
-    kind[token] = _TOKEN
-    ids = np.zeros(len(kind), np.int64)
-    ids[token] = id_values[settled]
-    tags = np.zeros(len(kind), np.int8)
-    tags[token] = found[settled]
-    heads = np.zeros(len(kind), np.intp)
-    heads[token] = np.where(no_head, -1, head_values)[settled]
-    form_starts = np.zeros(len(kind), position_type)
-    form_ends = np.zeros(len(kind), position_type)
-    form_starts[candidate], form_ends[candidate] = id_end + 1, form_end
-    return kind, ids, tags, heads, form_starts, form_ends
+    kind[candidate[settled]] = _TOKEN
+    return kind, candidate, id_values, _SLOT_TAGS.take(slot), head_values, id_end + 1, form_end
 
 
-def _digits(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For each field ``data[start:end]`` of 1 to 18 bytes: whether it is
-    all ASCII digits, its value where it is, and whether it is two runs of
-    digits joined by one ``-`` or ``.``, as range and empty-node ids are."""
+def _digits(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each field ``data[start:end]``, ``start`` ascending: whether it
+    is 1 to 18 ASCII digits, and its value where it is.
+
+    A field of at most 8 bytes is one word, shifted so that the field ends
+    at its highest byte, with "0"s before it, and checked and converted
+    in a few word operations (the SWAR digit parsing of simdjson; Langdale
+    and Lemire 2019).  Longer fields go to ``_bytewise``.
+    """
+    length = end - start
+    size = np.clip(length, 1, 8)
+    word = _words(data, start) << _PAD_BITS.take(size) | _ZERO_PADS.take(size)
+    # 0x30-0x39 are the bytes whose high nibble is 3 and stays 3 when 6 is
+    # added; a UTF-8 byte is below 0xFA, so no sum carries into the next.
+    other = (word & 0xF0F0F0F0F0F0F0F0) | ((word + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4
+    digits = (length >= 1) & (length <= 8) & (other == 0x3333333333333333)
+    # The digits summed in pairs, fours and eights, the first of each two
+    # scaled by 10, 100 and 10,000; a field that is not digits gives junk.
+    value = (word & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8 & 0x00FF00FF00FF00FF
+    value = value * 6553601 >> 16 & 0x0000FFFF0000FFFF
+    value = (value * 42949672960001 >> 32).view(np.int64)
+    long = np.flatnonzero((length > 8) & (length <= 18))
+    if len(long):
+        digits[long], value[long], _ = _bytewise(data, start[long], end[long])
+    return digits, value
+
+
+def _bytewise(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For each field ``data[start:end]``, read a byte position at a time:
+    whether it is 1 to 18 ASCII digits, its value where it is, and whether
+    it is two runs of digits joined by one ``-`` or ``.``, as range and
+    empty-node ids are."""
+    data = np.frombuffer(data, np.uint8)
     length = end - start
     short = (length >= 1) & (length <= 18)
     value = np.zeros(len(start), np.int64)
@@ -583,12 +702,14 @@ def _digits(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.nd
             short & (others == 1) & (marks == 1) & ends_are_digits)
 
 
-def _settle_the_rest(lines: list[str], kind: np.ndarray, ids: np.ndarray, tags: np.ndarray,
-                     heads: np.ndarray) -> tuple[int, ConlluError] | None:
+def _settle_the_rest(lines: list[str], kind: np.ndarray, candidate: np.ndarray,
+                     ids: np.ndarray, tags: np.ndarray, heads: np.ndarray
+                     ) -> tuple[int, ConlluError] | None:
     """Settle the unsettled lines with ``_line``, in reading order.
 
-    Each token line gets the id that its sentence has reached.  Returns the
-    first refused line's index and error, or None.
+    A token line, which is one of the ten-column lines ``candidate``, gets
+    the id that its sentence has reached.  Returns the first refused line's
+    index and error, or None.
     """
     unsettled = np.flatnonzero(kind == _UNSETTLED)
     blank = np.flatnonzero(kind == _BLANK)
@@ -605,13 +726,14 @@ def _settle_the_rest(lines: list[str], kind: np.ndarray, ids: np.ndarray, tags: 
             start, base, own = block, at_block, 0
         position = before - base + own + 1
         try:
-            kind[i], tags[i], heads[i] = _line(lines[i], i + 1, position)
+            kind[i], tag, head = _line(lines[i], i + 1, position)
         except ConlluError as error:
             return i, error
         if kind[i] == _BLANK:
             start, base, own = i, before, 0
         elif kind[i] == _TOKEN:
-            ids[i] = position
+            at = np.searchsorted(candidate, i)
+            ids[at], tags[at], heads[at] = position, tag, head
             own += 1
     return None
 
@@ -654,9 +776,12 @@ def _line(line: str, line_no: int, position: int) -> tuple[int, int, int]:
                           line_no)
     try:
         # Any head past the array's range is past its sentence's end too.
-        return _TOKEN, tag, min(int(head), sys.maxsize)
+        head = min(int(head), sys.maxsize)
     except ValueError:  # more digits than int() converts
         raise ConlluError("head has too many digits", line_no) from None
+    if head == position:
+        raise ConlluError(f"token {position} is its own head", line_no)
+    return _TOKEN, tag, head
 
 
 def parse_conllu(text: str) -> Corpus:
@@ -673,37 +798,54 @@ def write_conllu(corpus: "Corpus | Iterable[Sentence]", out: TextIO) -> None:
     segments that ``_segments`` lays out, decoded once and passed to
     ``out.write`` whole; nothing is written for an empty corpus.
     Sentences are converted by ``as_corpus`` first, which may raise
-    ConlluError; so does a predicted head outside its sentence, as its
-    line would not read back.
+    ConlluError; so does a predicted head outside its sentence or equal to
+    its token's position, as its line would not read back.
     """
     corpus = as_corpus(corpus)
     data, inserts, starts, lengths = _segments(corpus)
-    index = _gather_index(starts, lengths)
+    written = _gather(np.concatenate((data, inserts)), starts, lengths)
     del starts, lengths
-    written = np.concatenate((data, inserts))[index]
-    del index
     text = str(written, "utf-8", "surrogatepass")
     del written
     if text:
         out.write(text)
 
 
-def _gather_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """One source position per output byte of the segments at ``starts``
-    with ``lengths``, none of them empty, laid end to end; ``starts`` is
-    overwritten.
+# Output bytes per step of ``_gather``: steps of 16, 32 and 128 KiB wrote
+# the bench's ``news`` corpus more slowly.
+_GATHER_STEP = 1 << 16
 
-    The positions are the running sum of steps: one inside a segment, and
-    at a segment's first byte the jump from the last byte of the segment
-    before.
+
+def _gather(source: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The segments of ``source`` at ``starts`` with ``lengths``, none of
+    them empty, laid end to end; ``starts`` and ``lengths`` are overwritten.
+
+    The output is gathered ``_GATHER_STEP`` bytes at a time, through one
+    intp source position per byte of the step.  The positions are the
+    running sum of steps: one inside a segment, and at a segment's first
+    byte the jump from the last byte of the segment before.
     """
-    ends = np.cumsum(lengths, dtype=_position_type(int(lengths.sum(dtype=np.int64))))
     starts[1:] -= starts[:-1] + lengths[:-1] - 1
-    index = np.ones(ends[-1] if len(ends) else 0, starts.dtype)
-    index[ends[:-1]] = starts[1:]
-    index[:1] = starts[:1]
-    del ends
-    return np.cumsum(index, out=index)
+    starts[:1] += 1  # the jump from position -1
+    ends = lengths.astype(_position_type(int(lengths.sum(dtype=np.int64))), copy=False)
+    np.cumsum(ends, out=ends)
+    gathered = np.empty(int(ends[-1]) if len(ends) else 0, np.uint8)
+    buffer = np.empty(min(_GATHER_STEP, len(gathered)), np.intp)
+    position = -1  # of the byte before the step
+    for low in range(0, len(gathered), _GATHER_STEP):
+        high = min(low + _GATHER_STEP, len(gathered))
+        # The step starts inside segment ``first`` and ends inside ``last``.
+        bounds = np.array((low, high - 1), ends.dtype)
+        first, last = np.searchsorted(ends, bounds, side="right").tolist()
+        index = buffer[:high - low]
+        index.fill(1)
+        index[ends[first:last] - low] = starts[first + 1:last + 1]
+        if low == (ends[first - 1] if first else 0):
+            index[0] = starts[first]
+        index[0] += position
+        np.take(source, np.cumsum(index, out=index), out=gathered[low:high], mode="clip")
+        position = index[-1]
+    return gathered
 
 
 def _segments(corpus: Corpus) -> tuple[np.ndarray, ...]:
@@ -734,10 +876,14 @@ def _segments(corpus: Corpus) -> tuple[np.ndarray, ...]:
     raw, offsets, heads = corpus.raw, corpus.offsets, corpus.predicted
     sizes = np.diff(offsets)
     if heads is not None:
-        for token in np.flatnonzero((heads < 0) | (heads > np.repeat(sizes, sizes)))[:1].tolist():
+        positions = np.arange(1, len(heads) + 1) - np.repeat(offsets[:-1], sizes)
+        outside = (heads < 0) | (heads > np.repeat(sizes, sizes))
+        for token in np.flatnonzero(outside | (heads == positions))[:1].tolist():
             number, index = _locate(offsets, token)
             raise ConlluError(f"sentence {number}, token {index}: predicted head "
-                              f"{heads[token]} outside a sentence of {sizes[number - 1]} tokens")
+                              f"{heads[token]} outside a sentence of {sizes[number - 1]} tokens"
+                              if outside[token] else
+                              f"sentence {number}, token {index} is its own predicted head")
     data = np.frombuffer(raw.data, np.uint8)
     longest = int(sizes.max(initial=0))
     numbers = [str(number) for number in range(longest + 1)]
@@ -771,7 +917,6 @@ def _segments(corpus: Corpus) -> tuple[np.ndarray, ...]:
         starts[:, 2], starts[:, 4], cuts = stops[tab], stops[tab + 3], stops[tab + 7]
         lengths[:, 2] = stops[tab + 2] + 1 - starts[:, 2]
         lengths[:, 4] = stops[tab + 5] + 1 - starts[:, 4]
-        positions = np.arange(1, len(heads) + 1) - np.repeat(offsets[:-1], sizes)
         for segment, at in ((1, 1 + len(TAG_NAMES) + positions), (3, 1 + corpus.tags),
                             (5, 2 + len(TAG_NAMES) + longest + heads)):
             starts[:, segment] = insert_starts[at]

@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .baselines import tree_violations
-from .conllu import Corpus, RawText, Sentence, _gather_index, _locate, _meta, as_corpus
+from .conllu import Corpus, Sentence, _locate, _meta, as_corpus
 from .rules import TAG_NAMES
 
 
@@ -69,7 +69,8 @@ def _check_aligned(gold: Corpus, pred: Corpus) -> None:
 
     Forms are compared as the UTF-8 byte spans of column 2, so that no
     string is built unless a form differs: first their lengths, then the
-    bytes of the tokens before the first length mismatch, in one gather.
+    bytes of the tokens before the first length mismatch, 8 at a time
+    (``RawText.first_form_mismatch``).
     """
     if len(gold) != len(pred):
         raise AlignmentError(
@@ -78,7 +79,7 @@ def _check_aligned(gold: Corpus, pred: Corpus) -> None:
     differs = np.flatnonzero(gold_lengths != pred_lengths)
     # Sentences before the first count mismatch line up token by token.
     aligned = int(gold.offsets[differs[0]]) if len(differs) else len(gold.tags)
-    token = _first_form_mismatch(gold.raw, pred.raw, aligned)
+    token = gold.raw.first_form_mismatch(pred.raw, aligned)
     if token is not None:
         number, index = _locate(gold.offsets, token)
         raise AlignmentError(
@@ -89,24 +90,6 @@ def _check_aligned(gold: Corpus, pred: Corpus) -> None:
         raise AlignmentError(
             f"sentence {number + 1}: token count differs "
             f"(gold {gold_lengths[number]}, predicted {pred_lengths[number]})")
-
-
-def _first_form_mismatch(gold: RawText, pred: RawText, count: int) -> int | None:
-    """The first of the first ``count`` tokens whose forms differ, or None."""
-    starts, pred_starts = gold.form_starts[:count], pred.form_starts[:count]
-    lengths = gold.form_ends[:count] - starts
-    unequal = np.flatnonzero(lengths != pred.form_ends[:count] - pred_starts)[:1]
-    # Before the first length mismatch, each form and the tab after it, laid
-    # end to end.  An intp index gathers several times faster than int32.
-    count = int(unequal[0]) if len(unequal) else count
-    lengths = lengths[:count] + 1
-    gold_bytes, pred_bytes = (
-        np.frombuffer(raw.data, np.uint8)[_gather_index(first[:count].astype(np.intp), lengths)]
-        for raw, first in ((gold, starts), (pred, pred_starts)))
-    differ = np.flatnonzero(gold_bytes != pred_bytes)[:1]
-    if len(differ):
-        return int(np.searchsorted(np.cumsum(lengths), differ[0], side="right"))
-    return int(unequal[0]) if len(unequal) else None
 
 
 def _scored_heads(gold: Corpus | Iterable[Sentence], pred: Corpus | Iterable[Sentence]

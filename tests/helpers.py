@@ -32,6 +32,13 @@ def with_column7(sentence, heads) -> Sentence:
                     sentence.meta, sentence.comments, sentence.extras)
 
 
+def random_head(rng, n: int, i: int) -> int:
+    """A random gold or predicted head for token ``i + 1`` of ``n``: any
+    but its own id, which the reader refuses."""
+    head = rng.randint(0, n - 1)
+    return head + (head > i)
+
+
 def decoded(corpus):
     """What has been decoded from the corpus's text into strings so far."""
     return {"all_lines", "lines", "forms", "comments", "extras"} & vars(corpus.raw).keys()

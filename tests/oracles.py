@@ -389,6 +389,8 @@ def sequential_read_conllu(source):
                 heads.append(int(head))
             except ValueError:  # more digits than int() converts
                 raise ConlluError(f"line {line_no}: head has too many digits") from None
+            if heads[-1] == int(position):
+                raise ConlluError(f"line {line_no}: token {position} is its own head")
         else:
             raise ConlluError(
                 f"line {line_no}: head must be a non-negative integer or '_', "
@@ -408,13 +410,22 @@ def sequential_read_conllu(source):
 
 
 def parsed_lines(corpus):
-    """Token lines with position, tag name, predicted head and ``dep``."""
-    starts = np.repeat(corpus.offsets[:-1], np.diff(corpus.offsets))
-    positions = (np.arange(1, len(corpus.tags) + 1) - starts).tolist()
+    """Token lines with position, tag name, predicted head and ``dep``.
+    Raises ConlluError at the first head outside its sentence or equal to
+    its token's position."""
+    sizes = np.diff(corpus.offsets).tolist()
+    numbers = [number for number, size in enumerate(sizes, start=1) for _ in range(size)]
+    positions = [position for size in sizes for position in range(1, size + 1)]
     names = [TAG_NAMES[tag] for tag in corpus.tags.tolist()]
     rebuilt = []
-    for line, position, tag, head in zip(corpus.lines, positions, names,
-                                         corpus.predicted.tolist()):
+    for line, number, position, tag, head in zip(corpus.lines, numbers, positions, names,
+                                                 corpus.predicted.tolist()):
+        size = sizes[number - 1]
+        if not 0 <= head <= size:
+            raise ConlluError(f"sentence {number}, token {position}: predicted head "
+                              f"{head} outside a sentence of {size} tokens")
+        if head == position:
+            raise ConlluError(f"sentence {number}, token {position} is its own predicted head")
         _, form, lemma, _, xpos, feats, _, _, rest = line.split("\t", 8)
         rebuilt.append(f"{position}\t{form}\t{lemma}\t{tag}\t{xpos}\t{feats}\t{head}\tdep\t{rest}")
     return rebuilt

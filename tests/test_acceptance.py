@@ -23,7 +23,7 @@ from udparse.rules import DEFAULT_POLICY, DEFAULT_RULESET, UPOS_TAGS, Direction
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FORMS, EXAMPLE_HEADS,
                      EXAMPLE_IN_DEGREES, example_conllu, example_sentence,
-                     make_sentence, rank_orders, tag_ids, with_column7)
+                     make_sentence, random_head, rank_orders, tag_ids, with_column7)
 from oracles import (attachment_counts, content_ranking, estimate_main_predicate,
                      mean_and_population_std, per_pos_counts, power_iteration,
                      rule_counts, rule_edges)
@@ -210,11 +210,11 @@ def test_criterion_8_evaluator_matches_brute_force():
         for _ in range(rng.randint(2, 12)):
             n = rng.randint(1, 10)
             tags = [rng.choice(tags_pool) for _ in range(n)]
-            gold_heads = [rng.randint(0, n) for _ in range(n)]
+            gold_heads = [random_head(rng, n, i) for i in range(n)]
             meta = {"genre": rng.choice(["a", "b", "c"])}
             sentence = make_sentence(tags, heads=gold_heads, meta=meta)
             gold.append(sentence)
-            pred_heads = [gold_heads[i] if rng.random() < 0.5 else rng.randint(0, n)
+            pred_heads = [gold_heads[i] if rng.random() < 0.5 else random_head(rng, n, i)
                           for i in range(n)]
             pred.append(with_column7(sentence, pred_heads))
 

@@ -199,6 +199,13 @@ class TestParseCommand:
         assert code == 2
         assert "line 1" in err
 
+    def test_gold_head_equal_to_its_own_id_exits_two(self, tmp_path, capsys):
+        source = tmp_path / "in.conllu"
+        source.write_text("1\ta\t_\tNOUN\t_\t_\t1\t_\t_\t_\n", encoding="utf-8")
+        code, out, err = run(["parse", str(source)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: token 1 is its own head\n"
+
     def test_byte_order_mark_input_parses(self, tmp_path, capsys):
         source = tmp_path / "in.conllu"
         source.write_bytes(b"\xef\xbb\xbf" + SAMPLE_PATH.read_bytes())

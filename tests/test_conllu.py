@@ -16,7 +16,7 @@ from udparse.baselines import DependencyTree, forms_tree, naive_pos_tag, validat
 from udparse.cli import main, parse_corpus
 from udparse.conllu import (ConlluError, Sentence, Token, as_corpus, format_conllu,
                             parse_conllu, read_conllu, write_conllu)
-from udparse.rules import KNOWN_TAGS, TAG_IDS
+from udparse.rules import KNOWN_TAGS, TAG_IDS, TAG_NAMES
 
 from helpers import (EXAMPLE_HEADS, EXAMPLE_TAGS, decoded, example_conllu,
                      example_sentence, make_sentence)
@@ -121,6 +121,23 @@ class TestRead:
         with pytest.raises(ConlluError, match="line 2"):
             parse_conllu("1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
                          "\ufeff2\ty\t_\tNOUN\t_\t_\t1\t_\t_\t_\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("1\ta\t_\tNOUN\t_\t_\t1\t_\t_\t_\n", 1),
+        # Zero-padded ids and heads; one head the arrays leave to ``_line``.
+        ("01\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t002\t_\t_\t_\n", 2),
+        ("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t0000000000000000000002\t_\t_\t_\n",
+         2),
+        # Before a head beyond the sentence, which is found at its end.
+        ("1\ta\t_\tNOUN\t_\t_\t9\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t2\t_\t_\t_\n", 2),
+    ])
+    def test_gold_head_equal_to_its_own_id_is_refused(self, text, line):
+        # A token that heads itself is no tree; UD's HEAD column never
+        # holds the token's own ID.
+        with pytest.raises(ConlluError, match=f"line {line}: token {line} is its own head"):
+            parse_conllu(text)
+        with pytest.raises(ConlluError, match=f"line {line}: token {line} is its own head"):
+            read_conllu(text.splitlines())
 
     def test_gold_head_beyond_the_sentence_names_its_line(self):
         # The first sentence is fine; in the second, head 7 on line 5
@@ -488,7 +505,9 @@ def valid_conllu(draw):
                 if draw(st.integers(0, 3)) == 0:
                     lines.append(f"{position + 1}-{position + 2}\t{draw(FIELD)}\t_\t_\t_\t_\t_\t_\t_\t_")
                 fields = draw(st.lists(FIELD, min_size=6, max_size=6))
-                head = draw(st.one_of(st.integers(0, n), st.just("_")))
+                # Any head but the token's own id, which the reader refuses.
+                head = draw(st.one_of(st.integers(0, n - 1).map(lambda h: h + (h > position)),
+                                      st.just("_")))
                 deprel = draw(st.sampled_from(["nsubj", "obj", "punct", "root", "_"]))
                 token_id = draw(st.sampled_from(["", "0"])) + str(position + 1)
                 lines.append("\t".join((token_id, fields[0], fields[1],
@@ -613,7 +632,74 @@ def read_or_refuse(read, source):
         return str(error)
 
 
-@given(st.one_of(valid_conllu(), ARBITRARY_TEXT, changed_conllu()))
+def near_tags(name):
+    """Column-4 values next to the tag ``name``: each of its bytes changed
+    or dropped, and one more byte, also NUL, at each position."""
+    near = set()
+    for at, char in enumerate(name):
+        near |= {name[:at] + chr(ord(char) ^ 1) + name[at + 1:],
+                 name[:at] + "é" + name[at + 1:], name[:at] + name[at + 1:]}
+    for at in range(len(name) + 1):
+        near |= {name[:at] + "A" + name[at:], name[:at] + "é" + name[at:],
+                 name[:at] + "\x00" + name[at:]}
+    return near
+
+
+NEAR_TAGS = sorted(set().union(*map(near_tags, TAG_NAMES)))
+# Ids and heads of these many digits: one word, and two or three.
+WIDTHS = [1, 7, 8, 9, 17, 18, 19]
+
+
+@st.composite
+def word_conllu(draw):
+    """A sentence whose columns 1, 4 and 7 test the reader's 8-byte word
+    reads: zero-padded ids and heads of 1 to 19 digits, tags of 0 to 10
+    bytes near the known ones, range and empty-node ids of 8 or more
+    bytes, non-ASCII bytes inside fields, and a last line whose columns
+    8-10 (or 5-10) are empty, with or without a line end after it."""
+    n = draw(st.integers(1, 4))
+    text = st.text(alphabet="ab_é\u65e5\U0001f600\u0661", min_size=1, max_size=10)
+    lines = []
+    for position in range(1, n + 1):
+        if draw(st.integers(0, 3)) == 0:
+            mark = draw(st.sampled_from("-."))
+            first, second = (str(number).zfill(draw(st.sampled_from([1, 4, 8, 9])))
+                             for number in (position, position + 1))
+            lines.append(f"{first}{mark}{second}\t{draw(text)}\t_\t_\t_\t_\t_\t_\t_\t_")
+        token_id = draw(st.one_of(
+            st.sampled_from(WIDTHS).map(str(position).zfill),
+            st.integers(0, 10**19).map(str)))
+        tag = draw(st.one_of(st.sampled_from(TAG_NAMES), st.sampled_from(NEAR_TAGS),
+                             st.text(alphabet="ACDEFNOPUX_é\x00", max_size=10)))
+        head = draw(st.one_of(
+            st.integers(0, n + 1).map(str).flatmap(
+                lambda head: st.sampled_from(WIDTHS).map(head.zfill)),
+            st.integers(0, 10**19).map(str),
+            st.sampled_from(["_", "1\u0660", "é"])))
+        columns = [token_id, draw(text), draw(text), tag, draw(text), draw(text), head,
+                   draw(text), draw(text), draw(text)]
+        if position == n:
+            columns[draw(st.sampled_from([7, 4])):] = [""] * draw(st.sampled_from([3, 6]))
+            columns = (columns + [""] * 10)[:10]
+        lines.append("\t".join(columns))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def word_example(widths):
+    """A sentence whose token ids and heads have these many digits, each
+    token headed by the next and the last by the root, with multi-byte
+    forms and tags of 1 to 8 bytes."""
+    tags = ["FUNCTION", "CONTENT", "X", "PROPN", "PUNCT", "SCONJ", "INTJ"]
+    return "".join(
+        f"{str(i).zfill(width)}\tw{'é' * i}\t_\t{tags[i - 1]}\t_\t_\t"
+        f"{str(i + 1 if i < len(widths) else 0).zfill(width)}\t_\t_\t_\n"
+        for i, width in enumerate(widths, start=1))
+
+
+WORD_EXAMPLE = word_example(WIDTHS)
+
+
+@given(st.one_of(valid_conllu(), ARBITRARY_TEXT, changed_conllu(), word_conllu()))
 # Every known tag.
 @example("".join(f"{i}\tx\t_\t{tag}\t_\t_\t0\t_\t_\t_\n"
                  for i, tag in enumerate(sorted(KNOWN_TAGS), start=1)))
@@ -652,6 +738,28 @@ def read_or_refuse(read, source):
 @example("-1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
 @example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n1.\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
 @example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n1-2.3\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+# Ids and heads of 1 to 19 digits, also past the sentence; long range and
+# empty-node ids; non-ASCII bytes inside fields.
+@example(WORD_EXAMPLE)
+@example(WORD_EXAMPLE.replace("\t0000003\t", "\t999999999999999999\t"))
+@example(WORD_EXAMPLE.replace("\t0000003\t", "\t9999999999999999999\t"))
+@example("00000001-00000002\tab\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
+         "00000001.00000001\tz\t_\t_\t_\t_\t_\t_\t_\t_\n000000001-2\tb\t_\t_\t_\t_\t_\t_\t_\t_\n"
+         "2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n")
+@example("12345678\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t87654321\t_\t_\t_\n")
+@example("1é\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
+@example("1\ta\t_\tNOUé\t_\t_\t0\t_\t_\t_\n")
+# Tags followed by NUL bytes, which read as 0 in a word, as cleared bytes do.
+@example("1\ta\t_\tNOUN\x00\t_\t_\t0\t_\t_\t_\n2\tb\t_\tX\x00\t_\t_\t1\t_\t_\t_\n")
+@example("1\ta\t_\tX\x00\t_\t_\t0\t_\t_\t_\n")
+@example("1\tcafé\t日本\tNOUN\t_\t_\t0\t_\t_\tGloss=\U0001f600\n")
+# A last line with empty columns, with no line end after it: the word of
+# column 4 or 7 reaches past the end of the text.
+@example("1\ta\t_\tNOUN\t_\t_\t0\t\t\t")
+@example("1\ta\t_\tX\t\t\t_\t\t\t")
+@example("1\ta\t_\t\t\t\t0\t\t\t")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n2\tb\t_\tVERB\t\t\t\t\t\t")
 @settings(derandomize=True, max_examples=600, deadline=None)
 def test_reader_matches_the_sequential_reader(text):
     # The same corpus, or the same error message, from a stream and from
@@ -666,6 +774,43 @@ def test_reader_matches_the_sequential_reader(text):
                          "extra_lines", "sentence_lines"):
                 assert getattr(got.raw, name).tolist() == getattr(expected.raw, name).tolist()
             assert form_spans(got) == got.forms
+
+
+def test_every_tag_reads_as_its_id_and_no_other_column_does():
+    # The byte scan settles a line with each tag by itself; a column of 0
+    # to 10 bytes next to a tag must not find one.
+    with mock.patch("udparse.conllu._line", side_effect=AssertionError("left to _line")):
+        for name in TAG_NAMES:
+            text = f"1\tx\t_\t{name}\t_\t_\t0\t_\t_\t_\n"
+            assert parse_conllu(text).tags.tolist() == [TAG_IDS[name]]
+    for column in [*NEAR_TAGS, "", "FUNCTIONAL", "X" + "\x00" * 7, "FUNCTION\x00"]:
+        text = f"1\tx\t_\t{column}\t_\t_\t0\t_\t_\t_\n"
+        if column in TAG_IDS:
+            assert parse_conllu(text).tags.tolist() == [TAG_IDS[column]]
+        else:
+            with pytest.raises(ConlluError, match=re.escape(f"unknown UPOS tag {column!r}")):
+                parse_conllu(text)
+
+
+@pytest.mark.parametrize("text", [
+    # Ids and heads of 1 to 18 digits.
+    word_example(WIDTHS[:-1]),
+    # Range and empty-node ids of 8 or more bytes.
+    "00000001-00000002\tab\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
+    "00000001.00000001\tz\t_\t_\t_\t_\t_\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n",
+    # Non-ASCII bytes next to the columns that are read as words.
+    "1\té\t日本\tNOUN\t\U0001f600\t_\t0\té\t_\t_\n",
+    # A last line whose columns 8-10, or 5-10 but 7, are empty, without a
+    # line end: the words of columns 4 and 7 reach past the end of the text.
+    "1\ta\t_\tNOUN\t_\t_\t0\t\t\t",
+    "1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n2\tb\t_\tX\t\t\t1\t\t\t",
+])
+def test_the_byte_scan_settles_plain_lines_by_itself(text):
+    # What the arrays settle must agree with the sequential reader, and
+    # ``_line`` must not be needed, which would hide a line misread as bad.
+    expected = sequential_read_conllu(io.StringIO(text))
+    with mock.patch("udparse.conllu._line", side_effect=AssertionError("left to _line")):
+        assert parse_conllu(text) == expected
 
 
 # The array writer against ``oracles.format_conllu_lines``, the writer that
@@ -689,7 +834,8 @@ def messy_conllu(draw):
 def written_corpora(draw):
     """A corpus read from ``messy_conllu``: as read, with drawn heads in its
     sentences (after ``naive_pos_tag`` or not), or as its sentences,
-    sometimes followed by one that cannot be written."""
+    sometimes followed by one that cannot be written.  A quarter of the
+    parsed corpora keep the heads equal to their token's position."""
     corpus = parse_conllu(draw(messy_conllu()))
     kind = draw(st.sampled_from(["read", "parsed", "retagged", "sentences"]))
     if kind == "read":
@@ -704,7 +850,14 @@ def written_corpora(draw):
         corpus = naive_pos_tag(corpus)
     heads = [draw(st.integers(0, len(sentence))) for sentence in corpus
              for _ in range(len(sentence))]
-    return replace(corpus, predicted=np.array(heads))
+    heads = np.array(heads)
+    if draw(st.integers(0, 3)):
+        # Most parsed corpora can be written: a head equal to its token's
+        # position, which the writer refuses, becomes the root.
+        positions = np.arange(1, len(heads) + 1) - np.repeat(corpus.offsets[:-1],
+                                                             np.diff(corpus.offsets))
+        heads[heads == positions] = 0
+    return replace(corpus, predicted=heads)
 
 
 def written_or_refused(write, corpus):
@@ -731,7 +884,8 @@ def test_writer_matches_the_line_string_writer(corpus):
         return
     # Forms are gathered from their byte spans, as the writer gathers.
     assert corpus.forms == [line.split("\t")[1] for line in corpus.lines]
-    if corpus.predicted is not None:
+    if corpus.predicted is not None and not isinstance(
+            written_or_refused(format_conllu, corpus), ConlluError):
         written = parse_conllu(format_conllu(corpus))
         assert written.heads.tolist() == corpus.predicted.tolist()
 
@@ -760,10 +914,15 @@ WRITER_CASES = {
 def test_writer_cases_match_the_line_string_writer(case):
     corpus = parse_conllu(WRITER_CASES[case])
     sizes = np.diff(corpus.offsets)
-    heads = np.concatenate([np.arange(size)[::-1] for size in sizes])
-    for variant in (corpus, replace(corpus, predicted=heads),
-                    replace(naive_pos_tag(corpus), predicted=heads)):
-        assert_writes_as_the_oracle(variant)
+    # Reversed positions, which head the middle token of an even-length
+    # sentence by itself, and each token headed by the next, the last by
+    # the root.
+    reversed_heads = np.concatenate([np.arange(size)[::-1] for size in sizes])
+    heads = np.concatenate([np.arange(2, size + 2) % (size + 1) for size in sizes])
+    assert_writes_as_the_oracle(corpus)
+    for predicted in (reversed_heads, heads):
+        assert_writes_as_the_oracle(replace(corpus, predicted=predicted))
+        assert_writes_as_the_oracle(replace(naive_pos_tag(corpus), predicted=predicted))
     written = parse_conllu(format_conllu(replace(corpus, predicted=heads)))
     assert written.heads.tolist() == heads.tolist()
 
@@ -814,6 +973,24 @@ def test_writer_refuses_a_predicted_head_outside_its_sentence(heads):
     with pytest.raises(ConlluError, match=f"sentence 2, token {token}: predicted head "
                                           f"{heads[token - 1]} outside a sentence of 2"):
         format_conllu(parsed)
+
+
+@pytest.mark.parametrize("heads, message", [
+    ([1, 0], "sentence 2, token 1 is its own predicted head"),
+    ([2, 2], "sentence 2, token 2 is its own predicted head"),
+    # The first fault in token order, of either kind.
+    ([1, 3], "sentence 2, token 1 is its own predicted head"),
+    ([3, 2], "sentence 2, token 1: predicted head 3 outside a sentence of 2 tokens"),
+])
+def test_writer_refuses_a_predicted_head_equal_to_its_position(heads, message):
+    # Such a line would not read back: the reader refuses a token that
+    # heads itself.
+    corpus = parse_conllu("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"
+                          "1\tb\t_\tNOUN\t_\t_\t2\t_\t_\t_\n2\tc\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n")
+    parsed = replace(corpus, predicted=np.array([0, *heads]))
+    for write in (format_conllu, format_conllu_lines):
+        with pytest.raises(ConlluError, match=f"^{re.escape(message)}$"):
+            write(parsed)
 
 
 def test_writer_peaks_below_the_reader():

@@ -10,7 +10,7 @@ from udparse.evaluation import (AlignmentError, _check_aligned, domain_report,
                                 error_propagation, format_domain_report,
                                 format_report, uas)
 
-from helpers import decoded, make_sentence, with_column7
+from helpers import decoded, make_sentence, random_head, with_column7
 from oracles import (attachment_counts, check_aligned, mean_and_population_std,
                      per_pos_counts, root_match_count)
 
@@ -28,11 +28,11 @@ def random_corpus(rng, sentences=10, groups=("news", "wiki", "legal")):
     for _ in range(sentences):
         n = rng.randint(1, 12)
         tags = [rng.choice(TAGS) for _ in range(n)]
-        gold_heads = [rng.randint(0, n) for _ in range(n)]
+        gold_heads = [random_head(rng, n, i) for i in range(n)]
         meta = {"genre": rng.choice(groups)} if rng.random() < 0.8 else {}
         sentence = make_sentence(tags, heads=gold_heads, meta=meta)
-        pred_heads = [h if rng.random() < 0.6 else rng.randint(0, n)
-                      for h in gold_heads]
+        pred_heads = [h if rng.random() < 0.6 else random_head(rng, n, i)
+                      for i, h in enumerate(gold_heads)]
         gold.append(sentence)
         pred.append(with_predictions(sentence, pred_heads))
     return gold, pred
@@ -135,23 +135,42 @@ class TestUas:
 
 
 # Forms that share a byte length but not their bytes (``café``, ``cafè``),
-# multi-byte and empty forms.
+# multi-byte and empty forms, and forms of up to 20 bytes with a multi-byte
+# character that may straddle byte 8 or 16, where the 8-byte words that
+# forms are compared in meet.
+SWAPS = {"é": "è", "è": "é", "\u65e5": "\u65e6", "\u65e6": "\u65e5"}
 FORMS = st.one_of(st.sampled_from(["a", "b", "ab", "café", "cafè", "日本", "_", ""]),
-                  st.text(alphabet="aé\u65e5", max_size=3))
+                  st.text(alphabet="aé\u65e5", max_size=3),
+                  st.builds(lambda pad, char, tail: "a" * pad + char + tail,
+                            st.integers(5, 14), st.sampled_from(sorted(SWAPS)),
+                            st.text(alphabet="ab", max_size=3)))
+
+
+def changed_at(form, at):
+    """``form`` with its character at ``at`` changed to one of the same
+    byte length; an ASCII form then differs in byte ``at`` only, and a
+    form of ``SWAPS`` characters in that character's last byte only."""
+    if not -len(form) <= at < len(form):
+        return form
+    char = form[at]
+    other = SWAPS.get(char, "z" if char != "z" else "y")
+    return form[:at] + other + form[at:][1:]
 
 
 @st.composite
 def misaligned_forms(draw):
     """Gold forms per sentence, and predicted forms with some forms changed,
-    most at the first or last token, some in their first byte only, and
-    maybe a token or a sentence added or dropped, before or after the
-    changed forms."""
+    most at the first or last token, some in their 1st, 8th, 9th, 10th or
+    last character only, and maybe a token or a sentence added or dropped,
+    before or after the changed forms."""
     gold = draw(st.lists(st.lists(FORMS, min_size=1, max_size=5), min_size=1, max_size=5))
     pred = [list(forms) for forms in gold]
     tokens = [(s, t) for s, forms in enumerate(pred) for t in range(len(forms))]
     for _ in range(draw(st.integers(0, 2))):
         s, t = draw(st.sampled_from([tokens[0], tokens[-1], *tokens]))
-        pred[s][t] = draw(st.one_of(FORMS, st.just("z" + pred[s][t][1:])))
+        pred[s][t] = draw(st.one_of(FORMS, st.just("z" + pred[s][t][1:]),
+                                    st.sampled_from([7, 8, 9, -1]).map(
+                                        lambda at, form=pred[s][t]: changed_at(form, at))))
     change = draw(st.sampled_from(["none"] * 4 + ["add token", "drop token", "add sentence",
                                                   "drop sentence"]))
     s = draw(st.integers(0, len(pred) - 1))
@@ -187,6 +206,17 @@ def alignment_error(check, gold, pred):
 @example(([["a", "café"], ["b"]], [["a", "cafè"], ["b"]]), True, True)
 @example(([["a"], ["café", "b"]], [["a", "x"], ["cafè", "b"]]), False, True)
 @example(([["café"], ["a", "b"]], [["cafè"], ["a"]]), True, False)
+# Forms that differ only in byte 8, 9 or 10 (from 1) or their last byte,
+# of 1 to 20 bytes, some with a character across byte 8 or 16.
+@example(([["abcdefgh", "x"]], [["abcdefgz", "x"]]), True, True)
+@example(([["abcdefghi", "x"]], [["abcdefghz", "x"]]), True, True)
+@example(([["abcdefghij"], ["x"]], [["abcdefghiz"], ["x"]]), True, False)
+@example(([["a", "b" * 20]], [["a", "b" * 19 + "c"]]), False, True)
+@example(([["b" * 16 + "c", "d"]], [["b" * 16 + "d", "d"]]), True, True)
+@example(([["a" * 7 + "é", "a" * 7 + "é"]], [["a" * 7 + "é", "a" * 7 + "è"]]), True, False)
+@example(([["a" * 15 + "\u65e5b"]], [["a" * 15 + "\u65e6b"]]), False, False)
+@example(([["a" * k for k in range(1, 21)]], [["a" * k for k in range(1, 20)] + ["a" * 19 + "b"]]),
+         True, True)
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_alignment_on_byte_spans_matches_form_lists(forms, gold_read, pred_read):
     gold, pred = built(forms[0], gold_read), built(forms[1], pred_read)
