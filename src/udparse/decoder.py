@@ -80,7 +80,7 @@ def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAUL
         if mode == "adjacency":
             return np.where(edge, 0, neighbors)
         heads, tiers = _nearest(tags, offsets, np.zeros_like(tags), np.ones_like(tags),
-                                ruleset, FREE_POLICY)
+                                ruleset, FREE_POLICY, backoff=False)
         heads = np.where(tiers == 0, heads, neighbors)
         heads[starts + main_predicates(tags, offsets)] = 0
         return heads
@@ -98,7 +98,8 @@ def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAUL
 
 
 def _nearest(tags: np.ndarray, offsets: np.ndarray, ranks: np.ndarray, limits: np.ndarray,
-             ruleset: RuleSet, policy: DirectionPolicy) -> tuple[np.ndarray, np.ndarray]:
+             ruleset: RuleSet, policy: DirectionPolicy, *, backoff: bool = True
+             ) -> tuple[np.ndarray, np.ndarray]:
     """1-based in-sentence head of every token, and the tier it came from.
 
     Head h is eligible for dependent d when ``ranks[h] < limits[d]``; no
@@ -107,59 +108,81 @@ def _nearest(tags: np.ndarray, offsets: np.ndarray, ranks: np.ndarray, limits: n
     license it and it lies on d's allowed side (``policy.sides``), 1 when
     only the side holds, 2 otherwise; a token with no eligible head gets
     tier 3 and a head to be overwritten.  That is the argmin of
-    ``tier * 4n + 2|h - d| + [h > d]``.
+    ``tier * 4n + 2|h - d| + [h > d]``.  Without ``backoff``, tiers 1 and
+    2 are not searched, and a token with no tier-0 head gets tier 3.
 
     One table row per distinct non-empty licensing column of
-    ``RuleSet.matrix`` holds the ranks of the heads it licenses, and one
-    row the ranks of all tokens; each sentence sits behind a -1 sentinel,
-    and the layout is followed by its reverse, so a leftward search there
-    looks rightward.  Level k holds the minimum of the 2^k entries ending at
-    each place, all levels in one buffer, and one descent over the levels
-    finds, for every token, row and side at once, the nearest entry below
-    its limit.
+    ``RuleSet.matrix`` holds the ranks of the heads it licenses, and with
+    ``backoff`` one row the ranks of all tokens; each sentence sits behind
+    a -1 sentinel, and the layout is followed by its reverse, so a leftward
+    search there looks rightward.  Level k holds the minimum of the 2^k
+    entries ending at each place, all levels in one buffer, and one descent
+    over the levels finds, for every token and side at once, the nearest
+    entry below its limit in its licensing row; a second descent searches
+    the all-token row for the tokens that found no tier-0 head.
     """
     lengths = np.diff(offsets)
     places = np.arange(len(tags)) - np.repeat(offsets[:-1], lengths)
     # Each dependent tag's licensing column as a bit pattern over head tags.
     patterns = (1 << np.arange(len(TAG_IDS))) @ (ruleset.matrix > 0)
     columns = np.array(sorted(set(patterns.tolist()) - {0}), dtype=np.intp)
-    masks = np.vstack([columns[:, None] >> np.arange(len(TAG_IDS)) & 1,
-                       np.ones(len(TAG_IDS), dtype=np.intp)]).astype(bool)
+    masks = (columns[:, None] >> np.arange(len(TAG_IDS)) & 1).astype(bool)
+    if backoff:
+        masks = np.vstack([masks, np.ones(len(TAG_IDS), dtype=bool)])
     # The forward layout: a sentinel, then each sentence followed by one.
     at = np.arange(len(tags)) + np.repeat(np.arange(1, len(lengths) + 1), lengths)
     width = 2 * (len(tags) + len(lengths) + 1)
     levels = int(lengths.max(initial=1) - 1).bit_length()
     # Heads a row leaves out read as the largest limit, which no limit
-    # exceeds; entries take the smallest signed type that holds it.
+    # exceeds; entries take the smallest signed type that holds it, and so
+    # do ranks and limits, which then compare with entries without a cast.
     never = int(limits.max(initial=0))
-    table = np.full((max(levels, 1), len(masks), width), -1,
-                    dtype=np.min_scalar_type(-1 - never))
-    table[0][:, at] = np.where(masks[:, tags], ranks, never)
+    dtype = np.min_scalar_type(-1 - never)
+    table = np.full((max(levels, 1), len(masks), width), -1, dtype=dtype)
+    # A row's entry is the head's rank where the row holds the head, else
+    # the largest limit: the larger of the rank and 0, or of the rank and
+    # that limit, which no rank exceeds.
+    table[0][:, at] = np.maximum(ranks.astype(dtype), np.where(masks, 0, never).astype(dtype)
+                                 .take(tags, axis=1))
     table[0][:, width // 2:] = table[0][:, width // 2 - 1::-1]
     # A window that would reach past the first place holds its sentinel, so
     # those entries keep the buffer's -1.
     for k in range(1, levels):
         span = 1 << (k - 1)
         np.minimum(table[k - 1][:, span:], table[k - 1][:, :-span], out=table[k][:, span:])
-    # Searches [tier-0 row, all-token row] x [left, right], started just
-    # before each token in the forward and the reversed layout.
-    rows = np.stack([np.searchsorted(columns, patterns)[tags], np.full_like(tags, len(columns))])
-    found = rows[:, None] * width + np.stack([at - 1, width - 2 - at])
-    distances = found + 1
     flat = table.reshape(len(table), -1)
-    for k in reversed(range(levels)):
-        found -= (flat[k][found] >= limits) * (1 << k)
-    distances -= found
-    # A search that stopped on its sentence's sentinel found nothing.
-    missed = flat[0][found] < 0
-    del table, flat, found
-    # A side suits d when ``sides[tag_d] * (h - d) >= 0``; tier 0 searches
-    # only the suitable sides of dependents that some rule licenses.  The
-    # least cost of each token names its tier, distance and side.
+    limits = limits.astype(dtype)
+    # Searches [left, right], started just before each token in the forward
+    # and the reversed layout.
+    begins = np.stack([at - 1, width - 2 - at])
+    # A side suits d when ``sides[tag_d] * (h - d) >= 0``.
     allowed = np.array([[-1], [1]]) * policy.sides[tags] >= 0
-    tiers = np.where(missed, 3, np.stack([np.where(allowed & (patterns[tags] > 0), 0, 3),
-                                          2 - allowed]))
-    costs = tiers * (4 << levels) + 2 * distances + np.array([0, 1])[:, None]
-    tiers, rest = np.divmod(costs.reshape(4, -1).min(axis=0), 4 << levels)
+    rightward = np.array([[0], [1]])
+
+    def costs(found, bounds, tiers):
+        """Least ``tier * 4n + 2|h - d| + [h > d]`` over both sides of the
+        searches started at ``found`` for entries below ``bounds``, each
+        side at its ``tiers``, or at 3 where its search stopped on its
+        sentence's sentinel."""
+        distances = found + 1
+        for k in reversed(range(levels)):
+            found -= (flat[k].take(found) >= bounds) * (1 << k)
+        distances -= found
+        tiers = np.where(flat[0].take(found) < 0, 3, tiers)
+        return (tiers * (4 << levels) + 2 * distances + rightward).min(axis=0)
+
+    # Tier 0 searches the suitable sides of dependents that some rule
+    # licenses; the all-token row, the tokens that found no head there.  A
+    # table of no rows (no rule, no backoff) leaves every token in tier 3.
+    none = 3 << (levels + 2)
+    least = np.full(len(tags), none)
+    if len(masks):
+        least = costs(np.searchsorted(columns, patterns)[tags] * width + begins, limits,
+                      np.where(allowed & (patterns[tags] > 0), 0, 3))
+    if backoff:
+        unsettled = np.flatnonzero(least >= none)
+        least[unsettled] = costs(len(columns) * width + begins.take(unsettled, axis=1),
+                                 limits.take(unsettled), 2 - allowed.take(unsettled, axis=1))
+    tiers, rest = np.divmod(least, 4 << levels)
     distances, right = np.divmod(rest, 2)
     return places + 1 + np.where(right, distances, -distances), tiers

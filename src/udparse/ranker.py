@@ -20,7 +20,13 @@ the class size.
 
 The class walks are solved in stacks: ``stacks`` groups sentences by class
 count and cuts each group so that a ``(B, k, k)`` system stays within one
-budget.  The ranker knows no parse modes: ``decoder`` owns them, and
+budget.  Each stack's system is built in one float buffer, gathered from
+the rule table's float transpose.  A key is a class's score rounded to 8
+decimals, as Python's ``round`` gives it; numpy rounds every class, and
+only the few scores that lie within 1e-6 of a rounding tie go through
+``round`` itself.  ``content_ranks`` orders a corpus's content words with
+one stable sort of one integer each, its sentence above its key.  The
+ranker knows no parse modes: ``decoder`` owns them, and
 ``decoder.decode_corpus``, the one entry to parsing, checks the walk
 parameters, takes the flat sort keys of ``ranking_keys`` once per corpus in
 ``udp`` mode, or all-zero keys (reading order) in ``udp-nopr``, and ranks
@@ -71,15 +77,19 @@ def _walk_scores(counts: np.ndarray, p: np.ndarray, teleport: float) -> np.ndarr
     redistributed by p too.  With M the transition matrix whose dangling
     rows are p, the scores solve ``(I - (1 - teleport) M^T) s = teleport * p``
     exactly (Haveliwala 2002, "Topic-sensitive PageRank"), a system that is
-    nonsingular for any teleport in (0, 1).
+    nonsingular for any teleport in (0, 1).  Float ``counts`` are
+    overwritten: the system is built in their buffer.
     """
-    out_totals = counts.sum(axis=2, keepdims=True)
-    # M, -(1 - teleport) M, then the system's transpose, all in one buffer.
-    system = np.divide(counts, np.maximum(out_totals, 1))
+    # M, -(1 - teleport) M, then the system's transpose, all in one float
+    # buffer: the caller's, when it passes float counts.  The counts are
+    # whole numbers, so a matrix product sums them exactly.
+    system = np.asarray(counts, dtype=float)
+    n = system.shape[1]
+    out_totals = system @ np.ones((n, 1))
+    system /= np.maximum(out_totals, 1)
     np.copyto(system, p[:, None, :], where=out_totals == 0)
     system *= -(1.0 - teleport)
-    diagonal = np.arange(counts.shape[1])
-    system[:, diagonal, diagonal] += 1.0
+    system.reshape(len(system), -1)[:, ::n + 1] += 1.0
     # b keeps an explicit trailing axis: numpy 2 reads a (B, n) b as one matrix.
     return np.linalg.solve(system.transpose(0, 2, 1), (teleport * p)[..., None])[..., 0]
 
@@ -139,22 +149,29 @@ def class_scores(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     classes = class_ends[cells] - 1
     class_offsets = np.concatenate(([0], class_ends[labels - 1::labels]))
     del cells, present, class_ends
-    sizes = np.bincount(classes, minlength=class_offsets[-1])
-    class_tags = np.empty(class_offsets[-1], dtype=tags.dtype)
+    sizes = np.bincount(classes, minlength=class_offsets[-1]).astype(float)
+    class_tags = np.empty(class_offsets[-1], dtype=np.intp)
     class_tags[classes] = tags
+    # R as floats, dependent tag by head tag: a class pair's count is one
+    # flat take, and the walk's system is built in the buffer it fills.
+    # Floats hold these small integers exactly, so each step is the IEEE
+    # operation an integer build would cast to.
+    rules = np.ascontiguousarray(ruleset.matrix.T, dtype=float)
+    loops = rules.diagonal()[class_tags]
+    # Every class's teleport mass at once; the predicate class is last.
+    class_counts = np.diff(class_offsets)
+    masses = sizes.copy()
+    masses[class_offsets[1:] - 1] = predicate_weight
+    masses /= np.repeat((lengths - 1) + float(predicate_weight), class_counts)
     scores = np.empty(class_offsets[-1])
-    for k, rows in stacks(np.diff(class_offsets)):
+    for k, rows in stacks(class_counts):
         members = class_offsets[rows, None] + np.arange(k)
         m = sizes[members]
         kinds = class_tags[members]
-        counts = ruleset.matrix[kinds[:, None, :], kinds[:, :, None]]
+        counts = np.take(rules, kinds[:, :, None] * len(rules) + kinds[:, None, :])
         counts *= m[:, None, :]
-        diagonal = np.arange(k)
-        counts[:, diagonal, diagonal] -= ruleset.matrix[kinds, kinds]
-        q = m.astype(float)
-        q[:, -1] = predicate_weight
-        q /= ((lengths[rows] - 1) + float(predicate_weight))[:, None]
-        scores[members] = _walk_scores(counts, q, teleport) / m
+        counts.reshape(len(rows), -1)[:, ::k + 1] -= loops[members]
+        scores[members] = _walk_scores(counts, masses[members], teleport) / m
     return classes, scores
 
 
@@ -165,39 +182,65 @@ def ranking_keys(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     orders content words by ascending key.
 
     A content word's key is its negated ``class_scores`` score, rounded to
-    ``_SCORE_DECIMALS`` once per class, and a function word's 0.  The walk
-    parameters are the caller's to check: ``decoder.decode_corpus`` refuses
-    what ``check_walk`` refuses before it ranks.
+    ``_SCORE_DECIMALS`` once per class, bit for bit as Python's ``round``
+    rounds it (``_rounded``), and a function word's 0.  So every key is a
+    multiple of 1e-8 in [-1, 0].  The walk parameters are the caller's to
+    check: ``decoder.decode_corpus`` refuses what ``check_walk`` refuses
+    before it ranks.
     """
     classes, scores = class_scores(
         tags, offsets, predicates, ruleset, teleport=teleport,
         predicate_weight=predicate_weight)
-    content = np.zeros(len(scores), dtype=bool)
-    content[classes[CONTENT_MASK[tags]]] = True
-    keys = np.zeros(len(scores))
-    keys[content] = [-round(score, _SCORE_DECIMALS) for score in scores[content].tolist()]
-    return keys[classes]
+    return np.where(CONTENT_MASK[tags], -_rounded(scores)[classes], 0.0)
+
+
+def _rounded(scores: np.ndarray) -> np.ndarray:
+    """``round(score, _SCORE_DECIMALS)`` of every score, bit for bit, for
+    scores of at most about 1."""
+    scale = 10.0 ** _SCORE_DECIMALS
+    scaled = scores * scale
+    rounded = np.rint(scaled)
+    # Python's round takes the integer nearest the exact ``score * 1e8``,
+    # ties to even, and returns the double nearest that integer over 1e8.
+    # The product is below 2^27, where doubles lie at most 2^-26 apart, so
+    # ``scaled`` is off by at most 2^-27, about 7.5e-9.  Where its fraction
+    # lies more than 1e-6 from one half, the exact product's lies on the
+    # same side, and rint picks the same integer.  Both that integer and 1e8
+    # are doubles, and IEEE division rounds their exact quotient correctly,
+    # so the division gives round's double.  Only the rest need the Python
+    # call.
+    near = np.flatnonzero(abs(scaled - rounded) > 0.5 - 1e-6)
+    rounded /= scale
+    rounded[near] = [round(score, _SCORE_DECIMALS) for score in scores[near].tolist()]
+    return rounded
 
 
 def content_ranks(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
                   keys: np.ndarray) -> np.ndarray:
     """Rank the content words of a corpus (its flat tag ids, sentence
-    offsets, 0-based main predicates and ``ranking_keys``).
+    offsets, 0-based main predicates and keys).
 
     ``ranks[i]`` is the place of token i in its sentence's content order,
     and the sentence's length for function words, except that a sentence
     with no content words ranks its predicate 0.  Content words come in
-    ascending key order, ties in sentence order.
+    ascending key order, ties in sentence order.  Content words' keys must
+    be multiples of 1e-8 in [-1, 0], as ``ranking_keys`` and all-zero keys
+    are: each is ordered as its whole number of 1e-8 units, and a key that
+    is ``-(k / 1e8)`` scales back to k exactly.  Only content words are
+    sorted, by one stable integer sort.
     """
     lengths = np.diff(offsets)
-    sentences = np.repeat(np.arange(len(lengths)), lengths)
-    content = CONTENT_MASK[tags]
-    # By sentence, content words first, then by key; lexsort is stable, so
-    # ties keep sentence order.  Function words' places are then overwritten.
-    order = np.lexsort((keys, ~content, sentences))
-    ranks = np.empty(len(tags), dtype=np.intp)
-    ranks[order] = np.arange(len(tags)) - offsets[sentences]
-    ranks[~content] = lengths[sentences[~content]]
-    no_content = np.bincount(sentences[content], minlength=len(lengths)) == 0
-    ranks[(offsets[:-1] + predicates)[no_content]] = 0
+    content = np.flatnonzero(CONTENT_MASK[tags])
+    sentences = np.repeat(np.arange(len(lengths)), lengths)[content]
+    # One int64 per content word, its sentence above its key in units of
+    # the rounding: the key lies in [-1e8, 0], so 2^27 plus it takes 28
+    # bits.  The sort is stable, so ties keep sentence order, also between
+    # classes whose keys are equal.
+    order = (sentences << 28) + (
+        (1 << 27) + np.rint(keys[content] * 10.0 ** _SCORE_DECIMALS).astype(np.int64))
+    order = content[np.argsort(order, kind="stable")]
+    counts = np.bincount(sentences, minlength=len(lengths))
+    ranks = np.repeat(lengths, lengths).astype(np.intp)
+    ranks[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    ranks[(offsets[:-1] + predicates)[counts == 0]] = 0
     return ranks

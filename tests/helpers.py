@@ -2,8 +2,10 @@
 
 from dataclasses import replace
 
-from udparse.conllu import Sentence, Token, as_corpus
-from udparse.rules import DEFAULT_RULESET, is_content
+import numpy as np
+
+from udparse.conllu import Sentence, Token
+from udparse.rules import DEFAULT_RULESET, TAG_IDS, is_content
 
 from oracles import content_ranking, estimate_main_predicate, token_walk_scores
 
@@ -47,8 +49,8 @@ def decoded(corpus):
 def tag_ids(sentences):
     """``(B, n)`` tag ids of equal-length sentences: the stack that
     ``oracles.rule_counts`` and ``oracles.token_walk_scores`` take."""
-    corpus = as_corpus(sentences)
-    return corpus.tags.reshape(len(corpus), -1)
+    return np.array([[TAG_IDS[token.upos] for token in sentence] for sentence in sentences],
+                    dtype=np.intp)
 
 
 def rank_orders(sentence, ranks):

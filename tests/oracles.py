@@ -11,9 +11,11 @@ which ``power_iteration`` checks, on the full token graph of
 array reader replaced, ``check_aligned`` the alignment check that
 compared lists of form strings before ``eval`` compared byte spans, and
 ``format_conllu_lines`` the writer that rebuilt each token line as a
-string before ``write_conllu`` gathered bytes, and
+string before ``write_conllu`` gathered bytes,
 ``walk_tree_violations`` the per-sentence dict walk that checked trees
-before ``baselines.tree_violations`` checked a whole corpus as arrays.
+before ``baselines.tree_violations`` checked a whole corpus as arrays, and
+``lexsort_content_ranks`` the sort of every token by three keys that
+ranked content words before ``ranker.content_ranks`` sorted them alone.
 """
 
 import re
@@ -209,6 +211,22 @@ def adjacency_parse(n, direction="right"):
 def content_ranking(indices, scores):
     """Descending-score order with float noise rounded away, ties leftward."""
     return tuple(sorted(indices, key=lambda i: (-round(scores[i - 1], 8), i)))
+
+
+def lexsort_content_ranks(tags, offsets, predicates, keys):
+    """``ranker.content_ranks`` as the three-key ``lexsort`` of every token
+    that it was before it sorted the content words alone: by sentence,
+    content words first, then by key, ties in sentence order."""
+    lengths = np.diff(offsets)
+    sentences = np.repeat(np.arange(len(lengths)), lengths)
+    content = np.isin(tags, [TAG_IDS[tag] for tag in CONTENT_TAGS])
+    order = np.lexsort((keys, ~content, sentences))
+    ranks = np.empty(len(tags), dtype=np.intp)
+    ranks[order] = np.arange(len(tags)) - offsets[sentences]
+    ranks[~content] = lengths[sentences[~content]]
+    no_content = np.bincount(sentences[content], minlength=len(lengths)) == 0
+    ranks[(offsets[:-1] + predicates)[no_content]] = 0
+    return ranks
 
 
 def attachment_counts(gold_heads, pred_heads):

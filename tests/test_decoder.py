@@ -228,9 +228,13 @@ def at_edge_lengths(**drawn):
 @at_edge_lengths(drawn=RuleSet(()))
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_decode_matches_sequential_oracle(tags, drawn):
+    # Each sentence is converted to a corpus once, and every decode reads it.
+    naive_tags = ["CONTENT" if is_content(tag) else "FUNCTION" for tag in tags]
+    corpora = {naive: as_corpus([make_sentence(naive_tags if naive else tags)])
+               for naive in (False, True)}
     for ruleset, policies, naive in ORACLE_SETTINGS + ((drawn, (ADP_LEFT,), False),):
-        used = ["CONTENT" if is_content(tag) else "FUNCTION" for tag in tags] if naive else tags
-        sentence = make_sentence(used)
+        used = naive_tags if naive else tags
+        sentence, corpus = make_sentence(used), corpora[naive]
         # The oracle walk's edge counts against a plain edge list, which is
         # slow enough in Python to keep to the drawn lengths.
         if len(used) <= 40:
@@ -241,17 +245,16 @@ def test_decode_matches_sequential_oracle(tags, drawn):
         for policy in policies:
             directions = {tag: side.value for tag, side in policy.directions.items()}
             for mode in ("udp", "udp-nopr"):
-                heads = decode_corpus([sentence], ruleset, policy, mode)
+                heads = decode_corpus(corpus, ruleset, policy, mode)
                 expected = closest_first_heads(used, *orders_of(sentence, ruleset, mode),
                                                ruleset.pairs, directions)
                 assert tuple(heads.tolist()) == expected, (used, policy, mode)
         for direction in (Direction.LEFT, Direction.RIGHT):
-            heads = decode_corpus([sentence], ruleset, mode="baseline",
-                                  backoff_direction=direction)
+            heads = decode_corpus(corpus, ruleset, mode="baseline", backoff_direction=direction)
             expected = baseline_parse(used, ruleset.pairs, direction.value)
             assert tuple(heads.tolist()) == expected, (used, direction)
     for direction in (Direction.LEFT, Direction.RIGHT):
-        heads = decode_corpus([make_sentence(tags)], mode="adjacency", backoff_direction=direction)
+        heads = decode_corpus(corpora[False], mode="adjacency", backoff_direction=direction)
         assert tuple(heads.tolist()) == adjacency_parse(len(tags), direction.value), direction
 
 

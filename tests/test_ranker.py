@@ -13,14 +13,14 @@ from udparse.decoder import decode_corpus
 from udparse.ranker import (_walk_scores, check_walk, class_scores, content_ranks,
                             main_predicates, ranking_keys)
 from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY, NAIVE_RULESET,
-                           RuleSet, UPOS_TAGS, Direction, is_content)
+                           TAG_IDS, RuleSet, UPOS_TAGS, Direction, is_content)
 
 from helpers import (EXAMPLE_CONTENT_ORDER, EXAMPLE_FUNCTION_ORDER,
                      EXAMPLE_IN_DEGREES, EXAMPLE_TAGS, example_sentence,
                      make_sentence, orders_of, rank_orders, tag_ids)
 from oracles import (closest_first_heads, content_ranking, estimate_main_predicate,
-                     power_iteration, rule_counts, rule_edges, teleport_vectors,
-                     token_walk_scores)
+                     lexsort_content_ranks, power_iteration, rule_counts, rule_edges,
+                     teleport_vectors, token_walk_scores)
 
 # Stationary scores for the example sentence, frozen from the dense
 # power-iteration reference (cross-checked against a direct linear solve,
@@ -336,6 +336,76 @@ class TestClassWalk:
         assert predicates.tolist() == []
         assert ranking_keys(empty.tags, empty.offsets, predicates, DEFAULT_RULESET).tolist() == []
         assert content_ranks(empty.tags, empty.offsets, predicates, np.zeros(0)).tolist() == []
+
+
+# ``ranking_keys`` rounds in numpy and leaves to Python's round only the
+# scores whose scaled fraction lies near one half; its keys must be
+# ``-round(score, 8)`` bit for bit.  Besides scores drawn from (0, 1], the
+# values are built at ``(k + 0.5 ± step) / 1e8``, on both sides of a half
+# and on it, and include 1.0 and subnormals.
+NEAR_HALF_STEPS = (0.0, 1e-12, 1e-9, 1e-7)
+near_halves = st.builds(lambda k, step, sign: (k + 0.5 + sign * step) / 1e8,
+                        st.integers(0, 10**8 - 1), st.sampled_from(NEAR_HALF_STEPS),
+                        st.sampled_from((-1, 1)))
+EDGE_SCORES = (1.0, 5e-324, 1e-310, 2.2250738585072014e-308)
+
+
+@given(st.lists(st.one_of(st.floats(0.0, 1.0, exclude_min=True), near_halves,
+                          st.sampled_from(EDGE_SCORES)), max_size=300))
+@example([0.5e-8, 1.5e-8, 2.5e-8, 0.123456785, 0.999999995, *EDGE_SCORES])
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_rounding_matches_python_round(scores):
+    got = -ranker._rounded(np.array(scores, dtype=float))
+    expected = np.array([-round(score, 8) for score in scores], dtype=float)
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), scores
+
+
+def test_ranking_keys_are_rounded_class_scores():
+    # On a corpus of every tag in many mixes, the keys are the class
+    # scores as Python rounds them, negated, and 0 for function words.
+    rng = random.Random(13)
+    sentences = [make_sentence([rng.choice(ALL_TAGS) for _ in range(rng.randint(1, 30))])
+                 for _ in range(200)]
+    corpus = as_corpus(sentences)
+    predicates = main_predicates(corpus.tags, corpus.offsets)
+    classes, scores = class_scores(corpus.tags, corpus.offsets, predicates, DEFAULT_RULESET)
+    content = [is_content(token.upos) for sentence in sentences for token in sentence]
+    expected = np.array([-round(score, 8) if is_content_word else 0.0
+                         for score, is_content_word in zip(scores[classes].tolist(), content)])
+    keys = ranking_keys(corpus.tags, corpus.offsets, predicates, DEFAULT_RULESET)
+    assert keys.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+# ``content_ranks`` sorts the content words alone, by one integer of
+# sentence and key, against the three-key sort of every token it replaced.
+# Keys come from a pool of one to three rounded scores, so content words of
+# different classes tie and interleave by position; all-zero keys are
+# ``udp-nopr``'s; short sentences of drawn tags often have no content word.
+@st.composite
+def rank_cases(draw):
+    sentences = draw(st.lists(st.lists(st.sampled_from(ALL_TAGS), min_size=1, max_size=12),
+                              max_size=12))
+    pool = draw(st.lists(st.integers(0, 10**8), min_size=1, max_size=3))
+    units = draw(st.lists(st.sampled_from(pool), min_size=sum(map(len, sentences)),
+                          max_size=sum(map(len, sentences))))
+    return sentences, units if draw(st.booleans()) else [0] * len(units)
+
+
+@given(rank_cases())
+@example(([["NOUN", "VERB", "NOUN", "ADJ", "PROPN", "DET"], ["PUNCT", "DET"], ["ADJ"]],
+          [7] * 9))
+@example(([["DET", "NOUN", "ADP", "NOUN", "VERB"]], [5, 3, 0, 3, 5]))
+@example(([["PUNCT"], ["AUX", "DET"]], [0, 0, 0]))
+@example(([], []))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_content_ranks_match_lexsort_oracle(case):
+    sentences, units = case
+    tags = np.array([TAG_IDS[tag] for names in sentences for tag in names], dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(list(map(len, sentences)), dtype=np.intp)))
+    predicates = main_predicates(tags, offsets)
+    keys = -(np.array(units, dtype=float) / 1e8)
+    assert content_ranks(tags, offsets, predicates, keys).tolist() == \
+        lexsort_content_ranks(tags, offsets, predicates, keys).tolist()
 
 
 # The class walk against the token-level walk it replaced, and parse_corpus
