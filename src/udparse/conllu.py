@@ -19,26 +19,35 @@ Apache Arrow's list arrays.  ``tags`` (``rules.TAG_IDS``) and
 ``heads`` (column 7, -1 for ``_``) hold one entry per syntactic word, and
 ``offsets[s]:offsets[s + 1]`` is sentence s's slice of them.  The text
 stays the UTF-8 buffer that the reader scanned, a ``RawText`` that also
-holds each token's line number and the byte bounds of its column 2, after
-Apache Arrow's variable-size binary layout; ``eval`` compares forms on
-those bounds.  ``lines`` (the raw token lines), ``forms``, ``comments``
-and ``extras`` are decoded from the buffer on first use, once for every
-corpus that shares it; writing a corpus decodes none of them.
+holds each token's line number, the tag id its column 4 was read as, and
+the byte bounds of its line, its column 2 (after Apache Arrow's
+variable-size binary layout), its columns 4 and 7 and the tab before its
+column 9, and the byte bounds of each sentence: ``eval`` compares forms on
+those bounds, and the writer copies between them.  ``lines`` (the raw
+token lines), ``forms``, ``comments`` and ``extras`` are decoded from the
+buffer on first use, once for every corpus that shares it; writing a
+corpus decodes none of them.
 Multiword-token range lines (ids like ``3-4``) and empty-node lines (ids
 like ``5.1``) are not syntactic words: they are kept verbatim per sentence
 in ``extras``, and comment lines in ``comments``; ``# key = value``
 comments are read as ``Sentence.meta``.  A parse is one more flat array,
 ``predicted``, never stored on tokens.
 
-``write_conllu`` writes a corpus without a parse back verbatim, so a plain
-round-trip keeps every byte after a leading byte-order mark.  A parsed
-corpus has each token line rebuilt from its raw columns: column 1 is the
-token's position, column 4 the name of its tag id (CONTENT or FUNCTION
-after ``naive_pos_tag``), column 7 its predicted head and column 8 ``dep``;
+``write_conllu`` writes a corpus without a parse back verbatim, one slice
+of the buffer per sentence, so a plain round-trip keeps every byte of a
+sentence after a leading byte-order mark.  A parsed corpus has each token
+line rebuilt from its raw columns: column 1 is the token's position,
+column 4 the name of its tag id (CONTENT or FUNCTION after
+``naive_pos_tag``), column 7 its predicted head and column 8 ``dep``;
 every other column and line passes through.  The written text is one
 gather over the buffer and a small table of those inserted strings,
-taken 64 KiB of output at a time through one source position per output
-byte of the step; no line is decoded into a string.
+taken 16 KiB of output at a time through one source position per output
+byte of the step.  The segments are laid out from the reader's bounds,
+without looking at the bytes again: a column 1 that already is the
+token's position (no zero padding) and a column 4 that already holds its
+tag's name are copied with the columns around them, so such a token costs
+one copied segment, from the tab before the previous token's column 9 to
+its column 7, and one inserted head.  No line is decoded into a string.
 
 ``Token`` and ``Sentence`` are read-only views for library callers.
 Indexing or iterating a corpus gives sentences that build their tokens on
@@ -214,19 +223,32 @@ class RawText:
     ``data`` holds every line, each ended by ``\\n``.  ``token_lines``,
     ``comment_lines`` and ``extra_lines`` are the 0-based numbers of its
     token, comment and range/empty-node lines in reading order, and
-    ``sentence_lines[s]`` is the number of sentence s's first line.  Token
-    t's column 2 is ``data[form_starts[t]:form_ends[t]]``.  The arrays are
-    read-only.  The lines are decoded into strings once, on first use, for
-    every corpus that shares this text.
+    ``sentence_lines[s]`` is the number of sentence s's first line.
+    Sentence s's lines are ``data[sentence_starts[s]:sentence_ends[s]]``,
+    its end being the start of the blank line after it or the end of
+    ``data``.  Token t's line starts at ``token_starts[t]``; its column 2
+    is ``data[form_starts[t]:form_ends[t]]``; its column 4 starts at
+    ``tag_starts[t]`` and holds the name of tag id ``read_tags[t]``; its
+    column 7 starts at ``head_starts[t]``, and ``cuts[t]`` is the tab
+    before its column 9.  These are the bounds that the writer copies
+    between.  The arrays are read-only.  The lines are decoded into
+    strings once, on first use, for every corpus that shares this text.
     """
 
     data: bytes
     token_lines: np.ndarray
+    read_tags: np.ndarray
+    token_starts: np.ndarray
     form_starts: np.ndarray
     form_ends: np.ndarray
+    tag_starts: np.ndarray
+    head_starts: np.ndarray
+    cuts: np.ndarray
     comment_lines: np.ndarray
     extra_lines: np.ndarray
     sentence_lines: np.ndarray
+    sentence_starts: np.ndarray
+    sentence_ends: np.ndarray
 
     def __post_init__(self):
         for array in vars(self).values():
@@ -491,7 +513,7 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
         # lines; a carriage return in its place sends the line to ``_line``.
         data = "".join(line.replace("\n", "\r") + "\n" for line in lines).encode(
             errors="surrogatepass")
-    kind, candidate, ids, tags, heads, form_starts, form_ends = _settle(data)
+    kind, candidate, ids, tags, heads, bounds, line_starts = _settle(data)
     fault = None
     if (kind == _UNSETTLED).any():
         # The strings of all lines, as ``_line`` takes them.
@@ -500,9 +522,11 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
 
     # Every token line has ten columns; keep the values of token lines.
     is_token = kind[candidate] == _TOKEN
-    token = candidate[is_token]
-    ids, tags, heads, form_starts, form_ends = (
-        values[is_token] for values in (ids, tags, heads, form_starts, form_ends))
+    token = candidate
+    if not is_token.all():  # range and empty-node lines have ten columns too
+        kept = np.flatnonzero(is_token)
+        token, ids, tags, heads, *bounds = (
+            values.take(kept) for values in (candidate, ids, tags, heads, *bounds))
     # Blank lines end blocks; a block with token lines is a sentence.
     blank = kind == _BLANK
     block_ends = np.append(np.flatnonzero(blank), len(kind))
@@ -541,11 +565,15 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
         raise min(faults, key=lambda fault: fault[0])[1]
 
     del ids, positions, lines
-    position_type = form_starts.dtype
+    position_type = line_starts.dtype
+    # A sentence runs from its block's first line to the blank line that
+    # closes the block, or to the end of the text.
     sentence_lines = np.append(0, block_ends[:-1] + 1)[sizes > 0].astype(position_type)
-    raw = RawText(data, token.astype(position_type), form_starts, form_ends,
+    raw = RawText(data, token.astype(position_type), tags,
+                  *bounds,
                   np.flatnonzero(kind == _COMMENT).astype(position_type),
-                  np.flatnonzero(kind == _EXTRA).astype(position_type), sentence_lines)
+                  np.flatnonzero(kind == _EXTRA).astype(position_type), sentence_lines,
+                  line_starts[sentence_lines], line_starts[block_ends[sizes > 0]])
     return Corpus(tags.astype(np.intp), heads.astype(np.intp, copy=False),
                   np.append(0, np.cumsum(sizes[sizes > 0])), raw)
 
@@ -569,8 +597,9 @@ _SLOT_KEYS = np.zeros(_TAG_SLOTS, np.uint64)
 _SLOT_LENGTHS = np.full(_TAG_SLOTS, -1, np.int8)
 _SLOT_TAGS = np.zeros(_TAG_SLOTS, np.int8)
 _TAG_KEYS = np.array([int.from_bytes(name.encode(), "little") for name in TAG_NAMES], np.uint64)
+_TAG_LENGTHS = np.array([len(name) for name in TAG_NAMES], np.int8)
 _SLOT_KEYS[_TAG_KEYS % _TAG_SLOTS] = _TAG_KEYS
-_SLOT_LENGTHS[_TAG_KEYS % _TAG_SLOTS] = [len(name) for name in TAG_NAMES]
+_SLOT_LENGTHS[_TAG_KEYS % _TAG_SLOTS] = _TAG_LENGTHS
 _SLOT_TAGS[_TAG_KEYS % _TAG_SLOTS] = range(len(TAG_NAMES))
 
 
@@ -590,9 +619,10 @@ def _words(data: bytes, at: np.ndarray) -> np.ndarray:
 def _settle(data: bytes) -> tuple[np.ndarray, ...]:
     """Each line's kind, for the lines of the UTF-8 bytes ``data``, each
     ended by ``\\n``, that the byte scan settles; the numbers of the lines
-    with ten columns; and per such line, its id, tag id and head (-1 for
+    with ten columns; per such line, its id, tag id and head (-1 for
     ``_``), which hold for the token lines among them, and the byte bounds
-    of its column 2.
+    that ``RawText`` keeps for a token line, in its field order; and each
+    line's first byte, followed by the end of ``data``.
 
     Columns 1, 4 and 7 are read from the word at their start (``_words``;
     ``read_conllu`` says why those words lie inside ``data``, or have the
@@ -609,12 +639,15 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
     last = np.flatnonzero(buffer[stops] == ord("\n"))
     first = np.zeros_like(last)
     first[1:] = last[:-1] + 1
-    ends = stops[last]
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 1
+    ends = stops.take(last)
+    line_starts = np.zeros(len(ends) + 1, position_type)
+    line_starts[1:] = ends + 1
+    starts = line_starts[:-1]
     kind = np.full(len(ends), _UNSETTLED, np.int8)
     kind[starts == ends] = _BLANK
-    kind[buffer[starts] == ord("#")] = _COMMENT
+    # ``take`` gathers at int32 positions about 3x faster than indexing
+    # does, through an intp copy of them, too large for ``stops``.
+    kind[buffer.take(starts) == ord("#")] = _COMMENT
     candidate = (last - first == 9) & (kind == _UNSETTLED)
     if b"\r" in data:
         # A line with a carriage return is left to ``_line``.
@@ -626,13 +659,14 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
     candidate = np.flatnonzero(candidate)
     del ends, last
 
-    # Columns 1, 4 and 7 (id, tag and head) end at tabs 0, 3 and 6.
-    at = first[candidate]
-    id_end, tag_end, head_end = stops[at], stops[at + 3], stops[at + 6]
-    tag_start, head_start = stops[at + 2] + 1, stops[at + 5] + 1
-    form_end = stops[at + 1]
+    # Columns 1, 4 and 7 (id, tag and head) end at tabs 0, 3 and 6, and
+    # ``stops[k:].take(at)`` is each line's tab k.
+    at = first.take(candidate)
+    id_end, tag_end, head_end = stops.take(at), stops[3:].take(at), stops[6:].take(at)
+    tag_start, head_start = stops[2:].take(at) + 1, stops[5:].take(at) + 1
+    form_end, cut = stops[1:].take(at), stops[7:].take(at)
     del stops, first, at
-    id_start = starts[candidate]
+    id_start = starts.take(candidate)
     id_digits, id_values = _digits(data, id_start, id_end)
     # Range and empty-node ids are among the few ids that are not numbers.
     mixed = np.flatnonzero(~id_digits)
@@ -643,12 +677,13 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
     slot = (key % _TAG_SLOTS).view(np.int64)
     tag_ok = (_SLOT_KEYS.take(slot) == key) & (_SLOT_LENGTHS.take(slot) == tag_length)
     head_digits, head_values = _digits(data, head_start, head_end)
-    no_head = (head_end - head_start == 1) & (buffer[head_start] == ord("_"))
+    no_head = (head_end - head_start == 1) & (buffer.take(head_start) == ord("_"))
     head_values[no_head] = -1
     settled = id_digits & tag_ok & (head_digits | no_head)
 
     kind[candidate[settled]] = _TOKEN
-    return kind, candidate, id_values, _SLOT_TAGS.take(slot), head_values, id_end + 1, form_end
+    return (kind, candidate, id_values, _SLOT_TAGS.take(slot), head_values,
+            (id_start, id_end + 1, form_end, tag_start, head_start, cut), line_starts)
 
 
 def _digits(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -791,99 +826,112 @@ def parse_conllu(text: str) -> Corpus:
 def write_conllu(corpus: "Corpus | Iterable[Sentence]", out: TextIO) -> None:
     """Write a corpus as CoNLL-U, one blank line after each sentence.
 
-    A corpus without ``predicted`` heads is written back verbatim; a parsed
-    one gets its token lines rebuilt as the module docstring says.
-    Comments and preserved range/empty-node lines are re-emitted in their
-    original positions either way.  The text is one gather of the
-    segments that ``_segments`` lays out, decoded once and passed to
-    ``out.write`` whole; nothing is written for an empty corpus.
-    Sentences are converted by ``as_corpus`` first, which may raise
-    ConlluError; so does a predicted head outside its sentence or equal to
-    its token's position, as its line would not read back.
+    A corpus without ``predicted`` heads is written back verbatim, each
+    sentence's lines copied as one slice of the text; a parsed one gets
+    its token lines rebuilt as the module docstring says, in one gather of
+    the segments that ``_segments`` lays out.  Comments and preserved
+    range/empty-node lines are re-emitted in their original positions
+    either way.  The text is decoded once and passed to ``out.write``
+    whole; nothing is written for an empty corpus.  Sentences are
+    converted by ``as_corpus`` first, which may raise ConlluError; so does
+    a predicted head outside its sentence or equal to its token's
+    position, as its line would not read back.
     """
     corpus = as_corpus(corpus)
-    data, inserts, starts, lengths = _segments(corpus)
-    written = _gather(np.concatenate((data, inserts)), starts, lengths)
-    del starts, lengths
+    raw = corpus.raw
+    if corpus.predicted is None:
+        # Each sentence's lines, then the blank line that the empty last
+        # entry's separator gives.
+        view = memoryview(raw.data)
+        written = b"\n".join([*map(view.__getitem__, map(
+            slice, raw.sentence_starts.tolist(), raw.sentence_ends.tolist())), b""])
+    else:
+        data, inserts, starts, lengths = _segments(corpus)
+        written = _gather(np.concatenate((data, inserts)), starts, lengths)
     text = str(written, "utf-8", "surrogatepass")
     del written
     if text:
         out.write(text)
 
 
-# Output bytes per step of ``_gather``: steps of 16, 32 and 128 KiB wrote
-# the bench's ``news`` corpus more slowly.
-_GATHER_STEP = 1 << 16
+# Output bytes per step of ``_gather``.  Each step's positions are a new
+# array of 8 bytes a byte; at 64 and 128 KiB a step, glibc may map that
+# array afresh for every step, and the bench's parse commands ran slower
+# than at 16 or 32 KiB.
+_GATHER_STEP = 1 << 14
 
 
 def _gather(source: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The segments of ``source`` at ``starts`` with ``lengths``, none of
-    them empty, laid end to end; ``starts`` and ``lengths`` are overwritten.
+    """The segments of ``source`` at ``starts`` with ``lengths``, laid end
+    to end.
 
     The output is gathered ``_GATHER_STEP`` bytes at a time, through one
-    intp source position per byte of the step.  The positions are the
-    running sum of steps: one inside a segment, and at a segment's first
-    byte the jump from the last byte of the segment before.
+    intp source position per byte of the step: each segment's shift from
+    output to source position, repeated over its bytes in the step, plus
+    the output position.  A running sum of jumps would also build them,
+    but ``np.cumsum`` takes about 3 ns a byte, against 1 for ``np.repeat``.
     """
-    starts[1:] -= starts[:-1] + lengths[:-1] - 1
-    starts[:1] += 1  # the jump from position -1
-    ends = lengths.astype(_position_type(int(lengths.sum(dtype=np.int64))), copy=False)
+    ends = lengths.astype(np.intp)
     np.cumsum(ends, out=ends)
+    shifts = starts + lengths - ends
     gathered = np.empty(int(ends[-1]) if len(ends) else 0, np.uint8)
-    buffer = np.empty(min(_GATHER_STEP, len(gathered)), np.intp)
-    position = -1  # of the byte before the step
+    steps = np.arange(min(_GATHER_STEP, len(gathered)))
     for low in range(0, len(gathered), _GATHER_STEP):
         high = min(low + _GATHER_STEP, len(gathered))
         # The step starts inside segment ``first`` and ends inside ``last``.
-        bounds = np.array((low, high - 1), ends.dtype)
-        first, last = np.searchsorted(ends, bounds, side="right").tolist()
-        index = buffer[:high - low]
-        index.fill(1)
-        index[ends[first:last] - low] = starts[first + 1:last + 1]
-        if low == (ends[first - 1] if first else 0):
-            index[0] = starts[first]
-        index[0] += position
-        np.take(source, np.cumsum(index, out=index), out=gathered[low:high], mode="clip")
-        position = index[-1]
+        first, last = np.searchsorted(ends, (low, high - 1), side="right").tolist()
+        segment_ends = ends[first:last + 1]
+        counts = (np.minimum(segment_ends, high)
+                  - np.maximum(segment_ends - lengths[first:last + 1], low))
+        index = np.repeat(shifts[first:last + 1] + low, counts)
+        index += steps[:high - low]
+        np.take(source, index, out=gathered[low:high], mode="clip")
     return gathered
 
 
 def _segments(corpus: Corpus) -> tuple[np.ndarray, ...]:
-    """The text that ``write_conllu`` writes, as segments of one source:
-    the corpus's bytes followed by the inserted strings ``\\n``, the tag
-    names, and the numbers 0 to the longest sentence's length, alone and
-    followed by ``\\tdep``.  Returns the bytes, the inserted strings, and
-    each non-empty segment's start and length in the source, in writing
-    order.  Each token has eight segments:
+    """The text that ``write_conllu`` writes for a parsed corpus, as
+    segments of one source: the corpus's bytes followed by the inserted
+    strings ``\\n``, the tag names, and the numbers 0 to the longest
+    sentence's length, alone and followed by ``\\tdep``.  Returns the
+    bytes, the inserted strings, and each segment's start and length in
+    the source, in writing order.  The bounds are the reader's
+    (``RawText``); no byte is scanned.  Each token has up to eight
+    segments:
 
     0. the bytes from the previous token's cut, or from the start of its
-       sentence's first line, to its line's start: the previous line's
-       columns 9-10, comments and range/empty-node lines;
-    1. its position;
-    2. columns 2-3 with their tabs;
-    3. its tag name;
-    4. columns 5-6 with their tabs;
+       sentence, to the first byte that is not copied: the previous line's
+       columns 9-10, comments and range/empty-node lines, and as much of
+       its own line as is written as it was read;
+    1. its position, unless its column 1 has as many bytes as the position
+       has digits, and so is the position already;
+    2. with segment 1 only: the bytes from the tab after column 1 to its
+       column 4, or to its column 7 if column 4 is copied;
+    3. its tag name, unless its tag id is the one its column 4 was read
+       as (``read_tags``);
+    4. with segment 3 only: the bytes from the tab after column 4 to its
+       column 7;
     5. its predicted head and ``\\tdep``;
-    6. a sentence's last token only: the bytes from its cut to the end of
-       its sentence's last line;
+    6. a sentence's last token only: the bytes from its cut, the tab
+       before its column 9, to its sentence's end;
     7. a sentence's last token only: ``\\n``, the blank line.
 
-    A parsed token's cut is the tab before its column 9.  Without a parse
-    segments 1-5 are empty and the cut is the line's start, so that whole
-    lines are copied.  Blank and whitespace-only lines outside sentences
-    are left out, and every sentence gets one blank line after it.
+    A token whose columns 1 and 4 are copied has segments 0 and 5 alone.
+    Only segment 0 can be empty: a sentence's first line is its first
+    token's, whose id is rebuilt.  Blank and whitespace-only lines outside
+    sentences are left out, and every sentence gets one blank line after
+    it.
     """
-    raw, offsets, heads = corpus.raw, corpus.offsets, corpus.predicted
+    raw, offsets, heads, tags = corpus.raw, corpus.offsets, corpus.predicted, corpus.tags
     sizes = np.diff(offsets)
-    if heads is not None:
-        positions = np.arange(1, len(heads) + 1) - np.repeat(offsets[:-1], sizes)
-        outside = (heads < 0) | (heads > np.repeat(sizes, sizes))
-        for token in np.flatnonzero(outside | (heads == positions))[:1].tolist():
-            number, index = _locate(offsets, token)
-            raise ConlluError(f"sentence {number}, token {index}: predicted head "
-                              f"{heads[token]} outside a sentence of {sizes[number - 1]} tokens"
-                              if outside[token] else
-                              f"sentence {number}, token {index} is its own predicted head")
+    positions = np.arange(1, len(heads) + 1) - np.repeat(offsets[:-1], sizes)
+    outside = (heads < 0) | (heads > np.repeat(sizes, sizes))
+    for token in np.flatnonzero(outside | (heads == positions))[:1].tolist():
+        number, index = _locate(offsets, token)
+        raise ConlluError(f"sentence {number}, token {index}: predicted head "
+                          f"{heads[token]} outside a sentence of {sizes[number - 1]} tokens"
+                          if outside[token] else
+                          f"sentence {number}, token {index} is its own predicted head")
     data = np.frombuffer(raw.data, np.uint8)
     longest = int(sizes.max(initial=0))
     numbers = [str(number) for number in range(longest + 1)]
@@ -894,50 +942,47 @@ def _segments(corpus: Corpus) -> tuple[np.ndarray, ...]:
     insert_lengths = np.array([len(piece) for piece in pieces], position_type)
     insert_starts = len(data) + np.cumsum(insert_lengths) - insert_lengths
 
-    # The tabs and line ends in reading order, built a step at a time so
-    # that each step frees what the last made.  Line i ends at stop
-    # ``line_ends[i]``, so a token line's tab k is the k-th stop after the
-    # previous line's end.
-    stops = data == ord("\t")
-    stops |= data == ord("\n")
-    stops = np.flatnonzero(stops)
-    line_ends = np.flatnonzero(data[stops] == ord("\n"))
-    stops = stops.astype(position_type)
-    # Line i starts at line_starts[i]; the entry past the last line is the
-    # end of the text.
-    line_starts = np.zeros(len(line_ends) + 1, position_type)
-    line_starts[1:] = stops[line_ends] + 1
-    token_starts = line_starts[raw.token_lines]
-    starts = np.zeros((len(corpus.tags), 8), position_type)
-    lengths = np.zeros_like(starts)
-    if heads is None:
-        cuts = token_starts
-    else:
-        tab = np.append(-1, line_ends)[raw.token_lines] + 1
-        starts[:, 2], starts[:, 4], cuts = stops[tab], stops[tab + 3], stops[tab + 7]
-        lengths[:, 2] = stops[tab + 2] + 1 - starts[:, 2]
-        lengths[:, 4] = stops[tab + 5] + 1 - starts[:, 4]
-        for segment, at in ((1, 1 + len(TAG_NAMES) + positions), (3, 1 + corpus.tags),
-                            (5, 2 + len(TAG_NAMES) + longest + heads)):
-            starts[:, segment] = insert_starts[at]
-            lengths[:, segment] = insert_lengths[at]
-    del stops
-
+    token_starts, form_starts, tag_starts, head_starts, cuts = (
+        raw.token_starts, raw.form_starts, raw.tag_starts, raw.head_starts, raw.cuts)
+    position_at = 1 + len(TAG_NAMES) + positions
+    id_rebuilt = form_starts - 1 - token_starts != insert_lengths[position_at]
+    tag_rebuilt = tags != raw.read_tags
     firsts, lasts = offsets[:-1], offsets[1:] - 1
-    starts[1:, 0] = cuts[:-1]
-    starts[firsts, 0] = line_starts[raw.sentence_lines]
-    lengths[:, 0] = token_starts - starts[:, 0]
-    # A sentence's last line is its last token line or a range/empty-node
-    # line after that, the last one before the next sentence.
-    following = np.append(raw.sentence_lines[1:], len(line_ends))
-    last_extras = np.append(-1, raw.extra_lines)[np.searchsorted(raw.extra_lines, following)]
-    starts[lasts, 6] = cuts[lasts]
-    lengths[lasts, 6] = line_starts[np.maximum(raw.token_lines[lasts], last_extras) + 1] - cuts[lasts]
-    starts[lasts, 7] = insert_starts[0]
-    lengths[lasts, 7] = 1
-    del line_ends, line_starts, token_starts, cuts
-    kept = lengths != 0
-    return data, inserts, starts[kept], lengths[kept]
+    # Each token's segments in writing order end before ``ends``.
+    count = 2 + 2 * id_rebuilt + 2 * tag_rebuilt
+    count[lasts] += 2
+    ends = np.cumsum(count)
+    starts = np.empty(int(ends[-1]) if len(ends) else 0, position_type)
+    lengths = np.empty_like(starts)
+
+    def put(at, segment_starts, segment_lengths):
+        starts[at], lengths[at] = segment_starts, segment_lengths
+
+    # The first byte after segment 2, and after segment 0.
+    to_tag = np.where(tag_rebuilt, tag_starts, head_starts)
+    copied = np.where(id_rebuilt, token_starts, to_tag)
+    from_cut = np.empty_like(cuts)
+    from_cut[1:] = cuts[:-1]
+    from_cut[firsts] = raw.sentence_starts
+    at = ends - count  # segment 0
+    put(at, from_cut, copied - from_cut)
+    rebuilt = np.flatnonzero(id_rebuilt)  # segments 1-2
+    at = at[rebuilt]
+    put(at + 1, insert_starts[position_at[rebuilt]], insert_lengths[position_at[rebuilt]])
+    put(at + 2, form_starts[rebuilt] - 1, to_tag[rebuilt] - form_starts[rebuilt] + 1)
+    at = ends - 1  # segment 5
+    at[lasts] -= 2
+    head_at = 2 + len(TAG_NAMES) + longest + heads
+    put(at, insert_starts[head_at], insert_lengths[head_at])
+    rebuilt = np.flatnonzero(tag_rebuilt)  # segments 3-4, before segment 5
+    at = at[rebuilt]
+    put(at - 2, insert_starts[1 + tags[rebuilt]], insert_lengths[1 + tags[rebuilt]])
+    tag_ends = tag_starts[rebuilt] + _TAG_LENGTHS.take(raw.read_tags[rebuilt])
+    put(at - 1, tag_ends, head_starts[rebuilt] - tag_ends)
+    at = ends[lasts]  # segments 6-7
+    put(at - 2, cuts[lasts], raw.sentence_ends - cuts[lasts])
+    put(at - 1, insert_starts[0], 1)
+    return data, inserts, starts, lengths
 
 
 def _locate(offsets: np.ndarray, token: int) -> tuple[int, int]:

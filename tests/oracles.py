@@ -327,8 +327,12 @@ def sequential_read_conllu(source):
     heads = []
     offsets = [0]
     text = []
-    form_bounds = []
+    line_starts = []
+    # Per token: its line's start, column 2's start and end, and the starts
+    # of columns 4 and 7 and of the tab before column 9.
+    token_bounds = []
     sentence_lines = []
+    sentence_ends = []
     all_tokens = []
     all_comments = []
     all_extras = []
@@ -337,7 +341,7 @@ def sequential_read_conllu(source):
     token_lines = []
     size = 0
 
-    def flush(line_no):
+    def flush(line_no, end):
         nonlocal comments, extras, token_lines
         start = offsets[-1]
         n = len(tags) - start
@@ -350,6 +354,7 @@ def sequential_read_conllu(source):
                                   f"outside a sentence of {n} tokens")
             offsets.append(len(tags))
             sentence_lines.append(min(comments + extras + token_lines) - 1)
+            sentence_ends.append(end)
             all_tokens.extend(token_lines)
             all_comments.extend(comments)
             all_extras.extend(extras)
@@ -363,10 +368,11 @@ def sequential_read_conllu(source):
         if line_no == 1:
             line = line.removeprefix("\ufeff")
         line_start = size
+        line_starts.append(size)
         text.append(line.removesuffix("\r"))
         size += len(text[-1].encode()) + 1
         if not line.strip():
-            flush(line_no)
+            flush(line_no, line_start)
             continue
         if "\r" in line:
             line = line.removesuffix("\r")
@@ -415,14 +421,19 @@ def sequential_read_conllu(source):
                 f"got {head!r}")
         tags.append(tag)
         token_lines.append(line_no)
-        form_start = line_start + len(token_id.encode()) + 1
-        form_bounds.append((form_start, form_start + len(columns[1].encode())))
-    flush(line_no + 1)
+        column_starts = [line_start]
+        for column in columns:
+            column_starts.append(column_starts[-1] + len(column.encode()) + 1)
+        token_bounds.append((line_start, column_starts[1], column_starts[2] - 1,
+                             column_starts[3], column_starts[6], column_starts[8] - 1))
+    flush(line_no + 1, size)
     raw = RawText("".join(line + "\n" for line in text).encode(),
-                  np.array(all_tokens, np.int32) - 1,
-                  *np.array(form_bounds, np.int32).reshape(-1, 2).T,
+                  np.array(all_tokens, np.int32) - 1, np.array(tags, np.int8),
+                  *np.array(token_bounds, np.int32).reshape(-1, 6).T,
                   *(np.array(numbers, np.int32) - 1 for numbers in (all_comments, all_extras)),
-                  np.array(sentence_lines, np.int32))
+                  np.array(sentence_lines, np.int32),
+                  np.array(line_starts, np.int32)[sentence_lines],
+                  np.array(sentence_ends, np.int32))
     return Corpus(np.array(tags, dtype=np.intp), np.array(heads, dtype=np.intp),
                   np.array(offsets, dtype=np.intp), raw)
 

@@ -770,8 +770,9 @@ def test_reader_matches_the_sequential_reader(text):
         assert got == expected
         if not isinstance(got, str):
             assert {got.tags.dtype, got.heads.dtype, got.offsets.dtype} == {np.dtype(np.intp)}
-            for name in ("token_lines", "form_starts", "form_ends", "comment_lines",
-                         "extra_lines", "sentence_lines"):
+            for name in ("token_lines", "read_tags", "token_starts", "form_starts",
+                         "form_ends", "tag_starts", "head_starts", "cuts", "comment_lines",
+                         "extra_lines", "sentence_lines", "sentence_starts", "sentence_ends"):
                 assert getattr(got.raw, name).tolist() == getattr(expected.raw, name).tolist()
             assert form_spans(got) == got.forms
 
@@ -907,6 +908,18 @@ WRITER_CASES = {
                          for i, tag in enumerate(sorted(KNOWN_TAGS), start=1)) + "\n",
     "positions and heads past 10 and 100":
         "".join(f"{i}\tw{i}\t_\tNOUN\t_\t_\t{i - 1}\t_\t_\t_\n" for i in range(1, 121)) + "\n",
+    # Ids copied and rebuilt within one sentence, the first line among them.
+    "padded and unpadded ids in one sentence":
+        "01\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n2\ty\t_\tVERB\t_\t_\t1\t_\t_\t_\n"
+        "003\tz\t_\tADJ\t_\t_\t1\t_\t_\t_\n4\tw\t_\tX\t_\t_\t3\t_\t_\t_\n"
+        + "".join(f"{i}\tv\t_\tDET\t_\t_\t1\t_\t_\t_\n" for i in range(5, 10))
+        + "010\tu\t_\tNOUN\t_\t_\t1\t_\t_\t_\n11\tt\t_\tPUNCT\t_\t_\t1\t_\t_\t_\n\n",
+    "a last empty-node line without a line end":
+        "1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n# c\n1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\n"
+        "2\tz\t_\tNOUN\t_\t_\t1\t_\t_\t_\n2.1\te\t_\t_\t_\t_\t_\t_\t1:dep\t_",
+    "several blank and whitespace-only lines between sentences":
+        "1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n\n \n\t\n\n# c\n1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\n"
+        "1.1\te\t_\t_\t_\t_\t_\t_\t_\t_\n\n \n\n1\tz\t_\tADP\t_\t_\t0\t_\t_\t_\n\n\n",
 }
 
 
@@ -925,6 +938,46 @@ def test_writer_cases_match_the_line_string_writer(case):
         assert_writes_as_the_oracle(replace(naive_pos_tag(corpus), predicted=predicted))
     written = parse_conllu(format_conllu(replace(corpus, predicted=heads)))
     assert written.heads.tolist() == heads.tolist()
+
+
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_writer_rewrites_tags_swapped_for_names_of_the_same_length(case):
+    # A column 4 of the right length but another tag's name, such as NOUN
+    # for VERB, must be rewritten, not copied.
+    corpus = parse_conllu(WRITER_CASES[case])
+    by_length = {}
+    for name in TAG_NAMES:
+        by_length.setdefault(len(name), []).append(TAG_IDS[name])
+    swap = np.arange(len(TAG_NAMES))
+    for ids in by_length.values():
+        swap[ids] = np.roll(ids, 1)
+    swapped = replace(corpus, tags=swap[corpus.tags])
+    sizes = np.diff(corpus.offsets)
+    heads = np.concatenate([np.arange(size) for size in sizes])
+    assert_writes_as_the_oracle(replace(swapped, predicted=heads))
+    written = parse_conllu(format_conllu(replace(swapped, predicted=heads)))
+    assert written.tags.tolist() == swapped.tags.tolist()
+    assert written.heads.tolist() == heads.tolist()
+
+
+def test_writer_does_not_scan_the_text_again():
+    # The writer takes every bound from the reader's ``RawText``: no call
+    # may look for tabs or line ends in an array as long as the text.
+    corpus = parse_conllu(WRITER_CASES["positions and heads past 10 and 100"]
+                          + WRITER_CASES["range and empty-node lines first and last"])
+    parsed = replace(corpus, predicted=np.zeros(len(corpus.tags), np.intp))
+    variants = (parsed, replace(naive_pos_tag(corpus), predicted=parsed.predicted), corpus)
+    sizes = []
+    flatnonzero = np.flatnonzero
+
+    def recording(array):
+        sizes.append(np.size(array))
+        return flatnonzero(array)
+
+    with mock.patch("numpy.flatnonzero", recording):
+        for variant in variants:
+            format_conllu(variant)
+    assert sizes and max(sizes) < len(corpus.raw.data), sizes
 
 
 def test_writer_of_a_retagged_corpus_writes_content_and_function():
