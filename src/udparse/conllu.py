@@ -1,18 +1,18 @@
 """CoNLL-U reading and writing over a columnar corpus.
 
-``read_conllu`` reads its input whole and checks the columns of all of it
-at once, as numpy arrays over its UTF-8 bytes; only the lines the arrays
-cannot settle, such as one with a carriage return, a long head or an
-error, are checked one at a time.  An error names the first bad line in
-reading order, as a line-by-line reader would.  A text stream is split at
-``\\n``; any other iterable gives one line per element, which may end in
-one ``\\n`` and hold no other.  Columns 1, 4 and 7 (id, tag and head) are
-each read as one 8-byte word, through a zero-copy view of the bytes that
-has an unaligned little-endian word at every byte position, as simdjson
-reads JSON (Langdale and Lemire 2019); ``eval`` compares forms 8 bytes at
-a time through the same view.  A word that would reach past the end of
-the bytes, as the words of columns 4 and 7 of the last line can, has
-those bytes cleared instead.
+``read_conllu`` reads its input whole and settles every valid line at
+once, as numpy arrays over its UTF-8 bytes.  A line the arrays leave
+unsettled is decoded alone: it is blank if it is whitespace-only, and an
+error if not.  An error names the first bad line in reading order, as a
+line-by-line reader would, and only that line is worded one at a time
+(``_line``).  A text stream is split at ``\\n``; any other iterable gives
+one line per element, which may end in one ``\\n`` and hold no other.
+Columns 1, 4 and 7 (id, tag and head) are each read as one 8-byte word,
+through a zero-copy view of the bytes that has an unaligned little-endian
+word at every byte position, as simdjson reads JSON (Langdale and Lemire
+2019); ``eval`` compares forms 8 bytes at a time through the same view.  A
+word that would reach past the end of the bytes, as the words of columns 4
+and 7 of the last line can, has those bytes cleared instead.
 
 It returns a ``Corpus``: flat arrays plus sentence offsets, the layout of
 Apache Arrow's list arrays.  ``tags`` (``rules.TAG_IDS``) and
@@ -60,16 +60,16 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from .rules import KNOWN_TAGS, TAG_IDS, TAG_NAMES
 
-# ASCII digits only, here and in the isascii-and-isdigit checks of ids and
-# heads: ``\d`` and ``str.isdigit`` alone also take other scripts' digits.
-_RANGE_ID = re.compile(r"[0-9]+-[0-9]+")
-_EMPTY_NODE_ID = re.compile(r"[0-9]+\.[0-9]+")
+# A range or empty-node id.  ASCII digits only, here and in the
+# isascii-and-isdigit checks of ids and heads: ``\d`` and ``str.isdigit``
+# alone also take other scripts' digits.
+_EXTRA_ID = re.compile(rb"[0-9]+[-.][0-9]+")
 
 
 class ConlluError(ValueError):
@@ -209,13 +209,6 @@ def _position_type(size: int) -> type:
     return np.int32 if size < 2**31 else np.int64
 
 
-def _decoded(data: bytes) -> list[str]:
-    """The ``\\n``-ended lines of ``data``, decoded."""
-    lines = data.decode(errors="surrogatepass").split("\n")
-    lines.pop()  # what follows the last line end
-    return lines
-
-
 @dataclass(frozen=True, eq=False)
 class RawText:
     """The text of a corpus as UTF-8 bytes, and where its parts lie in it.
@@ -258,7 +251,9 @@ class RawText:
     @cached_property
     def all_lines(self) -> list[str]:
         """Every line of ``data``, decoded."""
-        return _decoded(self.data)
+        lines = self.data.decode(errors="surrogatepass").split("\n")
+        lines.pop()  # what follows the last line end
+        return lines
 
     def _at(self, numbers: np.ndarray) -> tuple[str, ...]:
         return tuple(map(self.all_lines.__getitem__, numbers.tolist()))
@@ -431,8 +426,8 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
         for _, raw in extras:
             if "\n" in raw or "\r" in raw:
                 raise ConlluError(f"sentence {number}: line {raw!r} contains a line break")
-            token_id = raw.split("\t", 1)[0]
-            if not (_RANGE_ID.fullmatch(token_id) or _EMPTY_NODE_ID.fullmatch(token_id)):
+            token_id = raw.split("\t", 1)[0].encode(errors="surrogatepass")
+            if not _EXTRA_ID.fullmatch(token_id):
                 raise ConlluError(
                     f"sentence {number}: line {raw!r} is not a range or empty-node line")
         afters = [after for after, _ in extras]
@@ -478,22 +473,24 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     sentence's first token, range or empty-node line.
 
     The input's columns are checked as arrays over its UTF-8 bytes, and
-    the carriage-return passes run only when it has a ``\\r``.  Empty
-    lines, comments, range and empty-node lines, and token lines with an
-    id of at most 18 digits, a known tag and a head of ``_`` or at most 18
-    digits are settled there.  A token line's id, tag and head are read
-    from the word at their start: a ten-column line has nine tabs and a
-    line end after its column 1, so that word lies inside the bytes, and
-    the words of columns 4 and 7 have the bytes past the end cleared.
-    Fields of up to 8 bytes are read from their word alone.  Every other
-    line goes to ``_line`` in reading order, with the id its sentence has
-    reached.  Faults that
-    depend on a line's place are found from the settled kinds, and the
-    first in reading order is raised, with the line and message of a
-    reader that takes one line at a time.  The corpus keeps the scanned
-    bytes as its ``RawText``; line strings are built here only when some
-    line goes to ``_line`` or a head fault is reported, so that reading
-    holds no more than about twice its input.
+    the carriage-return passes run only when it has a ``\\r``.  The arrays
+    settle every valid line: empty lines, comments, range and empty-node
+    lines, and token lines with a known tag and an id and head of ASCII
+    digits, zero-padded to any length (or a head of ``_``).  A token line's
+    id, tag and head are read from the word at their start: a ten-column
+    line has nine tabs and a line end after its column 1, so that word
+    lies inside the bytes, and the words of columns 4 and 7 have the bytes
+    past the end cleared.  Fields of up to 8 bytes are read from their
+    word alone, up to 18 a byte position at a time, and longer ones one at
+    a time from their bytes.  Of the lines left unsettled, each is decoded
+    alone (a list element is taken as given), and a whitespace-only one is
+    blank; every other is an error.
+    Every fault is found from the settled arrays, and the first in reading
+    order is raised, with the line and message of a reader that takes one
+    line at a time: ``_line`` words a refused line's, given the id that
+    its sentence has reached there.  The corpus keeps the scanned bytes as
+    its ``RawText``, and no other line is decoded, so that reading holds no
+    more than about twice its input.
     """
     if callable(getattr(source, "read", None)):
         text = source.read().removeprefix("\ufeff")
@@ -510,15 +507,26 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
         if lines:
             lines[0] = lines[0].removeprefix("\ufeff")
         # A line break left inside an element would shift the byte scan's
-        # lines; a carriage return in its place sends the line to ``_line``.
+        # lines; a carriage return in its place leaves the line unsettled.
         data = "".join(line.replace("\n", "\r") + "\n" for line in lines).encode(
             errors="surrogatepass")
     kind, candidate, ids, tags, heads, bounds, line_starts = _settle(data)
-    fault = None
-    if (kind == _UNSETTLED).any():
-        # The strings of all lines, as ``_line`` takes them.
-        lines = lines if lines is not None else _decoded(data)
-        fault = _settle_the_rest(lines, kind, candidate, ids, tags, heads)
+    refused = None
+    unsettled = np.flatnonzero(kind == _UNSETTLED)
+    if len(unsettled):
+        # A whitespace-only line is blank, and the first other is refused.  A
+        # list element is tested as given: a line break in it is a carriage
+        # return in ``data``.
+        spaces = []
+        for i, start, end in zip(unsettled.tolist(), line_starts.take(unsettled).tolist(),
+                                 line_starts.take(unsettled + 1).tolist()):
+            line = lines[i] if lines is not None else str(
+                data[start:end - 1], "utf-8", "surrogatepass")
+            if "\n" in line or line.strip():
+                refused = i, line
+                break
+            spaces.append(i)
+        kind[spaces] = _BLANK
 
     # Every token line has ten columns; keep the values of token lines.
     is_token = kind[candidate] == _TOKEN
@@ -533,10 +541,18 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     token_block = np.cumsum(blank)[token]
     del blank
     sizes = np.bincount(token_block, minlength=len(block_ends))
-    positions = np.arange(1, len(token) + 1) - (np.cumsum(sizes) - sizes)[token_block]
-    faults = [] if fault is None else [fault]
-    # Only a settled token line can have a wrong id: ``_line`` refuses the
-    # others.  Such an id has at most 18 digits and is printed as a number.
+    firsts = np.cumsum(sizes) - sizes
+    positions = np.arange(1, len(token) + 1) - firsts[token_block]
+    faults = []
+    if refused is not None:
+        # Every line before it is settled, so its sentence's tokens so far
+        # are the token lines since its block began.
+        i, line = refused
+        block = np.searchsorted(block_ends, i)
+        position = int(np.searchsorted(token, i) - firsts[block]) + 1
+        faults.append((i, _line(line, i + 1, position)))
+    # A settled id has at most 18 digits after its leading zeros, and is
+    # printed as a number.
     for t in np.flatnonzero(ids != positions)[:1]:
         faults.append((token[t], ConlluError(
             f"token id {ids[t]} out of sequence (expected {positions[t]})",
@@ -556,11 +572,11 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
         faults.append((end, ConlluError("sentence block contains no token lines", int(end) + 1)))
     # A head beyond its sentence is found when the sentence ends.
     for t in np.flatnonzero(heads > sizes[token_block])[:1]:
-        block = token_block[t]
-        lines = lines if lines is not None else _decoded(data)
-        head = int(lines[token[t]].split("\t")[6])
+        block, at = token_block[t], token[t]
+        # The head as written: a long one is clipped in ``heads``.
+        head = int(data[line_starts[at]:line_starts[at + 1]].split(b"\t")[6])
         faults.append((block_ends[block], ConlluError(
-            f"head {head} outside a sentence of {sizes[block]} tokens", int(token[t]) + 1)))
+            f"head {head} outside a sentence of {sizes[block]} tokens", int(at) + 1)))
     if faults:
         raise min(faults, key=lambda fault: fault[0])[1]
 
@@ -650,7 +666,7 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
     kind[buffer.take(starts) == ord("#")] = _COMMENT
     candidate = (last - first == 9) & (kind == _UNSETTLED)
     if b"\r" in data:
-        # A line with a carriage return is left to ``_line``.
+        # A line with a carriage return is left unsettled.
         has_return = np.zeros(len(ends), bool)
         has_return[np.searchsorted(ends, np.flatnonzero(buffer == ord("\r")))] = True
         kind[has_return] = _UNSETTLED
@@ -667,16 +683,16 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
     form_end, cut = stops[1:].take(at), stops[7:].take(at)
     del stops, first, at
     id_start = starts.take(candidate)
-    id_digits, id_values = _digits(data, id_start, id_end)
+    id_digits, id_values = _digits(data, id_start, id_end, _id_number)
     # Range and empty-node ids are among the few ids that are not numbers.
     mixed = np.flatnonzero(~id_digits)
-    joined = _bytewise(data, id_start[mixed], id_end[mixed])[2]
+    joined = _bytewise(data, id_start[mixed], id_end[mixed], _id_number)[2]
     kind[candidate[mixed[joined]]] = _EXTRA
     tag_length = tag_end - tag_start
     key = _words(data, tag_start) & _LOW_BYTES.take(np.minimum(tag_length, 8))
     slot = (key % _TAG_SLOTS).view(np.int64)
     tag_ok = (_SLOT_KEYS.take(slot) == key) & (_SLOT_LENGTHS.take(slot) == tag_length)
-    head_digits, head_values = _digits(data, head_start, head_end)
+    head_digits, head_values = _digits(data, head_start, head_end, _head_number)
     no_head = (head_end - head_start == 1) & (buffer.take(head_start) == ord("_"))
     head_values[no_head] = -1
     settled = id_digits & tag_ok & (head_digits | no_head)
@@ -686,9 +702,11 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
             (id_start, id_end + 1, form_end, tag_start, head_start, cut), line_starts)
 
 
-def _digits(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _digits(data: bytes, start: np.ndarray, end: np.ndarray,
+            number: Callable[[bytes], int | None]) -> tuple[np.ndarray, np.ndarray]:
     """For each field ``data[start:end]``, ``start`` ascending: whether it
-    is 1 to 18 ASCII digits, and its value where it is.
+    is ASCII digits with a value, and that value.  A field of more than 18
+    bytes has the value that ``number`` gives it, if any.
 
     A field of at most 8 bytes is one word, shifted so that the field ends
     at its highest byte, with "0"s before it, and checked and converted
@@ -707,116 +725,97 @@ def _digits(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray
     value = (word & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8 & 0x00FF00FF00FF00FF
     value = value * 6553601 >> 16 & 0x0000FFFF0000FFFF
     value = (value * 42949672960001 >> 32).view(np.int64)
-    long = np.flatnonzero((length > 8) & (length <= 18))
+    long = np.flatnonzero(length > 8)
     if len(long):
-        digits[long], value[long], _ = _bytewise(data, start[long], end[long])
+        digits[long], value[long], _ = _bytewise(data, start[long], end[long], number)
     return digits, value
 
 
-def _bytewise(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For each field ``data[start:end]``, read a byte position at a time:
-    whether it is 1 to 18 ASCII digits, its value where it is, and whether
-    it is two runs of digits joined by one ``-`` or ``.``, as range and
-    empty-node ids are."""
-    data = np.frombuffer(data, np.uint8)
+def _bytewise(data: bytes, start: np.ndarray, end: np.ndarray,
+              number: Callable[[bytes], int | None]) -> tuple[np.ndarray, ...]:
+    """For each field ``data[start:end]``: whether it is ASCII digits with a
+    value, that value, and whether it is two runs of digits joined by one
+    ``-`` or ``.``, as range and empty-node ids are.
+
+    Fields of up to 18 bytes are read a byte position at a time.  Longer
+    ones are rare, and each is read alone from its bytes, in time linear in
+    its length; ``number`` gives the value of one made of digits, or None.
+    """
+    buffer = np.frombuffer(data, np.uint8)
     length = end - start
-    short = (length >= 1) & (length <= 18)
+    longest = int(length.max(initial=0))
     value = np.zeros(len(start), np.int64)
     others = np.zeros(len(start), np.int8)
     marks = np.zeros(len(start), np.int8)
-    for k in range(int(length[short].max(initial=0))):
-        byte = data[np.minimum(start + k, end)]
+    for k in range(min(longest, 18)):
+        byte = buffer[np.minimum(start + k, end)]
         digit = byte - ord("0")
         inside = k < length
         is_digit = digit < 10
         value = np.where(inside & is_digit, value * 10 + digit, value)
         others += inside & ~is_digit
         marks += inside & ((byte == ord("-")) | (byte == ord(".")))
-    ends_are_digits = (data[start] - ord("0") < 10) & (data[end - 1] - ord("0") < 10)
-    return (short & (others == 0), value,
-            short & (others == 1) & (marks == 1) & ends_are_digits)
+    ends_are_digits = (buffer[start] - ord("0") < 10) & (buffer[end - 1] - ord("0") < 10)
+    short = (length >= 1) & (length <= 18)
+    digits = short & (others == 0)
+    joined = short & (others == 1) & (marks == 1) & ends_are_digits
+    if longest > 18:
+        for t in np.flatnonzero(length > 18).tolist():
+            field = data[start[t]:end[t]]
+            read = number(field) if field.isdigit() else None
+            if read is not None:
+                digits[t], value[t] = True, read
+            joined[t] = _EXTRA_ID.fullmatch(field) is not None
+    return digits, value, joined
 
 
-def _settle_the_rest(lines: list[str], kind: np.ndarray, candidate: np.ndarray,
-                     ids: np.ndarray, tags: np.ndarray, heads: np.ndarray
-                     ) -> tuple[int, ConlluError] | None:
-    """Settle the unsettled lines with ``_line``, in reading order.
+def _id_number(field: bytes) -> int | None:
+    """The value of an id of digits, or None past 18 digits after its
+    leading zeros: no token has a position that large."""
+    significant = field.lstrip(b"0")
+    return int(significant or b"0") if len(significant) <= 18 else None
 
-    A token line, which is one of the ten-column lines ``candidate``, gets
-    the id that its sentence has reached.  Returns the first refused line's
-    index and error, or None.
+
+def _head_number(field: bytes) -> int | None:
+    """The value of a head of digits, clipped to one past any sentence, or
+    None where ``int`` refuses that many digits."""
+    try:
+        return min(int(field), sys.maxsize)
+    except ValueError:
+        return None
+
+
+def _line(line: str, line_no: int, position: int) -> ConlluError:
+    """The error of a line that the array pass refused, worded as a
+    sequential reader words it, ``position`` being the id a token line
+    there must have; the error names ``line_no``.
+
+    Such a line is neither blank, nor a comment, range or empty-node line,
+    nor a token line that a sequential reader accepts; where a comment may
+    stand, and whether a head equals its token's id or lies beyond its
+    sentence, is for ``read_conllu`` to check.
     """
-    unsettled = np.flatnonzero(kind == _UNSETTLED)
-    blank = np.flatnonzero(kind == _BLANK)
-    token = np.flatnonzero(kind == _TOKEN)
-    # Per unsettled line, the last settled blank line before it, and the
-    # settled token lines before that and before the line itself.
-    blank_before = np.append(-1, blank)[np.searchsorted(blank, unsettled)]
-    start, base, own = -1, 0, 0
-    for i, block, at_block, before in zip(
-            unsettled.tolist(), blank_before.tolist(),
-            np.searchsorted(token, blank_before).tolist(),
-            np.searchsorted(token, unsettled).tolist()):
-        if block > start:
-            start, base, own = block, at_block, 0
-        position = before - base + own + 1
-        try:
-            kind[i], tag, head = _line(lines[i], i + 1, position)
-        except ConlluError as error:
-            return i, error
-        if kind[i] == _BLANK:
-            start, base, own = i, before, 0
-        elif kind[i] == _TOKEN:
-            at = np.searchsorted(candidate, i)
-            ids[at], tags[at], heads[at] = position, tag, head
-            own += 1
-    return None
-
-
-def _line(line: str, line_no: int, position: int) -> tuple[int, int, int]:
-    """One line's kind, tag id and head (-1 for ``_``), checked as a
-    sequential reader checks it, ``position`` being the id a token line
-    must have.  Raises ConlluError naming ``line_no``.  Where a comment
-    may stand is for ``read_conllu`` to check."""
+    columns = line.split("\t")
     if "\n" in line:
-        raise ConlluError("line break inside the line", line_no)
-    if not line.strip():
-        return _BLANK, 0, 0
-    if "\r" in line:
+        reason = "line break inside the line"
+    elif "\r" in line:
         # A file reader splits lines at a bare \r too, so such a line
         # would not read back once written.
-        raise ConlluError("carriage return inside the line", line_no)
-    if line.startswith("#"):
-        return _COMMENT, 0, 0
-    columns = line.split("\t")
-    if len(columns) != 10:
-        raise ConlluError(f"expected 10 tab-separated columns, got {len(columns)}", line_no)
-    token_id = columns[0]
-    if not (token_id.isascii() and token_id.isdigit()):
-        if _RANGE_ID.fullmatch(token_id) or _EMPTY_NODE_ID.fullmatch(token_id):
-            return _EXTRA, 0, 0
-        raise ConlluError(f"invalid token id {token_id!r}", line_no)
-    # Compared as text: int() refuses more than 4300 digits.
-    if token_id.lstrip("0") != str(position):
-        raise ConlluError(f"token id {token_id.lstrip('0') or '0'} out of sequence "
-                          f"(expected {position})", line_no)
-    tag = TAG_IDS.get(columns[3])
-    if tag is None:
-        raise ConlluError(f"unknown UPOS tag {columns[3]!r}", line_no)
-    head = columns[6]
-    if head == "_":
-        return _TOKEN, tag, -1
-    if not (head.isascii() and head.isdigit()):
-        raise ConlluError(f"head must be a non-negative integer or '_', got {head!r}",
-                          line_no)
-    try:
-        # Any head past the array's range is past its sentence's end too.
-        head = min(int(head), sys.maxsize)
-    except ValueError:  # more digits than int() converts
-        raise ConlluError("head has too many digits", line_no) from None
-    if head == position:
-        raise ConlluError(f"token {position} is its own head", line_no)
-    return _TOKEN, tag, head
+        reason = "carriage return inside the line"
+    elif len(columns) != 10:
+        reason = f"expected 10 tab-separated columns, got {len(columns)}"
+    elif not (columns[0].isascii() and columns[0].isdigit()):
+        reason = f"invalid token id {columns[0]!r}"
+    elif (token_id := columns[0].lstrip("0") or "0") != str(position):
+        # Compared as text: int() refuses more than 4300 digits.
+        reason = f"token id {token_id} out of sequence (expected {position})"
+    elif columns[3] not in TAG_IDS:
+        reason = f"unknown UPOS tag {columns[3]!r}"
+    elif not (columns[6].isascii() and columns[6].isdigit()):
+        reason = f"head must be a non-negative integer or '_', got {columns[6]!r}"
+    else:  # the one refusal left
+        reason = "head has too many digits"
+    return ConlluError(reason, line_no)
 
 
 def parse_conllu(text: str) -> Corpus:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +25,26 @@ from oracles import format_conllu_lines, sequential_read_conllu
 
 SAMPLE_PATH = Path(__file__).parent / "data" / "sample.conllu"
 MIXED_PATH = Path(__file__).parent / "data" / "mixed_lengths.conllu"
+
+
+def mixed_times_ten(blank):
+    """``mixed_lengths.conllu`` ten times over, each blank line being ``blank``."""
+    return (MIXED_PATH.read_text(encoding="utf-8") * 10).replace("\n\n", "\n" + blank)
+
+
+def reading_peak(tmp_path, text):
+    """The corpus read from ``text`` in a file, and the tracemalloc peak of
+    the read."""
+    path = tmp_path / "read.conllu"
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            corpus = read_conllu(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return corpus, peak
 
 
 class TestRead:
@@ -124,7 +145,7 @@ class TestRead:
 
     @pytest.mark.parametrize("text, line", [
         ("1\ta\t_\tNOUN\t_\t_\t1\t_\t_\t_\n", 1),
-        # Zero-padded ids and heads; one head the arrays leave to ``_line``.
+        # Zero-padded ids and heads, one of them of more than 18 digits.
         ("01\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t002\t_\t_\t_\n", 2),
         ("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t0000000000000000000002\t_\t_\t_\n",
          2),
@@ -197,6 +218,9 @@ class TestRead:
             read_conllu(["# fine\n", "1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"])
         with pytest.raises(ConlluError, match="line 1: expected 10"):
             read_conllu(["1\tx\n", "1\tx\ny\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"])
+        # Whitespace around the line break: the element is no blank line.
+        with pytest.raises(ConlluError, match="line 1: line break inside the line"):
+            read_conllu([" \n \n"])
 
     def test_list_elements_are_lines_with_an_optional_line_end(self):
         text = "# a\n1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\n"
@@ -206,21 +230,22 @@ class TestRead:
             == parse_conllu(text)
         assert len(read_conllu([])) == 0
 
-    def test_reading_holds_at_most_ten_times_the_input(self, tmp_path):
+    @pytest.mark.parametrize("blank", ["\n", " \n"], ids=["plain", "spaced"])
+    def test_reading_holds_at_most_ten_times_the_input(self, tmp_path, blank):
         # The byte scan holds a few numbers per tab and line end; reading
-        # must not hold much more than that at any time.
-        text = MIXED_PATH.read_text(encoding="utf-8") * 10
-        path = tmp_path / "mixed.conllu"
-        path.write_text(text, encoding="utf-8")
-        with open(path, encoding="utf-8") as handle:
-            tracemalloc.start()
-            try:
-                corpus = read_conllu(handle)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        # must not hold much more than that at any time, also when blank
+        # lines hold whitespace.
+        text = mixed_times_ten(blank)
+        corpus, peak = reading_peak(tmp_path, text)
         assert len(corpus) == 10 * len(parse_conllu(MIXED_PATH.read_text(encoding="utf-8")))
         assert peak <= 10 * len(text.encode())
+
+    def test_whitespace_only_blank_lines_cost_no_more_to_read(self, tmp_path):
+        # A whitespace-only line is decoded alone, not with the whole input.
+        plain, spaced = mixed_times_ten("\n"), mixed_times_ten(" \n")
+        plain_peak, spaced_peak = (reading_peak(tmp_path, text)[1] / len(text.encode())
+                                   for text in (plain, spaced))
+        assert spaced_peak <= plain_peak + 0.2, (plain_peak, spaced_peak)
 
     def test_read_corpus_retains_less_than_three_times_its_input(self):
         # The corpus keeps the input's bytes and a few numbers per token; one
@@ -557,6 +582,7 @@ NEAR_LINES = st.one_of(
 # int() refuses more than 4300 digits, so long ids and heads must be
 # refused as data.
 LONG = "1" * 5000
+INT_DIGITS = sys.get_int_max_str_digits()
 
 
 ARBITRARY_TEXT = st.one_of(st.text(), st.lists(NEAR_LINES, max_size=12).map("\n".join))
@@ -721,15 +747,19 @@ WORD_EXAMPLE = word_example(WIDTHS)
 # Blocks with no token lines, at a blank line and at the end.
 @example("# a\n\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
 @example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n2.1\tz\t_\t_\t_\t_\t_\t_\t_\t_")
-# Settled and unsettled token lines in one sentence: zero-padded ids,
-# long heads, \r\n ends and whitespace-only blank lines.
+# Token lines read from one word, a byte position at a time and as whole
+# fields, in one sentence: zero-padded ids, long heads, \r\n ends and
+# whitespace-only blank lines.
 @example("01\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\r\n"
          "3\tc\t_\tX\t_\t_\t0000000000000000000002\t_\t_\t_\n \t\n1\td\t_\tX\t_\t_\t_\t_\t_\t_\n")
 @example("1\ta\t_\tNOUN\t_\t_\t00000000000000000000000000000000000007\t_\t_\t_\n")
 @example(f"1\ta\t_\tNOUN\t_\t_\t{'0' * 4000}7\t_\t_\t_\n")
+# Heads of as many digits as ``int`` converts, and of one more.
+@example(f"1\ta\t_\tNOUN\t_\t_\t{'7'.zfill(INT_DIGITS)}\t_\t_\t_\n")
+@example(f"1\ta\t_\tNOUN\t_\t_\t{'7'.zfill(INT_DIGITS + 1)}\t_\t_\t_\n")
 @example("\ufeff1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\ufeff\n")
-# After a whitespace-only blank line, a line the arrays leave to ``_line``
-# starts a new sentence.
+# A whitespace-only blank line ends a sentence, also before a line with a
+# \r\n end or a comment.
 @example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n \n1\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\r\n")
 @example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\xa0\n# c\r\n1\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n")
 # A known tag with one more letter; ids that are almost range or
@@ -793,12 +823,32 @@ def test_every_tag_reads_as_its_id_and_no_other_column_does():
                 parse_conllu(text)
 
 
+def assert_settled_by_the_arrays(text):
+    """The text reads as the sequential reader reads it, and ``_line`` is
+    not needed: it only words the error of a refused line, so a call would
+    mean a valid line misread as bad."""
+    expected = sequential_read_conllu(io.StringIO(text))
+    with mock.patch("udparse.conllu._line", side_effect=AssertionError("left to _line")):
+        assert parse_conllu(text) == expected
+        assert read_conllu(io.StringIO(text).readlines()) == expected
+
+
+PLAIN = "1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
+
+
 @pytest.mark.parametrize("text", [
-    # Ids and heads of 1 to 18 digits.
-    word_example(WIDTHS[:-1]),
-    # Range and empty-node ids of 8 or more bytes.
+    # Ids and heads of 1 to 19 digits.
+    word_example(WIDTHS),
+    # Range and empty-node ids of 8 or more bytes, and of more than 18.
     "00000001-00000002\tab\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
     "00000001.00000001\tz\t_\t_\t_\t_\t_\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n",
+    f"{'2'.zfill(19)}-{'3'.zfill(19)}\tbc\t_\t_\t_\t_\t_\t_\t_\t_\n" + PLAIN
+    + "2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n"
+    + f"{'2'.zfill(19)}.{'1'.zfill(19)}\tz\t_\t_\t_\t_\t_\t_\t_\t_\n",
+    # A head zero-padded to as many digits as ``int`` converts.
+    f"1\ta\t_\tNOUN\t_\t_\t{'2'.zfill(INT_DIGITS)}\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n",
+    # Whitespace-only blank lines, and a line of one \r before its \r\n end.
+    *(PLAIN + blank + PLAIN for blank in [" \n", "\t \t\n", "\xa0\n", "\r\r\n"]),
     # Non-ASCII bytes next to the columns that are read as words.
     "1\té\t日本\tNOUN\t\U0001f600\t_\t0\té\t_\t_\n",
     # A last line whose columns 8-10, or 5-10 but 7, are empty, without a
@@ -807,11 +857,7 @@ def test_every_tag_reads_as_its_id_and_no_other_column_does():
     "1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n2\tb\t_\tX\t\t\t1\t\t\t",
 ])
 def test_the_byte_scan_settles_plain_lines_by_itself(text):
-    # What the arrays settle must agree with the sequential reader, and
-    # ``_line`` must not be needed, which would hide a line misread as bad.
-    expected = sequential_read_conllu(io.StringIO(text))
-    with mock.patch("udparse.conllu._line", side_effect=AssertionError("left to _line")):
-        assert parse_conllu(text) == expected
+    assert_settled_by_the_arrays(text)
 
 
 # The array writer against ``oracles.format_conllu_lines``, the writer that
@@ -829,6 +875,12 @@ def messy_conllu(draw):
     if draw(st.booleans()):
         text = text.replace("\n", "\r\n")
     return text
+
+
+@given(messy_conllu())
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_the_byte_scan_settles_messy_files_by_itself(text):
+    assert_settled_by_the_arrays(text)
 
 
 @st.composite
