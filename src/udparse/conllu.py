@@ -480,11 +480,11 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     id, tag and head are read from the word at their start: a ten-column
     line has nine tabs and a line end after its column 1, so that word
     lies inside the bytes, and the words of columns 4 and 7 have the bytes
-    past the end cleared.  Fields of up to 8 bytes are read from their
-    word alone, up to 18 a byte position at a time, and longer ones one at
-    a time from their bytes.  Of the lines left unsettled, each is decoded
-    alone (a list element is taken as given), and a whitespace-only one is
-    blank; every other is an error.
+    past the end cleared.  Fields of up to 8 bytes, range and empty-node
+    ids among them, are read from their word alone, and longer ones, which
+    are rare, one at a time from their bytes.  Of the lines left
+    unsettled, each is decoded alone (a list element is taken as given),
+    and a whitespace-only one is blank; every other is an error.
     Every fault is found from the settled arrays, and the first in reading
     order is raised, with the line and message of a reader that takes one
     line at a time: ``_line`` words a refused line's, given the id that
@@ -642,7 +642,9 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
 
     Columns 1, 4 and 7 are read from the word at their start (``_words``;
     ``read_conllu`` says why those words lie inside ``data``, or have the
-    bytes past its end cleared).
+    bytes past its end cleared).  Ids and heads are numbers read by
+    ``_digits``; of the ids that are not, ``_joined`` finds the range and
+    empty-node ids.
     """
     buffer = np.frombuffer(data, np.uint8)
     position_type = _position_type(len(data))
@@ -683,16 +685,16 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
     form_end, cut = stops[1:].take(at), stops[7:].take(at)
     del stops, first, at
     id_start = starts.take(candidate)
-    id_digits, id_values = _digits(data, id_start, id_end, _id_number)
+    id_digits, id_values, id_words, id_pairs = _digits(data, id_start, id_end, _id_number)
     # Range and empty-node ids are among the few ids that are not numbers.
     mixed = np.flatnonzero(~id_digits)
-    joined = _bytewise(data, id_start[mixed], id_end[mixed], _id_number)[2]
+    joined = _joined(data, id_start[mixed], id_end[mixed], id_words[mixed], id_pairs[mixed])
     kind[candidate[mixed[joined]]] = _EXTRA
     tag_length = tag_end - tag_start
     key = _words(data, tag_start) & _LOW_BYTES.take(np.minimum(tag_length, 8))
     slot = (key % _TAG_SLOTS).view(np.int64)
     tag_ok = (_SLOT_KEYS.take(slot) == key) & (_SLOT_LENGTHS.take(slot) == tag_length)
-    head_digits, head_values = _digits(data, head_start, head_end, _head_number)
+    head_digits, head_values, *_ = _digits(data, head_start, head_end, _head_number)
     no_head = (head_end - head_start == 1) & (buffer.take(head_start) == ord("_"))
     head_values[no_head] = -1
     settled = id_digits & tag_ok & (head_digits | no_head)
@@ -703,15 +705,17 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
 
 
 def _digits(data: bytes, start: np.ndarray, end: np.ndarray,
-            number: Callable[[bytes], int | None]) -> tuple[np.ndarray, np.ndarray]:
+            number: Callable[[bytes], int | None]) -> tuple[np.ndarray, ...]:
     """For each field ``data[start:end]``, ``start`` ascending: whether it
-    is ASCII digits with a value, and that value.  A field of more than 18
-    bytes has the value that ``number`` gives it, if any.
+    is ASCII digits with a value, and that value; and, for ``_joined``,
+    its word and its word's nibble pairs.
 
     A field of at most 8 bytes is one word, shifted so that the field ends
     at its highest byte, with "0"s before it, and checked and converted
     in a few word operations (the SWAR digit parsing of simdjson; Langdale
-    and Lemire 2019).  Longer fields go to ``_bytewise``.
+    and Lemire 2019).  Longer fields are rare, and each is read alone from
+    its bytes, in time linear in its length; ``number`` gives the value of
+    one made of digits, or None.
     """
     length = end - start
     size = np.clip(length, 1, 8)
@@ -725,48 +729,39 @@ def _digits(data: bytes, start: np.ndarray, end: np.ndarray,
     value = (word & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8 & 0x00FF00FF00FF00FF
     value = value * 6553601 >> 16 & 0x0000FFFF0000FFFF
     value = (value * 42949672960001 >> 32).view(np.int64)
-    long = np.flatnonzero(length > 8)
-    if len(long):
-        digits[long], value[long], _ = _bytewise(data, start[long], end[long], number)
-    return digits, value
+    for t in np.flatnonzero(length > 8).tolist():
+        field = data[start[t]:end[t]]
+        read = number(field) if field.isdigit() else None
+        if read is not None:
+            digits[t], value[t] = True, read
+    return digits, value, word, other
 
 
-def _bytewise(data: bytes, start: np.ndarray, end: np.ndarray,
-              number: Callable[[bytes], int | None]) -> tuple[np.ndarray, ...]:
-    """For each field ``data[start:end]``: whether it is ASCII digits with a
-    value, that value, and whether it is two runs of digits joined by one
-    ``-`` or ``.``, as range and empty-node ids are.
+def _joined(data: bytes, start: np.ndarray, end: np.ndarray, word: np.ndarray,
+            other: np.ndarray) -> np.ndarray:
+    """Whether each field ``data[start:end]`` is two runs of ASCII digits
+    joined by one ``-`` or ``.``, as range and empty-node ids are, given
+    the field's word and nibble pairs from ``_digits``.
 
-    Fields of up to 18 bytes are read a byte position at a time.  Longer
-    ones are rare, and each is read alone from its bytes, in time linear in
-    its length; ``number`` gives the value of one made of digits, or None.
+    A field of at most 8 bytes is checked in its word: it has one byte
+    that is not a digit, that byte is ``-`` or ``.``, and it lies after
+    the field's first byte and before its last, the word's highest.
+    Longer ones are matched one at a time.
     """
-    buffer = np.frombuffer(data, np.uint8)
-    length = end - start
-    longest = int(length.max(initial=0))
-    value = np.zeros(len(start), np.int64)
-    others = np.zeros(len(start), np.int8)
-    marks = np.zeros(len(start), np.int8)
-    for k in range(min(longest, 18)):
-        byte = buffer[np.minimum(start + k, end)]
-        digit = byte - ord("0")
-        inside = k < length
-        is_digit = digit < 10
-        value = np.where(inside & is_digit, value * 10 + digit, value)
-        others += inside & ~is_digit
-        marks += inside & ((byte == ord("-")) | (byte == ord(".")))
-    ends_are_digits = (buffer[start] - ord("0") < 10) & (buffer[end - 1] - ord("0") < 10)
-    short = (length >= 1) & (length <= 18)
-    digits = short & (others == 0)
-    joined = short & (others == 1) & (marks == 1) & ends_are_digits
-    if longest > 18:
-        for t in np.flatnonzero(length > 18).tolist():
-            field = data[start[t]:end[t]]
-            read = number(field) if field.isdigit() else None
-            if read is not None:
-                digits[t], value[t] = True, read
-            joined[t] = _EXTRA_ID.fullmatch(field) is not None
-    return digits, value, joined
+    # A byte's nibble pair is 0x33 exactly where it is a digit, as in the
+    # "0"s before the field; flag every other byte, with no carry between
+    # bytes.
+    x = other ^ 0x3333333333333333
+    flags = (x | (x & 0x7F7F7F7F7F7F7F7F) + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080
+    units = flags >> 7
+    mark = word & units * 0xFF
+    # No flag passes the power-of-two test too, and fails the first bound.
+    joined = ((flags & (flags - 1) == 0) & (flags < 1 << 63)
+              & (flags > 0x80 << _PAD_BITS.take(np.clip(end - start, 1, 8)))
+              & ((mark == units * ord("-")) | (mark == units * ord("."))))
+    for t in np.flatnonzero(end - start > 8).tolist():
+        joined[t] = _EXTRA_ID.fullmatch(data[start[t]:end[t]]) is not None
+    return joined
 
 
 def _id_number(field: bytes) -> int | None:

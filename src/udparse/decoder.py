@@ -29,16 +29,13 @@ import numpy as np
 from .conllu import Corpus, Sentence, as_corpus
 from .ranker import (DEFAULT_PREDICATE_WEIGHT, DEFAULT_TELEPORT, check_walk,
                      content_ranks, main_predicates, ranking_keys)
-from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY, TAG_IDS, Direction,
-                    DirectionPolicy, RuleSet)
+from .rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY, SIDES, TAG_IDS,
+                    Direction, DirectionPolicy, RuleSet)
 
 MODES = ("udp", "udp-nopr", "baseline", "adjacency")
 RANKED_MODES = MODES[:2]
 
 _PUNCT = TAG_IDS["PUNCT"]
-
-# Index step towards the neighbor on each backoff side.
-_STEPS = {Direction.RIGHT: 1, Direction.LEFT: -1}
 
 
 def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAULT_RULESET,
@@ -66,13 +63,14 @@ def decode_corpus(corpus: Corpus | Iterable[Sentence], ruleset: RuleSet = DEFAUL
     check_walk(teleport, predicate_weight)
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode not in RANKED_MODES and backoff_direction not in _STEPS:
+    if mode not in RANKED_MODES and backoff_direction not in (Direction.LEFT, Direction.RIGHT):
         raise ValueError(f"backoff direction must be LEFT or RIGHT, got {backoff_direction}")
     corpus = as_corpus(corpus)
     tags, offsets = corpus.tags, corpus.offsets
     starts, lasts = offsets[:-1], offsets[1:] - 1
     if mode not in RANKED_MODES:
-        step = _STEPS[backoff_direction]
+        # The index step towards the neighbor.
+        step = SIDES[backoff_direction]
         edge = np.zeros(len(tags), dtype=bool)
         edge[lasts if step == 1 else starts] = True
         neighbors = np.arange(1, len(tags) + 1) + np.where(edge, -step, step)
@@ -111,22 +109,22 @@ def _nearest(tags: np.ndarray, offsets: np.ndarray, ranks: np.ndarray, limits: n
     ``tier * 4n + 2|h - d| + [h > d]``.  Without ``backoff``, tiers 1 and
     2 are not searched, and a token with no tier-0 head gets tier 3.
 
-    One table row per distinct non-empty licensing column of
-    ``RuleSet.matrix`` holds the ranks of the heads it licenses, and with
-    ``backoff`` one row the ranks of all tokens; each sentence sits behind
-    a -1 sentinel, and the layout is followed by its reverse, so a leftward
-    search there looks rightward.  Level k holds the minimum of the 2^k
-    entries ending at each place, all levels in one buffer, and one descent
-    over the levels finds, for every token and side at once, the nearest
-    entry below its limit in its licensing row; a second descent searches
-    the all-token row for the tokens that found no tier-0 head.
+    The table has a row per licensing row of ``RuleSet.licensing``, which
+    the rule set derives once, one per distinct set of head tags that its
+    rules license for a dependent tag; a row holds the ranks of the heads
+    it licenses.  With ``backoff``, one more row holds the ranks of all
+    tokens.  In each row, each sentence sits behind a -1 sentinel, and the
+    layout is followed by its reverse, so a leftward search there looks
+    rightward.  Level k holds the minimum of the 2^k entries ending at
+    each place, all levels in one buffer, and one descent over the levels
+    finds, for every token and side at once, the nearest entry below its
+    limit in its licensing row; a second descent searches the all-token
+    row for the tokens that found no tier-0 head.
     """
     lengths = np.diff(offsets)
     places = np.arange(len(tags)) - np.repeat(offsets[:-1], lengths)
-    # Each dependent tag's licensing column as a bit pattern over head tags.
-    patterns = (1 << np.arange(len(TAG_IDS))) @ (ruleset.matrix > 0)
-    columns = np.array(sorted(set(patterns.tolist()) - {0}), dtype=np.intp)
-    masks = (columns[:, None] >> np.arange(len(TAG_IDS)) & 1).astype(bool)
+    rows, masks = ruleset.licensing
+    licensed = len(masks)
     if backoff:
         masks = np.vstack([masks, np.ones(len(TAG_IDS), dtype=bool)])
     # The forward layout: a sentinel, then each sentence followed by one.
@@ -172,16 +170,17 @@ def _nearest(tags: np.ndarray, offsets: np.ndarray, ranks: np.ndarray, limits: n
         return (tiers * (4 << levels) + 2 * distances + rightward).min(axis=0)
 
     # Tier 0 searches the suitable sides of dependents that some rule
-    # licenses; the all-token row, the tokens that found no head there.  A
-    # table of no rows (no rule, no backoff) leaves every token in tier 3.
+    # licenses; the all-token row, the tokens that found no head there.
+    # With no licensing row (no rule), every token starts in tier 3.
     none = 3 << (levels + 2)
     least = np.full(len(tags), none)
-    if len(masks):
-        least = costs(np.searchsorted(columns, patterns)[tags] * width + begins, limits,
-                      np.where(allowed & (patterns[tags] > 0), 0, 3))
+    if licensed:
+        row = rows[tags]
+        least = costs(np.maximum(row, 0) * width + begins, limits,
+                      np.where(allowed & (row >= 0), 0, 3))
     if backoff:
         unsettled = np.flatnonzero(least >= none)
-        least[unsettled] = costs(len(columns) * width + begins.take(unsettled, axis=1),
+        least[unsettled] = costs(licensed * width + begins.take(unsettled, axis=1),
                                  limits.take(unsettled), 2 - allowed.take(unsettled, axis=1))
     tiers, rest = np.divmod(least, 4 << levels)
     distances, right = np.divmod(rest, 2)

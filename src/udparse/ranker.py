@@ -129,9 +129,10 @@ def class_scores(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     A sentence's classes are its distinct tags in tag id order, the main
     predicate (``predicates``, 0-based) last and on its own; m is their
     sizes.  Each token of class a has ``R[tag c, tag a] * (m_c - [a = c])``
-    edges into class c, R being ``RuleSet.matrix``, and each class holds
-    ``m_c`` times a token's teleport mass: 1 per token and
-    ``predicate_weight`` for the predicate, over ``(n - 1) + weight``.
+    edges into class c, R being ``RuleSet.matrix`` (read through its
+    cached ``float_transpose``), and each class holds ``m_c`` times a
+    token's teleport mass: 1 per token and ``predicate_weight`` for the
+    predicate, over ``(n - 1) + weight``.
     Sentences with the same class count are solved as one stack by
     ``_walk_scores``.
     """
@@ -152,11 +153,11 @@ def class_scores(tags: np.ndarray, offsets: np.ndarray, predicates: np.ndarray,
     sizes = np.bincount(classes, minlength=class_offsets[-1]).astype(float)
     class_tags = np.empty(class_offsets[-1], dtype=np.intp)
     class_tags[classes] = tags
-    # R as floats, dependent tag by head tag: a class pair's count is one
-    # flat take, and the walk's system is built in the buffer it fills.
-    # Floats hold these small integers exactly, so each step is the IEEE
-    # operation an integer build would cast to.
-    rules = np.ascontiguousarray(ruleset.matrix.T, dtype=float)
+    # R as floats, dependent tag by head tag, as the rule set keeps it: a
+    # class pair's count is one flat take, and the walk's system is built
+    # in the buffer it fills.  Floats hold these small integers exactly, so
+    # each step is the IEEE operation an integer build would cast to.
+    rules = ruleset.float_transpose
     loops = rules.diagonal()[class_tags]
     # Every class's teleport mass at once; the predicate class is last.
     class_counts = np.diff(class_offsets)

@@ -7,7 +7,6 @@ reduced to a two-way open/closed distinction.
 """
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -60,7 +59,8 @@ class RuleSet:
 
     Pairs may repeat: multiplicity carries through to graph construction,
     where each licensing occurrence contributes one edge.  Heads must be
-    content tags; function words never head anything.
+    content tags; function words never head anything.  The tables that
+    parsing reads are derived from the pairs once, read-only.
     """
 
     pairs: tuple[tuple[str, str], ...]
@@ -72,24 +72,48 @@ class RuleSet:
             if not is_content(head):
                 raise ValueError(f"rule head must be a content tag, got {head}")
 
-    @cached_property
-    def _counts(self) -> Counter:
-        return Counter(self.pairs)
-
     def licenses(self, head_upos: str, dependent_upos: str) -> bool:
-        return (head_upos, dependent_upos) in self._counts
+        return (head_upos in TAG_IDS and dependent_upos in TAG_IDS
+                and bool(self.matrix[TAG_IDS[head_upos], TAG_IDS[dependent_upos]]))
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """Read-only pair multiplicities, indexed ``[head, dep]`` by ``TAG_IDS``."""
         matrix = np.zeros((len(TAG_IDS), len(TAG_IDS)), dtype=np.intp)
-        for (head, dep), count in self._counts.items():
-            matrix[TAG_IDS[head], TAG_IDS[dep]] = count
+        for head, dep in self.pairs:
+            matrix[TAG_IDS[head], TAG_IDS[dep]] += 1
         matrix.setflags(write=False)
         return matrix
 
+    @cached_property
+    def float_transpose(self) -> np.ndarray:
+        """Read-only ``matrix`` as floats, indexed ``[dep, head]``."""
+        table = np.ascontiguousarray(self.matrix.T, dtype=float)
+        table.setflags(write=False)
+        return table
 
-_SIDES = {Direction.RIGHT: 1, Direction.LEFT: -1, Direction.FREE: 0}
+    @cached_property
+    def licensing(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(rows, masks)``: ``masks[r, h]`` is whether licensing
+        row r licenses head tag id h, and ``rows[d]`` is dependent tag id
+        d's row, or -1 where no rule licenses d.  Dependents licensed by
+        the same head tags share a row, so there is one row per distinct
+        non-empty column of ``matrix``."""
+        licensed = self.matrix.T > 0
+        # Each dependent's column as a bit pattern over head tags.
+        patterns = licensed @ (1 << np.arange(len(TAG_IDS)))
+        columns, firsts, rows = np.unique(patterns, return_index=True, return_inverse=True)
+        # The empty column, if some dependent has it, sorts first.
+        empty = int(columns[0] == 0)
+        rows -= empty
+        masks = licensed[firsts[empty:]]
+        rows.setflags(write=False)
+        masks.setflags(write=False)
+        return rows, masks
+
+
+# The side of the head for each direction: +1 right, -1 left, 0 either.
+SIDES = {Direction.RIGHT: 1, Direction.LEFT: -1, Direction.FREE: 0}
 
 
 @dataclass(frozen=True)
@@ -111,7 +135,7 @@ class DirectionPolicy:
         0 either; head h suits dependent d iff ``sides[tag_d] * (h - d) >= 0``."""
         sides = np.zeros(len(TAG_IDS), dtype=np.intp)
         for tag, direction in self.directions.items():
-            sides[TAG_IDS[tag]] = _SIDES[direction]
+            sides[TAG_IDS[tag]] = SIDES[direction]
         sides.setflags(write=False)
         return sides
 
@@ -145,9 +169,6 @@ DEFAULT_POLICY = DirectionPolicy({
 
 FREE_POLICY = DirectionPolicy({})
 
-_DIRECTION_NAMES = {"LEFT": Direction.LEFT, "RIGHT": Direction.RIGHT,
-                    "FREE": Direction.FREE}
-
 
 def parse_rules(text: str) -> tuple[RuleSet, DirectionPolicy]:
     """Parse a rule file into a rule set and a direction policy.
@@ -157,7 +178,9 @@ def parse_rules(text: str) -> tuple[RuleSet, DirectionPolicy]:
         HEAD DEP            licensed pair (repeats raise edge multiplicity)
         DIR TAG LEFT|RIGHT|FREE
 
-    Tags without a DIR line attach freely.
+    Tags without a DIR line attach freely.  A line that ``RuleSet`` or
+    ``DirectionPolicy`` refuses, or that has neither form, raises
+    ValueError with ``rule file line N: `` before the reason.
     """
     pairs: list[tuple[str, str]] = []
     directions: dict[str, Direction] = {}
@@ -166,20 +189,16 @@ def parse_rules(text: str) -> tuple[RuleSet, DirectionPolicy]:
         if not line:
             continue
         fields = line.split()
-        if fields[0] == "DIR":
-            if len(fields) != 3 or fields[2].upper() not in _DIRECTION_NAMES:
-                raise ValueError(f"rule file line {line_no}: expected 'DIR TAG LEFT|RIGHT|FREE'")
-            tag = fields[1]
-            if tag not in KNOWN_TAGS:
-                raise ValueError(f"rule file line {line_no}: unknown tag {tag!r}")
-            directions[tag] = _DIRECTION_NAMES[fields[2].upper()]
-        elif len(fields) == 2:
-            head, dep = fields
-            if head not in KNOWN_TAGS or dep not in KNOWN_TAGS:
-                raise ValueError(f"rule file line {line_no}: unknown tag in pair {head!r} {dep!r}")
-            if not is_content(head):
-                raise ValueError(f"rule file line {line_no}: head {head!r} is not a content tag")
-            pairs.append((head, dep))
-        else:
-            raise ValueError(f"rule file line {line_no}: expected 'HEAD DEP' or 'DIR TAG DIRECTION'")
+        # Each entry is checked as the table it joins checks its entries.
+        try:
+            if fields[0] == "DIR":
+                if len(fields) != 3 or fields[2].upper() not in Direction.__members__:
+                    raise ValueError("expected 'DIR TAG LEFT|RIGHT|FREE'")
+                directions |= DirectionPolicy({fields[1]: Direction[fields[2].upper()]}).directions
+            elif len(fields) == 2:
+                pairs += RuleSet(((fields[0], fields[1]),)).pairs
+            else:
+                raise ValueError("expected 'HEAD DEP' or 'DIR TAG DIRECTION'")
+        except ValueError as error:
+            raise ValueError(f"rule file line {line_no}: {error}") from None
     return RuleSet(tuple(pairs)), DirectionPolicy(directions)

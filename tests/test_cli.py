@@ -11,7 +11,7 @@ from udparse import evaluation
 from udparse.baselines import tree_violations
 from udparse.cli import main, parse_corpus
 from udparse.conllu import Sentence, Token, as_corpus, parse_conllu, read_conllu
-from udparse.rules import Direction
+from udparse.rules import DEFAULT_POLICY, DEFAULT_RULESET, Direction
 
 from helpers import (EXAMPLE_FORMS, EXAMPLE_HEADS, EXAMPLE_TAGS, decoded,
                      example_conllu, make_sentence)
@@ -182,6 +182,26 @@ class TestParseCommand:
         code, _, _ = run(["parse", str(source), "-o", str(out),
                           "--rules", str(rules)], capsys)
         assert code == 0
+
+    def test_adp_direction_replaces_a_rule_file_dir_adp_line(self, tmp_path, capsys):
+        # In the ranked modes the ADP direction comes from --adp-direction,
+        # which under ``auto`` is the estimate: ``right`` on this file (8
+        # ADP-nominal against 7 nominal-ADP bigrams), so a rule file's
+        # ``DIR ADP LEFT`` changes nothing, and forcing ``left`` does.
+        tables = "".join(f"{head} {dep}\n" for head, dep in DEFAULT_RULESET.pairs) + "".join(
+            f"DIR {tag} {direction.name}\n" for tag, direction in DEFAULT_POLICY.directions.items())
+        (tmp_path / "default.rules").write_text(tables, encoding="utf-8")
+        (tmp_path / "left.rules").write_text(tables + "DIR ADP LEFT\n", encoding="utf-8")
+
+        def parsed(name, *options):
+            out = tmp_path / f"{name}.conllu"
+            assert run(["parse", str(MIXED_PATH), "-o", str(out), *options], capsys)[0] == 0
+            return out.read_bytes()
+
+        default = parsed("default", "--rules", str(tmp_path / "default.rules"))
+        assert parsed("auto", "--rules", str(tmp_path / "left.rules")) == default
+        assert parsed("left", "--rules", str(tmp_path / "left.rules"),
+                      "--adp-direction", "left") != default
 
     def test_identical_runs_produce_identical_bytes(self, tmp_path, capsys):
         source = tmp_path / "in.conllu"

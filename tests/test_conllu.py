@@ -672,7 +672,7 @@ def near_tags(name):
 
 
 NEAR_TAGS = sorted(set().union(*map(near_tags, TAG_NAMES)))
-# Ids and heads of these many digits: one word, and two or three.
+# Ids and heads of these many digits: in one word, and longer.
 WIDTHS = [1, 7, 8, 9, 17, 18, 19]
 
 
@@ -747,8 +747,7 @@ WORD_EXAMPLE = word_example(WIDTHS)
 # Blocks with no token lines, at a blank line and at the end.
 @example("# a\n\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
 @example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n2.1\tz\t_\t_\t_\t_\t_\t_\t_\t_")
-# Token lines read from one word, a byte position at a time and as whole
-# fields, in one sentence: zero-padded ids, long heads, \r\n ends and
+# Token lines read from one word and as whole fields, in one sentence: zero-padded ids, long heads, \r\n ends and
 # whitespace-only blank lines.
 @example("01\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\r\n"
          "3\tc\t_\tX\t_\t_\t0000000000000000000002\t_\t_\t_\n \t\n1\td\t_\tX\t_\t_\t_\t_\t_\t_\n")
@@ -776,6 +775,25 @@ WORD_EXAMPLE = word_example(WIDTHS)
 @example("00000001-00000002\tab\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
          "00000001.00000001\tz\t_\t_\t_\t_\t_\t_\t_\t_\n000000001-2\tb\t_\t_\t_\t_\t_\t_\t_\t_\n"
          "2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n")
+# Range and empty-node ids of 3, 8 and 9 bytes, at the edges of the word
+# they are recognised in, and near misses of at most 8 bytes, one with its
+# mark in its word's last byte.
+@example("1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
+         "1.1\tz\t_\t_\t_\t_\t_\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n")
+@example("0001-002\tab\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
+         "0001.001\tz\t_\t_\t_\t_\t_\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n")
+@example("00001-002\tab\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
+         "00001.001\tz\t_\t_\t_\t_\t_\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n1-\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+@example("-1\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n1--2\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+@example("1-2.3\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n1.-2\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+@example("1é-2\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n0000001-\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n0000001.\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
+# A mark whose byte shares the nibbles of "-" and "." in the word check.
+@example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n1,2\tx\t_\t_\t_\t_\t_\t_\t_\t_\n")
 @example("12345678\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
 @example("1\ta\t_\tNOUN\t_\t_\t87654321\t_\t_\t_\n")
 @example("1é\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n")
@@ -839,12 +857,15 @@ PLAIN = "1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
 @pytest.mark.parametrize("text", [
     # Ids and heads of 1 to 19 digits.
     word_example(WIDTHS),
-    # Range and empty-node ids of 8 or more bytes, and of more than 18.
+    # Range and empty-node ids of 17 bytes, and of 39.
     "00000001-00000002\tab\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
     "00000001.00000001\tz\t_\t_\t_\t_\t_\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n",
     f"{'2'.zfill(19)}-{'3'.zfill(19)}\tbc\t_\t_\t_\t_\t_\t_\t_\t_\n" + PLAIN
     + "2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n"
     + f"{'2'.zfill(19)}.{'1'.zfill(19)}\tz\t_\t_\t_\t_\t_\t_\t_\t_\n",
+    # Range and empty-node ids of 8 bytes, read in one word, and of 9.
+    *(f"{one}-002\tab\t_\t_\t_\t_\t_\t_\t_\t_\n" + PLAIN + f"{one}.001\tz\t_\t_\t_\t_\t_\t_\t_\t_\n"
+      "2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n" for one in ["0001", "00001"]),
     # A head zero-padded to as many digits as ``int`` converts.
     f"1\ta\t_\tNOUN\t_\t_\t{'2'.zfill(INT_DIGITS)}\t_\t_\t_\n2\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n",
     # Whitespace-only blank lines, and a line of one \r before its \r\n end.

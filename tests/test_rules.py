@@ -9,6 +9,7 @@ from udparse.rules import (DEFAULT_POLICY, DEFAULT_RULESET, FREE_POLICY,
                            is_nominal, parse_rules)
 
 from helpers import make_sentence
+from test_decoder import rule_sets
 
 
 def side(policy, tag):
@@ -43,6 +44,10 @@ class TestDelta:
 
     def test_adj_never_heads_adj(self):
         assert not DEFAULT_RULESET.licenses("ADJ", "ADJ")
+
+    def test_unknown_tag_is_never_licensed(self):
+        assert not DEFAULT_RULESET.licenses("VERB", "BOGUS")
+        assert not DEFAULT_RULESET.licenses("BOGUS", "NOUN")
 
     def test_default_table_is_exactly_the_documented_pairs(self):
         assert set(DEFAULT_RULESET.pairs) == EXPECTED_DEFAULT_PAIRS
@@ -166,3 +171,46 @@ VERB NOUN
     def test_function_head_names_line(self):
         with pytest.raises(ValueError, match="line 2.*content"):
             parse_rules("VERB NOUN\nDET NOUN\n")
+
+
+# Every refusal of a rule file: its line, and the reason that ``RuleSet`` or
+# ``DirectionPolicy`` gives for the same entry when built directly.
+@pytest.mark.parametrize("text, line, reason, build", [
+    ("VERB NOUN\nVERB BOGUS\n", 2, "unknown tag in rule pair (VERB, BOGUS)",
+     lambda: RuleSet((("VERB", "BOGUS"),))),
+    ("VERB NOUN\nDET NOUN\n", 2, "rule head must be a content tag, got DET",
+     lambda: RuleSet((("DET", "NOUN"),))),
+    ("# tables\n\nDIR BOGUS LEFT\n", 3, "unknown tag in direction policy: BOGUS",
+     lambda: DirectionPolicy({"BOGUS": Direction.LEFT})),
+    ("DIR DET SIDEWAYS\n", 1, "expected 'DIR TAG LEFT|RIGHT|FREE'", None),
+    ("DIR DET\n", 1, "expected 'DIR TAG LEFT|RIGHT|FREE'", None),
+    ("DIR DET LEFT RIGHT\n", 1, "expected 'DIR TAG LEFT|RIGHT|FREE'", None),
+    ("VERB NOUN\nVERB\n", 2, "expected 'HEAD DEP' or 'DIR TAG DIRECTION'", None),
+    ("VERB NOUN ADJ\n", 1, "expected 'HEAD DEP' or 'DIR TAG DIRECTION'", None),
+], ids=["unknown-pair-tag", "function-head", "unknown-dir-tag", "bad-side", "dir-two-fields",
+        "dir-four-fields", "one-field", "three-fields"])
+def test_rule_file_refusals_name_the_line_and_the_reason(text, line, reason, build):
+    with pytest.raises(ValueError) as refused:
+        parse_rules(text)
+    assert str(refused.value) == f"rule file line {line}: {reason}"
+    if build is not None:
+        with pytest.raises(ValueError) as built:
+            build()
+        assert str(built.value) == reason
+
+
+@given(rule_sets)
+def test_derived_tables_are_the_matrix_read_once(ruleset):
+    rows, masks = ruleset.licensing
+    licensed = ruleset.matrix > 0
+    # A dependent tag's licensing row holds the head tags that license it,
+    # and one that no rule licenses has none; equal columns share a row.
+    for dep, column in enumerate(licensed.T):
+        assert (masks[rows[dep]] == column).all() if rows[dep] >= 0 else not column.any()
+    assert len(masks) == len({column.tobytes() for column in licensed.T if column.any()})
+    floats = ruleset.float_transpose
+    assert floats.dtype == float and (floats == ruleset.matrix.T).all()
+    for table in (rows, masks, floats):
+        assert not table.flags.writeable
+    assert ruleset.licensing is ruleset.licensing
+    assert ruleset.float_transpose is floats
