@@ -5,11 +5,11 @@ modes.  Here lives the one check of the trees that every mode's heads must
 or may form, ``tree_violations``, over a whole corpus at once;
 ``validate_tree`` and ``forms_tree`` apply it to one sentence.  Here too is
 the naive two-tag POS scenario: the 100 most frequent word forms of the
-input become FUNCTION, everything else CONTENT.
+input become FUNCTION, everything else CONTENT.  Forms are counted by
+their bytes, and ties at the 100th place still break in Python's string
+order of the forms.
 """
 
-import heapq
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -126,15 +126,27 @@ def forms_tree(sentence: Sentence, heads: dict[int, int]) -> bool:
 def naive_pos_tag(corpus: Corpus | Iterable[Sentence]) -> Corpus:
     """Replace every tag with CONTENT or FUNCTION by form frequency.
 
-    Frequencies are counted case-sensitively over the corpus being parsed;
-    the 100 most frequent forms become FUNCTION, ties at the boundary broken
-    by lexicographic order of the form.  Everything but the tags survives.
+    Frequencies are counted case-sensitively over the corpus being parsed,
+    on the forms' bytes (``RawText.form_groups``); the 100 most frequent
+    forms become FUNCTION, ties at the boundary broken by Python's string
+    order of the form.  Only the forms tied at the 100th count are decoded,
+    to be ordered.  Everything but the tags survives.
     """
     corpus = as_corpus(corpus)
-    counts = Counter(corpus.forms)
-    function_forms = {form for form, _ in heapq.nsmallest(
-        FUNCTION_FORM_COUNT, counts.items(), key=lambda item: (-item[1], item[0]))}
-    function = np.fromiter(map(function_forms.__contains__, corpus.forms), dtype=bool,
-                           count=len(corpus.forms))
-    tags = np.where(function, TAG_IDS["FUNCTION"], TAG_IDS["CONTENT"]).astype(np.intp)
+    raw = corpus.raw
+    groups, counts, tokens = raw.form_groups()
+    function = np.ones(len(counts), bool)
+    below = len(counts) - FUNCTION_FORM_COUNT
+    if below > 0:
+        # The 100th-largest count: every form counted more often is
+        # FUNCTION, and the forms counted this often share the places left.
+        least = np.partition(counts, below)[below]
+        function = counts > least
+        tied = np.flatnonzero(counts == least)
+        at = tokens.take(tied)
+        forms = [str(raw.data[start:end], "utf-8", "surrogatepass") for start, end
+                 in zip(raw.form_starts.take(at).tolist(), raw.form_ends.take(at).tolist())]
+        chosen = sorted(zip(forms, tied.tolist()))[:FUNCTION_FORM_COUNT - function.sum()]
+        function[[group for _, group in chosen]] = True
+    tags = np.where(function, TAG_IDS["FUNCTION"], TAG_IDS["CONTENT"]).take(groups)
     return replace(corpus, tags=tags)

@@ -10,9 +10,10 @@ one line per element, which may end in one ``\\n`` and hold no other.
 Columns 1, 4 and 7 (id, tag and head) are each read as one 8-byte word,
 through a zero-copy view of the bytes that has an unaligned little-endian
 word at every byte position, as simdjson reads JSON (Langdale and Lemire
-2019); ``eval`` compares forms 8 bytes at a time through the same view.  A
-word that would reach past the end of the bytes, as the words of columns 4
-and 7 of the last line can, has those bytes cleared instead.
+2019); ``eval`` compares forms, and ``naive_pos_tag`` groups them, 8 bytes
+at a time through the same view.  A word that would reach past the end
+of the bytes, as the words of columns 4 and 7 of the last line can, has
+those bytes cleared instead.
 
 It returns a ``Corpus``: flat arrays plus sentence offsets, the layout of
 Apache Arrow's list arrays.  ``tags`` (``rules.TAG_IDS``) and
@@ -22,11 +23,11 @@ stays the UTF-8 buffer that the reader scanned, a ``RawText`` that also
 holds each token's line number, the tag id its column 4 was read as, and
 the byte bounds of its line, its column 2 (after Apache Arrow's
 variable-size binary layout), its columns 4 and 7 and the tab before its
-column 9, and the byte bounds of each sentence: ``eval`` compares forms on
-those bounds, and the writer copies between them.  ``lines`` (the raw
-token lines), ``forms``, ``comments`` and ``extras`` are decoded from the
-buffer on first use, once for every corpus that shares it; writing a
-corpus decodes none of them.
+column 9, and the byte bounds of each sentence: ``eval`` compares and
+``naive_pos_tag`` groups forms on those bounds, and the writer copies
+between them.  ``lines`` (the raw token lines), ``forms``, ``comments``
+and ``extras`` are decoded from the buffer on first use, once for every
+corpus that shares it; writing a corpus decodes none of them.
 Multiword-token range lines (ids like ``3-4``) and empty-node lines (ids
 like ``5.1``) are not syntactic words: they are kept verbatim per sentence
 in ``extras``, and comment lines in ``comments``; ``# key = value``
@@ -309,6 +310,53 @@ class RawText:
         if first < count:
             return first
         return int(unequal[0]) if len(unequal) else None
+
+    def form_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The tokens grouped by their column 2: each token's group, the
+        number of tokens in each group, and one token of each group.
+
+        A form of up to 16 bytes is told apart by its length and its first
+        and second words (``_words``), each masked to the form's length:
+        the length keeps ``a`` apart from ``a\\x00``.  A form of more than
+        16 bytes has, in place of its second word, its number among the
+        distinct such forms, which are few and are told apart one at a
+        time from their bytes.  The tokens are sorted on their first word
+        alone, and only its runs that hold other second words or lengths
+        are sorted again on those.
+        """
+        data, starts, ends = self.data, self.form_starts, self.form_ends
+        lengths = ends - starts
+        first = _words(data, starts) & _LOW_BYTES.take(np.minimum(lengths, 8))
+        second = np.zeros_like(first)
+        past = np.flatnonzero(lengths > 8)
+        second[past] = (_words(data, starts.take(past) + 8)
+                        & _LOW_BYTES.take(np.minimum(lengths.take(past) - 8, 8)))
+        long = np.flatnonzero(lengths > 16)
+        if len(long):
+            numbers: dict[bytes, int] = {}
+            second[long] = [numbers.setdefault(data[start:end], len(numbers)) for start, end
+                            in zip(starts.take(long).tolist(), ends.take(long).tolist())]
+        order = np.argsort(first)
+        keys = [key.take(order) for key in (first, second, lengths)]
+        del first, second, lengths
+        changed = [key[1:] != key[:-1] for key in keys]
+        mixed = ~changed[0] & (changed[1] | changed[2])
+        if mixed.any():
+            run = np.append(0, np.cumsum(changed[0]))
+            hit = np.zeros(run[-1] + 1, bool)
+            hit[run[1:][mixed]] = True
+            at = np.flatnonzero(hit.take(run))
+            moved = at.take(np.lexsort((keys[2].take(at), keys[1].take(at), run.take(at))))
+            for values in (order, *keys):
+                values[at] = values.take(moved)
+            changed[1:] = (key[1:] != key[:-1] for key in keys[1:])
+        new = np.ones(len(order), bool)
+        new[1:] = changed[0] | changed[1] | changed[2]
+        firsts = np.flatnonzero(new)
+        counts = np.diff(firsts, append=len(order))
+        groups = np.empty_like(order)
+        groups[order] = np.repeat(np.arange(len(counts)), counts)
+        return groups, counts, order.take(firsts)
 
     @cached_property
     def extras(self) -> tuple[tuple[tuple[int, str], ...], ...]:
@@ -653,8 +701,11 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
     stops = buffer == ord("\t")
     stops |= buffer == ord("\n")
     stops = np.flatnonzero(stops)
+    # ``take`` gathers about 3x faster than indexing does, and at int32
+    # positions through an intp copy of them; the byte at each tab and line
+    # end is gathered before the positions are cut to int32, so no copy.
+    last = np.flatnonzero(buffer.take(stops) == ord("\n"))
     stops = stops.astype(position_type)
-    last = np.flatnonzero(buffer[stops] == ord("\n"))
     first = np.zeros_like(last)
     first[1:] = last[:-1] + 1
     ends = stops.take(last)
@@ -663,8 +714,7 @@ def _settle(data: bytes) -> tuple[np.ndarray, ...]:
     starts = line_starts[:-1]
     kind = np.full(len(ends), _UNSETTLED, np.int8)
     kind[starts == ends] = _BLANK
-    # ``take`` gathers at int32 positions about 3x faster than indexing
-    # does, through an intp copy of them, too large for ``stops``.
+    # One line start per line: its intp copy for ``take`` is small.
     kind[buffer.take(starts) == ord("#")] = _COMMENT
     candidate = (last - first == 9) & (kind == _UNSETTLED)
     if b"\r" in data:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from udparse.baselines import (DependencyTree, forms_tree, naive_pos_tag, tree_violations,
                                validate_tree)
 from udparse.cli import best_baseline_direction
-from udparse.conllu import as_corpus
+from udparse.conllu import as_corpus, read_conllu
 from udparse.decoder import decode_corpus
-from udparse.rules import (CONTENT_TAGS, DEFAULT_RULESET, KNOWN_TAGS, NAIVE_RULESET, UPOS_TAGS,
-                           Direction, is_content)
+from udparse.rules import (CONTENT_TAGS, DEFAULT_RULESET, KNOWN_TAGS, NAIVE_RULESET, TAG_IDS,
+                           UPOS_TAGS, Direction, is_content)
 
 from helpers import make_sentence
 from oracles import adjacency_parse, baseline_parse, top_frequency_forms, walk_tree_violations
@@ -265,6 +265,57 @@ class TestNaivePosTag:
         assert once == twice
         assert once[0].tokens[0].gold_head == 2
         assert once[0].meta == {"genre": "g"}
+
+
+def read_forms(forms, size=7):
+    """A corpus of ``forms`` as column 2, ``size`` tokens a sentence, read
+    through ``read_conllu``."""
+    lines = []
+    for start in range(0, len(forms), size):
+        lines += [f"{i}\t{form}\t_\tX\t_\t_\t_\t_\t_\t_"
+                  for i, form in enumerate(forms[start:start + size], start=1)]
+        lines.append("")
+    return read_conllu(lines)
+
+
+def crowded(first, second):
+    """98 forms seen twice, ``first`` seen twice around one ``second``, and
+    the largest code point once: the 100th place goes to ``second``.  Were
+    ``first`` and ``second`` counted as one form, the last form would take
+    it; were the two ``first`` counted apart, ``second`` would lose it."""
+    return [f"f{i:02d}" for i in range(98)] * 2 + [first, second, first, "\U0010ffff"]
+
+
+@st.composite
+def crowded_forms(draw):
+    """Tokens of 70-100 forms seen twice and of up to 30 more forms of
+    1-40 bytes seen 1-3 times each: these share their first 8 or 16 bytes
+    often, and crowd the 100th place."""
+    forms = st.builds(str.__add__, st.sampled_from(["", "abcdefgh", "abcdefghabcdefgh"]),
+                      st.text("ab\x00é", min_size=1, max_size=12))
+    vocabulary = draw(st.lists(forms, unique=True, max_size=30))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(vocabulary),
+                           max_size=len(vocabulary)))
+    fillers = [f"f{i:02d}" for i in range(draw(st.integers(70, 100)))]
+    return draw(st.permutations(fillers * 2 + [form for form, count in zip(vocabulary, counts)
+                                               for _ in range(count)]))
+
+
+@given(crowded_forms())
+@example(forms=crowded("abcdefgh1", "abcdefgh2"))
+@example(forms=crowded("abcdefghabcdefgh1", "abcdefghabcdefgh2"))
+@example(forms=crowded("a", "a\x00"))
+@example(forms=crowded("é", "\ud800x"))
+@example(forms=["b", "a", "b", "abcdefghabcdefgh1"])
+@example(forms=[])
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_naive_tags_are_the_frequency_oracle(forms):
+    # Forms are counted by their bytes; FUNCTION goes to exactly the forms
+    # that counting the decoded strings puts first.
+    tags = naive_pos_tag(read_forms(forms)).tags
+    function = top_frequency_forms([forms])
+    assert tags.tolist() == [TAG_IDS["FUNCTION"] if form in function else TAG_IDS["CONTENT"]
+                             for form in forms]
 
 
 class TestOracleDirection:

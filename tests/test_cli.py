@@ -522,8 +522,7 @@ class TestNoTokenObjects:
 
 class TestNoLineStrings:
     """``parse``, ``eval`` and ``stats`` work on the bytes that they read:
-    none decodes a token line, form or comment into a string, except
-    ``parse --pos naive``, which decodes the forms that it counts."""
+    none decodes a token line, form or comment into a string."""
 
     @pytest.mark.parametrize("options", PARSE_OPTIONS)
     def test_parse_decodes_no_line(self, options, tmp_path, capsys):
@@ -537,7 +536,7 @@ class TestNoLineStrings:
             assert main(["parse", str(MIXED_PATH), *options,
                          "-o", str(tmp_path / "parsed.conllu")]) == 0
         assert len(read) == 1
-        assert decoded(read[0]) == ({"forms"} if "naive" in options else set())
+        assert decoded(read[0]) == set()
 
     def test_eval_and_stats_decode_no_line(self, tmp_path, capsys):
         parsed = str(tmp_path / "parsed.conllu")
