@@ -143,9 +143,7 @@ def naive_pos_tag(corpus: Corpus | Iterable[Sentence]) -> Corpus:
         least = np.partition(counts, below)[below]
         function = counts > least
         tied = np.flatnonzero(counts == least)
-        at = tokens.take(tied)
-        forms = [str(raw.data[start:end], "utf-8", "surrogatepass") for start, end
-                 in zip(raw.form_starts.take(at).tolist(), raw.form_ends.take(at).tolist())]
+        forms = map(raw.form, tokens.take(tied).tolist())
         chosen = sorted(zip(forms, tied.tolist()))[:FUNCTION_FORM_COUNT - function.sum()]
         function[[group for _, group in chosen]] = True
     tags = np.where(function, TAG_IDS["FUNCTION"], TAG_IDS["CONTENT"]).take(groups)

@@ -25,9 +25,9 @@ the byte bounds of its line, its column 2 (after Apache Arrow's
 variable-size binary layout), its columns 4 and 7 and the tab before its
 column 9, and the byte bounds of each sentence: ``eval`` compares and
 ``naive_pos_tag`` groups forms on those bounds, and the writer copies
-between them.  ``lines`` (the raw token lines), ``forms``, ``comments``
-and ``extras`` are decoded from the buffer on first use, once for every
-corpus that shares it; writing a corpus decodes none of them.
+between them.  ``lines`` (the raw token lines), ``comments`` and
+``extras`` are decoded from the buffer on first use, once for every corpus
+that shares it; writing a corpus decodes none of them.
 Multiword-token range lines (ids like ``3-4``) and empty-node lines (ids
 like ``5.1``) are not syntactic words: they are kept verbatim per sentence
 in ``extras``, and comment lines in ``comments``; ``# key = value``
@@ -50,10 +50,10 @@ tag's name are copied with the columns around them, so such a token costs
 one copied segment, from the tab before the previous token's column 9 to
 its column 7, and one inserted head.  No line is decoded into a string.
 
-``Token`` and ``Sentence`` are read-only views for library callers.
-Indexing or iterating a corpus gives sentences that build their tokens on
-first use, and ``as_corpus`` turns sentences, also ones built from tokens,
-into a corpus; every function that takes a corpus accepts either.
+``Token`` and ``Sentence`` are read-only values for library callers.
+Indexing or iterating a corpus builds each sentence it gives from the
+decoded lines, and ``as_corpus`` turns sentences, also ones built from
+tokens, into a corpus; every function that takes a corpus accepts either.
 """
 
 import io
@@ -113,20 +113,24 @@ class Token:
             raise ValueError(f"gold_head must be non-negative, got {self.gold_head}")
 
 
+@dataclass(frozen=True)
 class Sentence:
     """One sentence: ``tokens``, ``meta``, raw ``comments`` and ``extras``.
 
-    Read-only.  ``Sentence(tokens, meta, comments, extras)`` wraps tokens
-    that a library caller built, numbered from 1.  ``Corpus[i]`` is a view
-    that builds its tokens, meta, comments and extras from the corpus on
-    first use, so its ``len`` costs nothing.  ``extras`` holds
-    range/empty-node lines as ``(k, raw_line)`` pairs, meaning the raw line
-    came after the first ``k`` token lines.
+    Read-only.  ``Sentence(tokens, meta, comments, extras)`` takes tokens
+    numbered from 1, and ``meta`` defaults to what the ``# key = value``
+    comments say; ``Corpus[i]`` builds one from the corpus's lines.
+    ``extras`` holds range/empty-node lines as ``(k, raw_line)`` pairs,
+    meaning the raw line came after the first ``k`` token lines.
     """
 
-    def __init__(self, tokens: Iterable[Token], meta: dict[str, str] | None = None,
-                 comments: Iterable[str] = (), extras: Iterable[tuple[int, str]] = ()):
-        tokens = tuple(tokens)
+    tokens: tuple[Token, ...]
+    meta: dict[str, str] | None = None
+    comments: tuple[str, ...] = ()
+    extras: tuple[tuple[int, str], ...] = ()
+
+    def __post_init__(self):
+        tokens, comments = tuple(self.tokens), tuple(self.comments)
         if not tokens:
             raise ValueError("sentence must contain at least one token")
         for position, token in enumerate(tokens, start=1):
@@ -134,64 +138,16 @@ class Sentence:
                 raise ValueError(
                     f"token indices must be consecutive from 1; "
                     f"found {token.index} at position {position}")
-        vars(self).update(tokens=tokens, meta=dict(meta or {}), comments=tuple(comments),
-                          extras=tuple(extras), _length=len(tokens))
-
-    @classmethod
-    def _view(cls, corpus: "Corpus", number: int) -> "Sentence":
-        view = cls.__new__(cls)
-        start, end = corpus.offsets[number:number + 2].tolist()
-        vars(view).update(_length=end - start, _source=(corpus, number, start))
-        return view
-
-    @cached_property
-    def tokens(self) -> tuple[Token, ...]:
-        corpus, _, start = self._source
-        end = start + self._length
-        return tuple(
-            _token(position, line, tag, head) for position, (line, tag, head) in enumerate(
-                zip(corpus.lines[start:end], corpus.tags[start:end].tolist(),
-                    corpus.heads[start:end].tolist()), start=1))
-
-    @cached_property
-    def meta(self) -> dict[str, str]:
-        return _meta(self.comments)
-
-    @cached_property
-    def comments(self) -> tuple[str, ...]:
-        corpus, number, _ = self._source
-        return corpus.comments[number]
-
-    @cached_property
-    def extras(self) -> tuple[tuple[int, str], ...]:
-        corpus, number, _ = self._source
-        return corpus.extras[number]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sentence is read-only")
+        vars(self).update(tokens=tokens, comments=comments, extras=tuple(self.extras),
+                          meta=_meta(comments) if self.meta is None else dict(self.meta))
 
     def __len__(self) -> int:
-        return self._length
+        return len(self.tokens)
 
     def __iter__(self) -> Iterator[Token]:
         return iter(self.tokens)
 
-    def __eq__(self, other):
-        if not isinstance(other, Sentence):
-            return NotImplemented
-        return ((self.tokens, self.meta, self.comments, self.extras)
-                == (other.tokens, other.meta, other.comments, other.extras))
-
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Sentence({self.tokens!r}, meta={self.meta!r})"
-
-
-def _token(position: int, line: str, tag: int, head: int) -> Token:
-    _, form, lemma, _, xpos, feats, _, deprel, deps, misc = line.split("\t")
-    return Token(position, form, TAG_NAMES[tag], None if head < 0 else head,
-                 lemma, xpos, feats, deprel, deps, misc)
 
 
 def _meta(comments: Iterable[str]) -> dict[str, str]:
@@ -268,12 +224,9 @@ class RawText:
     def lines(self) -> tuple[str, ...]:
         return self._at(self.token_lines)
 
-    @cached_property
-    def forms(self) -> list[str]:
-        # Each form with the tab after it, in one gather.
-        forms = str(_gather(np.frombuffer(self.data, np.uint8), self.form_starts.copy(),
-                            self.form_ends - self.form_starts + 1), "utf-8", "surrogatepass")
-        return forms.split("\t")[:-1]
+    def form(self, t: int) -> str:
+        """Column 2 of token ``t``, decoded."""
+        return self.data[self.form_starts[t]:self.form_ends[t]].decode(errors="surrogatepass")
 
     @cached_property
     def comments(self) -> tuple[tuple[str, ...], ...]:
@@ -373,10 +326,12 @@ class Corpus:
 
     ``tags`` and ``heads`` have one entry per syntactic word, sentence s
     owning ``offsets[s]:offsets[s + 1]``, and ``raw`` holds the text.
-    ``lines`` (one per token), ``forms`` (column 2 of each), ``comments``
-    and ``extras`` (one entry per sentence) are decoded from it on first
-    use.  ``predicted`` is None, or the flat heads of a parse (0 for the
-    root).  The arrays are read-only; ``dataclasses.replace`` makes a
+    ``lines`` (one per token), ``comments`` and ``extras`` (one entry per
+    sentence) are decoded from it on first use: indexing the corpus
+    builds a ``Sentence`` from them.  ``predicted`` is None, or the flat
+    heads of a parse (0 for the root).  ``tags``, ``heads`` and
+    ``predicted`` of another length than ``offsets[-1]`` raise
+    ValueError.  The arrays are read-only; ``dataclasses.replace`` makes a
     retagged or parsed corpus in O(1) that shares the text and what has
     been decoded from it.
     """
@@ -388,18 +343,31 @@ class Corpus:
     predicted: np.ndarray | None = None
 
     def __post_init__(self):
-        for array in (self.tags, self.heads, self.offsets, self.predicted):
+        self.offsets.flags.writeable = False
+        for name in ("tags", "heads", "predicted"):
+            array = getattr(self, name)
             if array is not None:
+                if len(array) != self.offsets[-1]:
+                    raise ValueError(f"{name} has {len(array)} entries for "
+                                     f"{self.offsets[-1]} tokens")
                 array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
     def __getitem__(self, number: int) -> Sentence:
-        return Sentence._view(self, range(len(self))[number])
+        number = range(len(self))[number]
+        start, end = self.offsets[number:number + 2].tolist()
+        tokens = []
+        for line, tag, head in zip(self.lines[start:end], self.tags[start:end].tolist(),
+                                   self.heads[start:end].tolist()):
+            _, form, lemma, _, xpos, feats, _, deprel, deps, misc = line.split("\t")
+            tokens.append(Token(len(tokens) + 1, form, TAG_NAMES[tag], None if head < 0 else head,
+                                lemma, xpos, feats, deprel, deps, misc))
+        return Sentence(tokens, comments=self.comments[number], extras=self.extras[number])
 
     def __iter__(self) -> Iterator[Sentence]:
-        return (Sentence._view(self, number) for number in range(len(self)))
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other):
         if not isinstance(other, Corpus):
@@ -416,10 +384,6 @@ class Corpus:
         return self.raw.lines
 
     @property
-    def forms(self) -> list[str]:
-        return self.raw.forms
-
-    @property
     def comments(self) -> tuple[tuple[str, ...], ...]:
         return self.raw.comments
 
@@ -429,8 +393,10 @@ class Corpus:
 
     def per_sentence(self, values: Sequence) -> list[list]:
         """A flat per-token array, such as ``predicted``, as one list per
-        sentence."""
+        sentence; ValueError if it has not one entry per token."""
         values = np.asarray(values).tolist()
+        if len(values) != self.offsets[-1]:
+            raise ValueError(f"{len(values)} values for {self.offsets[-1]} tokens")
         bounds = self.offsets.tolist()
         return [values[start:end] for start, end in zip(bounds, bounds[1:])]
 
@@ -452,8 +418,8 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
     is raised again as ``sentence N: `` and the reader's reason, N being
     the sentence whose written line it names.  A sentence with metadata
     but no comments gets one ``# key = value`` comment per entry.  Sentences
-    carry no parse: a view of a parsed corpus brings its column 7 as read,
-    not the corpus's ``predicted``.
+    carry no parse: a sentence of a parsed corpus brings its column 7 as
+    read, not the corpus's ``predicted``.
     """
     if isinstance(sentences, Corpus):
         return sentences

@@ -84,7 +84,7 @@ def _check_aligned(gold: Corpus, pred: Corpus) -> None:
         number, index = _locate(gold.offsets, token)
         raise AlignmentError(
             f"sentence {number}, token {index}: form mismatch "
-            f"(gold {gold.forms[token]!r}, predicted {pred.forms[token]!r})")
+            f"(gold {gold.raw.form(token)!r}, predicted {pred.raw.form(token)!r})")
     if len(differs):
         number = int(differs[0])
         raise AlignmentError(

@@ -1,6 +1,6 @@
 """Shared fixtures: quick sentence construction and the worked example."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -42,8 +42,9 @@ def random_head(rng, n: int, i: int) -> int:
 
 
 def decoded(corpus):
-    """What has been decoded from the corpus's text into strings so far."""
-    return {"all_lines", "lines", "forms", "comments", "extras"} & vars(corpus.raw).keys()
+    """What has been decoded from the corpus's text into strings so far:
+    the cached properties of its ``RawText``."""
+    return vars(corpus.raw).keys() - {field.name for field in fields(corpus.raw)}
 
 
 def tag_ids(sentences):

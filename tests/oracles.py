@@ -281,7 +281,7 @@ def adjacent_bigram_counts(tag_sequences):
 
 
 def check_aligned(gold, pred):
-    """``evaluation._check_aligned`` over the corpora's ``forms`` lists:
+    """``evaluation._check_aligned`` over column 2 of the corpora's lines:
     the first sentence count, form or token count mismatch, in that order
     of precedence within the sentences that line up."""
     if len(gold) != len(pred):
@@ -290,7 +290,8 @@ def check_aligned(gold, pred):
     gold_lengths, pred_lengths = np.diff(gold.offsets), np.diff(pred.offsets)
     differs = np.flatnonzero(gold_lengths != pred_lengths)
     aligned = int(gold.offsets[differs[0]]) if len(differs) else len(gold.tags)
-    gold_forms, pred_forms = gold.forms[:aligned], pred.forms[:aligned]
+    gold_forms, pred_forms = ([line.split("\t")[1] for line in corpus.lines[:aligned]]
+                              for corpus in (gold, pred))
     if gold_forms != pred_forms:
         token = next(i for i, pair in enumerate(zip(gold_forms, pred_forms))
                      if pair[0] != pair[1])

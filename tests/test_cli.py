@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
+import udparse
 from udparse import evaluation
 from udparse.baselines import tree_violations
 from udparse.cli import main, parse_corpus
@@ -19,6 +21,9 @@ from test_conllu import valid_conllu
 
 SAMPLE_PATH = Path(__file__).parent / "data" / "sample.conllu"
 MIXED_PATH = Path(__file__).parent / "data" / "mixed_lengths.conllu"
+# Child interpreters import the package under test from where this one did.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(udparse.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
 
 # The options of every parsing path the CLI has.
 PARSE_OPTIONS = (["--mode", "udp"], ["--mode", "udp-nopr"], ["--mode", "baseline"],
@@ -121,7 +126,7 @@ class TestParseCommand:
     def test_stdin_stdout_streams(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "udparse", "parse", "--adp-direction", "right"],
-            input=example_conllu(), capture_output=True, text=True, timeout=60)
+            input=example_conllu(), capture_output=True, text=True, timeout=60, env=CHILD_ENV)
         assert result.returncode == 0
         parsed = heads_of(result.stdout)
         assert parsed[0] == list(EXAMPLE_HEADS)
@@ -552,8 +557,8 @@ class TestNoLineStrings:
                 assert main(argv) == 0, capsys.readouterr().err
         assert len(read) == 3
         assert all(decoded(corpus) == set() for corpus in read)
-        # The check works: a sentence's comments are decoded on first use.
-        assert read[0][0].comments and decoded(read[0]) == {"all_lines", "comments"}
+        # The check works: a corpus's comments are decoded on first use.
+        assert read[0].comments[0] and decoded(read[0]) == {"all_lines", "comments"}
 
 
 # Peak memory without timing: some numpy calls (``np.unique`` among them)
@@ -576,7 +581,7 @@ print("numpy.ma" in sys.modules)
 def test_no_command_imports_masked_arrays(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", _NO_MASKED_ARRAYS, str(MIXED_PATH), str(tmp_path / "parsed")],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "False"
 
@@ -584,6 +589,6 @@ def test_no_command_imports_masked_arrays(tmp_path):
 def test_module_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "udparse", "stats", str(SAMPLE_PATH)],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV)
     assert result.returncode == 0
     assert "sentences\t3" in result.stdout

@@ -273,14 +273,28 @@ class TestRead:
     def test_lines_are_decoded_on_first_use(self):
         corpus = parse_conllu(SAMPLE_PATH.read_text(encoding="utf-8"))
         parsed = replace(corpus, predicted=corpus.heads)
-        assert (len(corpus), len(corpus[0]), [len(s) for s in corpus]) == (3, 9, [9, 6, 3])
+        assert (len(corpus), np.diff(corpus.offsets).tolist()) == (3, [9, 6, 3])
         assert corpus.per_sentence(corpus.heads)[2] == [2, 0, 2]
         assert decoded(corpus) == set()
+        # Indexing builds a sentence from the decoded lines, and one
+        # decoding serves every corpus that shares the text.
         assert corpus[0].tokens[0].form == "They"
-        # One decoding serves every corpus that shares the text.
-        assert decoded(parsed) == {"all_lines", "lines"}
-        assert parsed[1].comments == corpus.comments[1] and parsed.raw is corpus.raw
-        assert decoded(corpus) == {"all_lines", "lines", "comments"}
+        everything = {"all_lines", "lines", "comments", "extras"}
+        assert decoded(parsed) == everything and parsed.raw is corpus.raw
+        decodings = {name: vars(corpus.raw)[name] for name in everything}
+        assert parsed[1] == corpus[1] and list(parsed) == list(corpus)
+        assert all(vars(corpus.raw)[name] is value for name, value in decodings.items())
+
+    def test_per_sentence_refuses_values_of_another_length(self):
+        corpus = parse_conllu(SAMPLE_PATH.read_text(encoding="utf-8"))
+        with pytest.raises(ValueError, match="3 values for 18 tokens"):
+            corpus.per_sentence(np.arange(3))
+
+    @pytest.mark.parametrize("name", ["tags", "heads", "predicted"])
+    def test_arrays_of_another_length_are_refused(self, name):
+        corpus = parse_conllu(SAMPLE_PATH.read_text(encoding="utf-8"))
+        with pytest.raises(ValueError, match=f"{name} has 3 entries for 18 tokens"):
+            replace(corpus, **{name: np.arange(3)})
 
     def test_gold_head_equal_to_the_length_is_accepted(self):
         (sentence,) = parse_conllu("1\ta\t_\tNOUN\t_\t_\t2\t_\t_\t_\n"
@@ -381,6 +395,14 @@ class TestWrite:
                 as_corpus(sentences)
             assert str(raised.value) == message
             assert raised.value.line is None
+
+    def test_meta_is_read_from_the_comments_unless_given(self):
+        tokens = (Token(1, "a", "NOUN", gold_head=0),)
+        sentence = Sentence(tokens, comments=("# sent_id = 1", "# note"))
+        assert sentence.meta == {"sent_id": "1"}
+        assert as_corpus([sentence])[0] == sentence
+        given = Sentence(tokens, meta={"genre": "news"}, comments=("# sent_id = 1",))
+        assert given.meta == {"genre": "news"}
 
     def test_meta_synthesized_when_no_raw_comments(self):
         sentence = make_sentence(["NOUN"], meta={"genre": "legal"})
@@ -564,10 +586,20 @@ def test_sentences_convert_to_the_text_that_is_written(text):
     sentences = list(parse_conllu(text))
     converted = as_corpus(sentences)
     assert list(converted) == sentences
+    # Each sentence is what its lines, comments and extras say.
+    bounds = converted.offsets.tolist()
+    for number in range(len(converted)):
+        tokens = [Token(position, form, upos, None if head == "_" else int(head),
+                        lemma, xpos, feats, deprel, deps, misc)
+                  for position, (_, form, lemma, upos, xpos, feats, head, deprel, deps, misc)
+                  in enumerate((line.split("\t") for line in converted.lines[
+                      bounds[number]:bounds[number + 1]]), start=1)]
+        assert converted[number] == Sentence(tokens, comments=converted.comments[number],
+                                             extras=converted.extras[number])
     written = format_conllu(sentences)
     assert converted.raw.data == written.encode()
     assert parse_conllu(written) == converted
-    assert form_spans(converted) == converted.forms
+    assert form_spans(converted) == [line.split("\t")[1] for line in converted.lines]
 
 
 # Lines made of CoNLL-U-like pieces, so that most examples get past the
@@ -822,7 +854,7 @@ def test_reader_matches_the_sequential_reader(text):
                          "form_ends", "tag_starts", "head_starts", "cuts", "comment_lines",
                          "extra_lines", "sentence_lines", "sentence_starts", "sentence_ends"):
                 assert getattr(got.raw, name).tolist() == getattr(expected.raw, name).tolist()
-            assert form_spans(got) == got.forms
+            assert form_spans(got) == [line.split("\t")[1] for line in got.lines]
 
 
 def test_every_tag_reads_as_its_id_and_no_other_column_does():
@@ -956,8 +988,9 @@ def test_writer_matches_the_line_string_writer(corpus):
     assert_writes_as_the_oracle(corpus)
     if isinstance(corpus, list):
         return
-    # Forms are gathered from their byte spans, as the writer gathers.
-    assert corpus.forms == [line.split("\t")[1] for line in corpus.lines]
+    # Each form's byte span holds column 2 of its line.
+    assert list(map(corpus.raw.form, range(len(corpus.tags)))) == [
+        line.split("\t")[1] for line in corpus.lines]
     if corpus.predicted is not None and not isinstance(
             written_or_refused(format_conllu, corpus), ConlluError):
         written = parse_conllu(format_conllu(corpus))

@@ -241,6 +241,8 @@ def test_alignment_names_the_first_differing_multi_byte_form():
         _check_aligned(gold, pred)
     assert str(raised.value) == ("sentence 1, token 2: form mismatch "
                                  "(gold 'café', predicted 'cafè')")
+    # The message is worded from the two forms' bytes alone.
+    assert decoded(gold) == decoded(pred) == set()
 
 
 class TestErrorPropagation:
