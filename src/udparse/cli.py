@@ -8,6 +8,8 @@ is 0 on success, 1 for usage errors, 2 for data errors.
 """
 
 import argparse
+import functools
+import io
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .baselines import naive_pos_tag, tree_violations
-from .conllu import Corpus, Sentence, as_corpus, read_conllu, write_conllu
+from .conllu import (ConlluError, Corpus, Sentence, as_corpus, read_conllu,
+                     write_conllu)
 from .decoder import MODES, RANKED_MODES, decode_corpus
 from .direction import estimate_adp_direction
 from .evaluation import evaluate, format_domain_report, format_report, uas
@@ -154,11 +157,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first ``main`` call, so importing builds nothing.  Parsing
+    # leaves the parser as it was, and it reads ``sys.stdout`` and
+    # ``sys.stderr`` only when it prints, so one parser serves every call.
+    return build_parser()
+
+
 def _read_corpus(path: str) -> Corpus:
-    if path == "-":
-        return read_conllu(sys.stdin)
-    with open(path, encoding="utf-8") as handle:
-        return read_conllu(handle)
+    """Read a CoNLL-U file, or stdin for ``-``, decoding it as strict UTF-8.
+
+    Stdin is read through its binary buffer when it has one, which stays
+    open for later reads; a text stream without one is read as given.
+    """
+    try:
+        if path != "-":
+            with open(path, encoding="utf-8") as handle:
+                return read_conllu(handle)
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:
+            return read_conllu(sys.stdin)
+        # POSIX stdin splits lines at "\n" only, without translating them.
+        stream = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
+        try:
+            return read_conllu(stream)
+        finally:
+            stream.detach()
+    except UnicodeDecodeError as error:
+        # The whole input is decoded at once, so the offset is absolute.
+        line = 1 + error.object[:error.start].count(b"\n")
+        raise ConlluError(f"invalid UTF-8: cannot decode byte "
+                          f"0x{error.object[error.start]:02x} ({error.reason})",
+                          line) from None
 
 
 def _write_corpus(corpus: Corpus, path: str) -> None:
@@ -230,9 +261,8 @@ def _cmd_stats(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exit_request:
         return exit_request.code if isinstance(exit_request.code, int) else 1
     try:

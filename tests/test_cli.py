@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import udparse
-from udparse import evaluation
+from udparse import cli, evaluation
 from udparse.baselines import tree_violations
 from udparse.cli import main, parse_corpus
 from udparse.conllu import Sentence, Token, as_corpus, parse_conllu, read_conllu
@@ -440,6 +442,108 @@ class TestStatsCommand:
         assert f"tokens\t{token_count}" in out.splitlines()
 
 
+class TestInputEncoding:
+    """Input must be UTF-8: an invalid byte is refused with its line and exit
+    status 2, from a file or from stdin, before any output is opened."""
+
+    @staticmethod
+    def corrupted(line, prefix=b"\xff"):
+        """``mixed_lengths.conllu`` with ``prefix`` put at the start of the
+        form on ``line``, a token line."""
+        lines = MIXED_PATH.read_bytes().split(b"\n")
+        id_, form = lines[line - 1].split(b"\t", 1)
+        lines[line - 1] = id_ + b"\t" + prefix + form
+        return b"\n".join(lines)
+
+    @pytest.mark.parametrize("line", [3, 300])
+    def test_file_names_the_line(self, line, tmp_path, capsys):
+        path = tmp_path / "in.conllu"
+        path.write_bytes(self.corrupted(line))
+        for argv in (["parse", str(path)], ["stats", str(path)],
+                     ["eval", str(MIXED_PATH), str(path)]):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (2, ""), argv
+            assert err == (f"error: line {line}: invalid UTF-8: cannot decode "
+                           f"byte 0xff (invalid start byte)\n"), argv
+
+    def test_stdin_bytes_name_the_line(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "udparse", "parse"], input=self.corrupted(300),
+            capture_output=True, timeout=60, env=CHILD_ENV)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == (b"error: line 300: invalid UTF-8: cannot decode "
+                                 b"byte 0xff (invalid start byte)\n")
+
+    def test_output_file_is_left_untouched(self, tmp_path):
+        target = tmp_path / "out.conllu"
+        target.write_bytes(b"kept\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "udparse", "parse", "-o", str(target)],
+            input=self.corrupted(3), capture_output=True, timeout=60, env=CHILD_ENV)
+        assert result.returncode == 2
+        assert result.stderr.startswith(b"error: line 3: invalid UTF-8")
+        assert target.read_bytes() == b"kept\n"
+
+    def test_stdin_buffer_is_read_as_utf8_and_left_open(self, tmp_path, capsys):
+        path = tmp_path / "in.conllu"
+        path.write_bytes(self.corrupted(3, "日本".encode()))
+        expected = run(["parse", str(path)], capsys)
+        assert "日本adp3" in expected[1]
+        buffer = io.BytesIO(path.read_bytes())
+        stdin = io.TextIOWrapper(buffer, encoding="latin-1")
+        with mock.patch("sys.stdin", stdin):
+            assert run(["parse"], capsys) == expected
+            # A second call finds the buffer open, at the end of its input.
+            code, out, _ = run(["stats"], capsys)
+            assert (code, out.splitlines()[:2]) == (0, ["sentences\t0", "tokens\t0"])
+        assert not buffer.closed
+
+
+class TestParserReuse:
+    """``main`` builds its argument parser once per process, and a parser
+    that has refused arguments or printed help parses the next call as a
+    new one would."""
+
+    def test_two_calls_build_one_parser(self, capsys):
+        cli._parser.cache_clear()
+        with mock.patch("udparse.cli.build_parser", wraps=cli.build_parser) as built:
+            assert main(["stats", str(SAMPLE_PATH)]) == 0
+            assert main(["stats", str(MIXED_PATH)]) == 0
+        assert built.call_count == 1
+
+    def test_refusals_and_help_leave_no_trace(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        bad = tmp_path / "bad.conllu"
+        bad.write_text("1\ta\tNOUN\n", encoding="utf-8")
+        outputs = [tmp_path / "first.conllu", tmp_path / "second.conllu"]
+        good = ["parse", str(MIXED_PATH), "--mode", "baseline", "--backoff-direction", "left"]
+        first = run([*good, "-o", str(outputs[0])], capsys)
+        assert run(["parse", "--teleport", "1"], capsys)[0] == 1
+        assert run(["parse", "-h"], capsys)[0] == 0
+        assert run(["parse", str(bad)], capsys)[0] == 2
+        second = run([*good, "-o", str(outputs[1])], capsys)
+        assert first == second
+        assert first[0] == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    def test_usage_and_help_go_to_the_current_streams(self, capsys):
+        cli._parser.cache_clear()
+        earlier_out, earlier_err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(earlier_out), contextlib.redirect_stderr(earlier_err):
+            assert main(["parse", "--teleport", "1"]) == 1
+        assert earlier_err.getvalue().startswith("usage: udparse parse")
+        code, out, err = run(["parse", "--teleport", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == earlier_err.getvalue()
+        code, out, err = run(["parse", "-h"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: udparse parse")
+        assert earlier_out.getvalue() == ""
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestLibraryPipeline:
     def test_parse_corpus_returns_new_sentences(self):
         corpus = as_corpus([make_sentence(EXAMPLE_TAGS, EXAMPLE_FORMS)])
@@ -592,3 +696,12 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, timeout=60, env=CHILD_ENV)
     assert result.returncode == 0
     assert "sentences\t3" in result.stdout
+
+
+def test_importing_builds_no_parser():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import udparse, udparse.cli; print(udparse.cli._parser.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=60, env=CHILD_ENV)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
