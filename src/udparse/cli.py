@@ -4,12 +4,13 @@ The parser is training-free, so ``parse`` makes two passes over its input:
 one to estimate the adposition attachment direction from tag bigrams, one to
 parse the whole corpus through ``decoder.decode_corpus``; the baselines skip
 the first pass and take the second, through the same decoder.  Exit status
-is 0 on success, 1 for usage errors, 2 for data errors.
+is 0 on success, 1 for usage errors, 2 for data errors, and 141 when
+stdout is a pipe that its reader has closed.
 """
 
 import argparse
 import functools
-import io
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .baselines import naive_pos_tag, tree_violations
-from .conllu import (ConlluError, Corpus, Sentence, as_corpus, read_conllu,
-                     write_conllu)
+from .conllu import (ConlluError, Corpus, Sentence, as_corpus, decode_utf8,
+                     read_conllu, write_conllu)
 from .decoder import MODES, RANKED_MODES, decode_corpus
 from .direction import estimate_adp_direction
 from .evaluation import evaluate, format_domain_report, format_report, uas
@@ -42,9 +43,10 @@ def parse_corpus(corpus: Corpus | Iterable[Sentence], *, mode: str = "udp",
 
     Every mode takes one route: tags, then ``decode_corpus``, then one flat
     head array, attached to the corpus without copying it.
-    ``adp_direction`` is ``auto`` (estimate from the corpus), ``left``, or
-    ``right``; it only matters for the ranked modes under the standard tag
-    set, where the direction policy gains an ADP entry.
+    ``adp_direction`` only matters for the ranked modes under the standard
+    tag set.  ``left`` or ``right`` sets the policy's ADP entry; under
+    ``auto`` a policy that names an ADP direction keeps it, and any other
+    gains the one estimated from the corpus.
     """
     if adp_direction not in ADP_DIRECTIONS:
         raise ValueError(f"unknown ADP direction {adp_direction!r}")
@@ -56,12 +58,11 @@ def parse_corpus(corpus: Corpus | Iterable[Sentence], *, mode: str = "udp",
     elif pos_source == "gold-column":
         active_rules = ruleset if ruleset is not None else DEFAULT_RULESET
         active_policy = policy if policy is not None else DEFAULT_POLICY
-        if mode in RANKED_MODES:
-            if adp_direction == "auto":
-                resolved = estimate_adp_direction(corpus).resolved
-            else:
-                resolved = Direction(adp_direction)
-            active_policy = active_policy.with_direction("ADP", resolved)
+        if mode in RANKED_MODES and adp_direction != "auto":
+            active_policy = active_policy.with_direction("ADP", Direction(adp_direction))
+        elif mode in RANKED_MODES and "ADP" not in active_policy.directions:
+            active_policy = active_policy.with_direction(
+                "ADP", estimate_adp_direction(corpus).resolved)
     else:
         raise ValueError(f"unknown POS source {pos_source!r}")
 
@@ -166,30 +167,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _read_corpus(path: str) -> Corpus:
-    """Read a CoNLL-U file, or stdin for ``-``, decoding it as strict UTF-8.
+    """Read a CoNLL-U file, or stdin for ``-``, as bytes.
 
     Stdin is read through its binary buffer when it has one, which stays
     open for later reads; a text stream without one is read as given.
     """
-    try:
-        if path != "-":
-            with open(path, encoding="utf-8") as handle:
-                return read_conllu(handle)
-        buffer = getattr(sys.stdin, "buffer", None)
-        if buffer is None:
-            return read_conllu(sys.stdin)
-        # POSIX stdin splits lines at "\n" only, without translating them.
-        stream = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
-        try:
-            return read_conllu(stream)
-        finally:
-            stream.detach()
-    except UnicodeDecodeError as error:
-        # The whole input is decoded at once, so the offset is absolute.
-        line = 1 + error.object[:error.start].count(b"\n")
-        raise ConlluError(f"invalid UTF-8: cannot decode byte "
-                          f"0x{error.object[error.start]:02x} ({error.reason})",
-                          line) from None
+    if path != "-":
+        with open(path, "rb") as handle:
+            return read_conllu(handle)
+    return read_conllu(getattr(sys.stdin, "buffer", sys.stdin))
 
 
 def _write_corpus(corpus: Corpus, path: str) -> None:
@@ -208,7 +194,10 @@ def _cmd_parse(args) -> int:
     corpus = _read_corpus(args.input)
     ruleset = policy = None
     if args.rules:
-        ruleset, policy = parse_rules(Path(args.rules).read_text(encoding="utf-8"))
+        try:
+            ruleset, policy = parse_rules(decode_utf8(Path(args.rules).read_bytes()))
+        except ConlluError as error:  # only ``decode_utf8`` raises one
+            raise ValueError(f"rule file line {error.line}: {error.reason}") from None
     backoff = Direction(args.backoff_direction)
 
     if args.oracle_direction:
@@ -266,7 +255,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exit_request:
         return exit_request.code if isinstance(exit_request.code, int) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone, which is no fault of the input: exit
+        # quietly with 128 + SIGPIPE, as ``cat`` does, with stdout on the null
+        # device so that flushing it at exit cannot fail (Python's signal
+        # docs, "Note on SIGPIPE").
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 141
     except (OSError, ValueError) as error:  # ConlluError, AlignmentError included
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -5,8 +5,8 @@ once, as numpy arrays over its UTF-8 bytes.  A line the arrays leave
 unsettled is decoded alone: it is blank if it is whitespace-only, and an
 error if not.  An error names the first bad line in reading order, as a
 line-by-line reader would, and only that line is worded one at a time
-(``_line``).  A text stream is split at ``\\n``; any other iterable gives
-one line per element, which may end in one ``\\n`` and hold no other.
+(``_line``).  A stream, binary or text, is split at ``\\n``; any other
+iterable gives one line per element, ending in at most one ``\\n``.
 Columns 1, 4 and 7 (id, tag and head) are each read as one 8-byte word,
 through a zero-copy view of the bytes that has an unaligned little-endian
 word at every byte position, as simdjson reads JSON (Langdale and Lemire
@@ -61,7 +61,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -471,15 +471,27 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
         raise ConlluError(f"sentence {number}: {error.reason}") from None
 
 
-def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
-    """Read CoNLL-U from a text stream or a line iterable into a corpus.
+def decode_utf8(data: bytes) -> str:
+    """``data`` decoded as strict UTF-8; an invalid byte raises ConlluError
+    naming the byte and its line, counted in ``data``."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as error:
+        raise ConlluError(f"invalid UTF-8: cannot decode byte 0x{data[error.start]:02x} "
+                          f"({error.reason})", data.count(b"\n", 0, error.start) + 1) from None
+
+
+def read_conllu(source: BinaryIO | TextIO | Iterable[str]) -> Corpus:
+    """Read CoNLL-U from a binary or text stream, or a line iterable.
 
     A stream is read whole and split at ``\\n`` only; each element of any
-    other iterable is one line.  A line's ending ``\\n``, and one ``\\r``
-    before it, are dropped.  A UTF-8 byte-order mark at the start of the
-    input is skipped.  Lone surrogates in the text are kept, as the writer
-    keeps them.  Raises ConlluError naming the first offending line in
-    reading order, also as its ``line``, for malformed column counts, bad
+    other iterable is one line.  A binary stream's bytes must be strict
+    UTF-8 (``decode_utf8``); text is taken as its UTF-8 encoding, lone
+    surrogates kept, as the writer keeps them.  Both then take one path:
+    a UTF-8 byte-order mark at the start is skipped, and a line's ending
+    ``\\n``, and one ``\\r`` before it, are dropped.  Raises ConlluError
+    naming the first offending line in reading order, also as its
+    ``line``, for invalid UTF-8, malformed column counts, bad
     token ids, unknown UPOS tags, unparseable head fields (``_`` is
     accepted as "no gold head"), a head equal to the token's own id, heads
     beyond the end of their sentence (found when the sentence ends), a
@@ -507,12 +519,15 @@ def read_conllu(source: TextIO | Iterable[str]) -> Corpus:
     more than about twice its input.
     """
     if callable(getattr(source, "read", None)):
-        text = source.read().removeprefix("\ufeff")
-        if "\r" in text:
+        data = source.read()
+        if isinstance(data, str):
+            data = data.encode(errors="surrogatepass")
+        else:
+            decode_utf8(data)
+        data = data.removeprefix(b"\xef\xbb\xbf")
+        if b"\r" in data:
             # One carriage return before a line's end belongs to the line end.
-            text = text.replace("\r\n", "\n").removesuffix("\r")
-        data = text.encode(errors="surrogatepass")
-        del text
+            data = data.replace(b"\r\n", b"\n").removesuffix(b"\r")
         if data and not data.endswith(b"\n"):
             data += b"\n"
         lines = None

@@ -4,11 +4,13 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import udparse
 from udparse import cli, evaluation
@@ -190,11 +192,11 @@ class TestParseCommand:
                           "--rules", str(rules)], capsys)
         assert code == 0
 
-    def test_adp_direction_replaces_a_rule_file_dir_adp_line(self, tmp_path, capsys):
-        # In the ranked modes the ADP direction comes from --adp-direction,
-        # which under ``auto`` is the estimate: ``right`` on this file (8
-        # ADP-nominal against 7 nominal-ADP bigrams), so a rule file's
-        # ``DIR ADP LEFT`` changes nothing, and forcing ``left`` does.
+    def test_rule_file_dir_adp_line_holds_under_auto(self, tmp_path, capsys):
+        # Under ``auto`` the estimate, ``right`` on this file (8 ADP-nominal
+        # against 7 nominal-ADP bigrams), fills in only a policy that names
+        # no ADP direction: a rule file's ``DIR ADP LEFT`` writes what
+        # ``--adp-direction left`` writes, and a forced side replaces it.
         tables = "".join(f"{head} {dep}\n" for head, dep in DEFAULT_RULESET.pairs) + "".join(
             f"DIR {tag} {direction.name}\n" for tag, direction in DEFAULT_POLICY.directions.items())
         (tmp_path / "default.rules").write_text(tables, encoding="utf-8")
@@ -206,9 +208,26 @@ class TestParseCommand:
             return out.read_bytes()
 
         default = parsed("default", "--rules", str(tmp_path / "default.rules"))
-        assert parsed("auto", "--rules", str(tmp_path / "left.rules")) == default
-        assert parsed("left", "--rules", str(tmp_path / "left.rules"),
-                      "--adp-direction", "left") != default
+        left = parsed("left", "--rules", str(tmp_path / "default.rules"), "--adp-direction", "left")
+        assert left != default
+        assert parsed("auto", "--rules", str(tmp_path / "left.rules")) == left
+        assert parsed("right", "--rules", str(tmp_path / "left.rules"),
+                      "--adp-direction", "right") == default
+
+    def test_a_pinned_adp_direction_skips_the_estimate(self):
+        corpus = parse_conllu(MIXED_PATH.read_text(encoding="utf-8"))
+        with mock.patch("udparse.cli.estimate_adp_direction") as estimate:
+            parse_corpus(corpus, policy=DEFAULT_POLICY.with_direction("ADP", Direction.LEFT))
+            parse_corpus(corpus, adp_direction="right")
+        assert estimate.call_count == 0
+
+    def test_rule_file_invalid_utf8_names_its_line(self, tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(b"NOUN NOUN\n# \xe6\x97\xa5\nVERB \xffNOUN\n")
+        code, out, err = run(["parse", str(SAMPLE_PATH), "--rules", str(rules)], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: rule file line 3: invalid UTF-8: cannot decode byte 0xff "
+                       "(invalid start byte)\n")
 
     def test_identical_runs_produce_identical_bytes(self, tmp_path, capsys):
         source = tmp_path / "in.conllu"
@@ -484,6 +503,16 @@ class TestInputEncoding:
         assert result.stderr.startswith(b"error: line 3: invalid UTF-8")
         assert target.read_bytes() == b"kept\n"
 
+    def test_bare_carriage_return_is_refused_from_a_file_and_stdin(self, tmp_path):
+        path = tmp_path / "in.conllu"
+        path.write_bytes(b"1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\r2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n")
+        with path.open("rb") as stdin:
+            for argv, source in ((["stats", str(path)], subprocess.DEVNULL), (["stats"], stdin)):
+                result = subprocess.run([sys.executable, "-m", "udparse", *argv], stdin=source,
+                                        capture_output=True, timeout=60, env=CHILD_ENV)
+                assert (result.returncode, result.stdout) == (2, b""), argv
+                assert result.stderr == b"error: line 1: carriage return inside the line\n", argv
+
     def test_stdin_buffer_is_read_as_utf8_and_left_open(self, tmp_path, capsys):
         path = tmp_path / "in.conllu"
         path.write_bytes(self.corrupted(3, "日本".encode()))
@@ -497,6 +526,81 @@ class TestInputEncoding:
             code, out, _ = run(["stats"], capsys)
             assert (code, out.splitlines()[:2]) == (0, ["sentences\t0", "tokens\t0"])
         assert not buffer.closed
+
+
+def stdin_and_file_runs(data, argv, target):
+    """``(code, stdout, stderr, target bytes)`` of ``main`` on ``data``,
+    first read from a file and then from a stdin buffer, with ``target``
+    holding ``kept`` before each run."""
+    results = []
+    for from_stdin in (False, True):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "in.conllu"
+            path.write_bytes(data)
+            target.write_bytes(b"kept\n")
+            out, err = io.StringIO(), io.StringIO()
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                    mock.patch("sys.stdin", stdin):
+                code = main([*argv, *([] if from_stdin else [str(path)])])
+            results.append((code, out.getvalue(), err.getvalue(), target.read_bytes()))
+    return results
+
+
+# Edits to valid CoNLL-U: a carriage return before a line end, which is
+# valid, or one that breaks the input: a carriage return or a byte-order
+# mark put anywhere, an invalid UTF-8 sequence, or a tab dropped, doubled or
+# made a space.
+EDITS = st.sampled_from(["crlf", "crlf", b"\r", b"\r", b"\xef\xbb\xbf", b"\xff", b"\xc3",
+                         b"\xed\xa0\x80", b"\xe6\x97", "tab", "tab"])
+
+
+@st.composite
+def nearly_valid_conllu(draw):
+    data = bytearray(draw(valid_conllu()).encode())
+    for edit in draw(st.lists(EDITS, min_size=1, max_size=2)):
+        if edit == "crlf":
+            at = draw(st.sampled_from([i for i, byte in enumerate(data) if byte == ord("\n")]))
+            data[at:at] = b"\r"
+        elif edit == "tab":
+            at = draw(st.sampled_from([i for i, byte in enumerate(data) if byte == ord("\t")]))
+            data[at:at + 1] = draw(st.sampled_from([b"", b" ", b"\t\t"]))
+        else:
+            at = draw(st.integers(0, len(data)))
+            data[at:at] = edit
+    return bytes(data)
+
+
+@given(nearly_valid_conllu())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_a_file_and_stdin_get_one_verdict(data):
+    with tempfile.TemporaryDirectory() as folder:
+        target = Path(folder) / "out.conllu"
+        for argv in (["stats"], ["parse", "-o", str(target)]):
+            from_file, from_stdin = stdin_and_file_runs(data, argv, target)
+            assert from_file == from_stdin
+            code, out, err, written = from_file
+            assert code in (0, 2), err
+            if code == 2:
+                assert (out, written) == ("", b"kept\n")
+                assert err.startswith("error: line "), err
+
+
+class TestOutputPipe:
+    """A reader of stdout that stops early ends the command quietly, with
+    the status a shell gives a command that SIGPIPE stopped."""
+
+    @pytest.mark.parametrize("argv", [["stats"], ["parse"]])
+    def test_closed_output_pipe_exits_141_without_a_message(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "udparse", *argv, str(MIXED_PATH)],
+                                    stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                                    env=CHILD_ENV)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b"")
 
 
 class TestParserReuse:

@@ -230,6 +230,53 @@ class TestRead:
             == parse_conllu(text)
         assert len(read_conllu([])) == 0
 
+    @pytest.mark.parametrize("text", [
+        "\ufeff# a\r\n1\tx\u00e9\t_\tNOUN\t_\t_\t0\t_\t_\t_\r\n\r\n1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\r",
+        "1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\r2\tb\t_\tVERB\t_\t_\t1\t_\t_\t_\n",
+        "1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\ufeff2\ty\t_\tNOUN\t_\t_\t1\t_\t_\t_\n",
+    ])
+    def test_a_binary_stream_reads_as_its_text(self, text):
+        # The same bytes give the same corpus, or the same error, as text.
+        results = []
+        for stream in (io.StringIO(text), io.BytesIO(text.encode())):
+            try:
+                results.append(read_conllu(stream))
+            except ConlluError as error:
+                results.append((str(error), error.line))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("data, line, byte, reason", [
+        (b"\xef\xbb\xbf# a\r\n# \xff\n", 2, 0xff, "invalid start byte"),
+        (b"# a\rb\n\n# \xc3(\n", 3, 0xc3, "invalid continuation byte"),
+        # Strict UTF-8 has no surrogates, which a text stream may hold.
+        (b"1\ta\xed\xa0\x80b\t_\tNOUN\t_\t_\t0\t_\t_\t_\n", 1, 0xed, "invalid continuation byte"),
+        (b"1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\xe6\x97", 2, 0xe6, "unexpected end of data"),
+    ])
+    def test_invalid_utf8_in_a_binary_stream_names_its_line(self, data, line, byte, reason):
+        with pytest.raises(ConlluError) as excinfo:
+            read_conllu(io.BytesIO(data))
+        assert (excinfo.value.line, excinfo.value.reason) == (
+            line, f"invalid UTF-8: cannot decode byte 0x{byte:02x} ({reason})")
+
+    def test_a_lone_surrogate_in_text_is_kept(self):
+        text = "1\ta\ud800b\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"
+        (sentence,) = parse_conllu(text)
+        assert sentence.tokens[0].form == "a\ud800b"
+        assert format_conllu(parse_conllu(text)) == text + "\n"
+
+    def test_reading_a_binary_file_holds_no_more_than_reading_text(self, tmp_path):
+        text = mixed_times_ten("\n")
+        corpus, text_peak = reading_peak(tmp_path, text)
+        with open(tmp_path / "read.conllu", "rb") as handle:
+            tracemalloc.start()
+            try:
+                read = read_conllu(handle)
+                binary_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert read == corpus
+        assert binary_peak <= text_peak, (binary_peak, text_peak)
+
     @pytest.mark.parametrize("blank", ["\n", " \n"], ids=["plain", "spaced"])
     def test_reading_holds_at_most_ten_times_the_input(self, tmp_path, blank):
         # The byte scan holds a few numbers per tab and line end; reading
