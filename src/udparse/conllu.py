@@ -5,8 +5,7 @@ once, as numpy arrays over its UTF-8 bytes.  A line the arrays leave
 unsettled is decoded alone: it is blank if it is whitespace-only, and an
 error if not.  An error names the first bad line in reading order, as a
 line-by-line reader would, and only that line is worded one at a time
-(``_line``).  A stream, binary or text, is split at ``\\n``; any other
-iterable gives one line per element, ending in at most one ``\\n``.
+(``_line``).  The input is a binary or text stream, split at ``\\n``.
 Columns 1, 4 and 7 (id, tag and head) are each read as one 8-byte word,
 through a zero-copy view of the bytes that has an unaligned little-endian
 word at every byte position, as simdjson reads JSON (Langdale and Lemire
@@ -405,13 +404,16 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
     """``sentences`` as a corpus; a ``Corpus`` is returned as it is.
 
     The sentences are written as CoNLL-U lines and read back with
-    ``read_conllu``, so the text is what ``write_conllu`` writes for them
-    and a sentence whose lines would not read back is refused.  Raises
-    ConlluError for a token field that contains a tab or a line break, for
-    a comment line, range/empty-node line, or metadata key or value that
-    contains a line break, for a comment line without a leading ``#`` or a
-    range/empty-node line without such an id, which would read back as
-    another kind of line, for range/empty-node lines out of order or
+    ``read_conllu`` from an ``io.StringIO``, so the text is what
+    ``write_conllu`` writes for them and a sentence whose lines would not
+    read back is refused.  Raises ConlluError for a token field that
+    contains a tab or a line break, for a comment line, range/empty-node
+    line, or metadata key or value that contains a line break, for a
+    comment line without a leading ``#`` or a range/empty-node line
+    without such an id, which would read back as another kind of line, for
+    metadata that its comments would not read back as (metadata given
+    beside other comments, or a key with ``=`` or a key or value with
+    whitespace at its ends), for range/empty-node lines out of order or
     placed after more tokens than the sentence has, and for any error
     ``read_conllu`` finds in the lines, such as a range/empty-node line
     without ten columns or a gold head outside its sentence; such an error
@@ -436,6 +438,9 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
             if not comment.startswith("#"):
                 raise ConlluError(
                     f"sentence {number}: comment {comment!r} does not start with '#'")
+        if (read := _meta(comments)) != sentence.meta:
+            raise ConlluError(f"sentence {number}: metadata {sentence.meta!r} "
+                              f"would read back from its comments as {read!r}")
         extras = sentence.extras
         for _, raw in extras:
             if "\n" in raw or "\r" in raw:
@@ -464,8 +469,13 @@ def as_corpus(sentences: "Corpus | Iterable[Sentence]") -> Corpus:
             body.insert(after, raw)
         lines += [*comments, *body, ""]
         ends.append(len(lines))
+    # Each line, then its line end.  Written, not given to the constructor,
+    # which in CPython copies it at 4 bytes a character.
+    stream = io.StringIO()
+    stream.write("\n".join([*lines, ""]))
+    stream.seek(0)
     try:
-        return read_conllu(lines)
+        return read_conllu(stream)
     except ConlluError as error:
         number = int(np.searchsorted(ends, error.line)) + 1
         raise ConlluError(f"sentence {number}: {error.reason}") from None
@@ -481,21 +491,22 @@ def decode_utf8(data: bytes) -> str:
                           f"({error.reason})", data.count(b"\n", 0, error.start) + 1) from None
 
 
-def read_conllu(source: BinaryIO | TextIO | Iterable[str]) -> Corpus:
-    """Read CoNLL-U from a binary or text stream, or a line iterable.
+def read_conllu(source: BinaryIO | TextIO) -> Corpus:
+    """Read CoNLL-U from a binary or text stream.
 
-    A stream is read whole and split at ``\\n`` only; each element of any
-    other iterable is one line.  A binary stream's bytes must be strict
-    UTF-8 (``decode_utf8``); text is taken as its UTF-8 encoding, lone
-    surrogates kept, as the writer keeps them.  Both then take one path:
-    a UTF-8 byte-order mark at the start is skipped, and a line's ending
-    ``\\n``, and one ``\\r`` before it, are dropped.  Raises ConlluError
-    naming the first offending line in reading order, also as its
-    ``line``, for invalid UTF-8, malformed column counts, bad
-    token ids, unknown UPOS tags, unparseable head fields (``_`` is
-    accepted as "no gold head"), a head equal to the token's own id, heads
-    beyond the end of their sentence (found when the sentence ends), a
-    carriage return or a line break inside a line, and a comment after a
+    The stream is read whole and split at ``\\n`` only.  A binary stream's
+    bytes must be strict UTF-8 (``decode_utf8``); text is taken as its
+    UTF-8 encoding, lone surrogates kept, as the writer keeps them.  Open
+    a file in binary mode: text mode's universal newlines would end a line
+    at a bare ``\\r``, and its decoder would refuse a bad byte without a
+    line number.  Both then take one path: a UTF-8 byte-order mark at the
+    start is skipped, and a line's ending ``\\n``, and one ``\\r`` before it,
+    are dropped.  Raises ConlluError naming the first offending line in
+    reading order, also as its ``line``, for invalid UTF-8, malformed
+    column counts, bad token ids, unknown UPOS tags, unparseable head
+    fields (``_`` is accepted as "no gold head"), a head equal to the
+    token's own id, heads beyond the end of their sentence (found when the
+    sentence ends), a carriage return inside a line, and a comment after a
     sentence's first token, range or empty-node line.
 
     The input's columns are checked as arrays over its UTF-8 bytes, and
@@ -509,8 +520,8 @@ def read_conllu(source: BinaryIO | TextIO | Iterable[str]) -> Corpus:
     past the end cleared.  Fields of up to 8 bytes, range and empty-node
     ids among them, are read from their word alone, and longer ones, which
     are rare, one at a time from their bytes.  Of the lines left
-    unsettled, each is decoded alone (a list element is taken as given),
-    and a whitespace-only one is blank; every other is an error.
+    unsettled, each is decoded alone, and a whitespace-only one is blank;
+    every other is an error.
     Every fault is found from the settled arrays, and the first in reading
     order is raised, with the line and message of a reader that takes one
     line at a time: ``_line`` words a refused line's, given the id that
@@ -518,40 +529,27 @@ def read_conllu(source: BinaryIO | TextIO | Iterable[str]) -> Corpus:
     its ``RawText``, and no other line is decoded, so that reading holds no
     more than about twice its input.
     """
-    if callable(getattr(source, "read", None)):
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode(errors="surrogatepass")
-        else:
-            decode_utf8(data)
-        data = data.removeprefix(b"\xef\xbb\xbf")
-        if b"\r" in data:
-            # One carriage return before a line's end belongs to the line end.
-            data = data.replace(b"\r\n", b"\n").removesuffix(b"\r")
-        if data and not data.endswith(b"\n"):
-            data += b"\n"
-        lines = None
+    data = source.read()
+    if isinstance(data, str):
+        data = data.encode(errors="surrogatepass")
     else:
-        lines = [line.removesuffix("\n").removesuffix("\r") for line in source]
-        if lines:
-            lines[0] = lines[0].removeprefix("\ufeff")
-        # A line break left inside an element would shift the byte scan's
-        # lines; a carriage return in its place leaves the line unsettled.
-        data = "".join(line.replace("\n", "\r") + "\n" for line in lines).encode(
-            errors="surrogatepass")
+        decode_utf8(data)
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    if b"\r" in data:
+        # One carriage return before a line's end belongs to the line end.
+        data = data.replace(b"\r\n", b"\n").removesuffix(b"\r")
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
     kind, candidate, ids, tags, heads, bounds, line_starts = _settle(data)
     refused = None
     unsettled = np.flatnonzero(kind == _UNSETTLED)
     if len(unsettled):
-        # A whitespace-only line is blank, and the first other is refused.  A
-        # list element is tested as given: a line break in it is a carriage
-        # return in ``data``.
+        # A whitespace-only line is blank, and the first other is refused.
         spaces = []
         for i, start, end in zip(unsettled.tolist(), line_starts.take(unsettled).tolist(),
                                  line_starts.take(unsettled + 1).tolist()):
-            line = lines[i] if lines is not None else str(
-                data[start:end - 1], "utf-8", "surrogatepass")
-            if "\n" in line or line.strip():
+            line = str(data[start:end - 1], "utf-8", "surrogatepass")
+            if line.strip():
                 refused = i, line
                 break
             spaces.append(i)
@@ -609,7 +607,7 @@ def read_conllu(source: BinaryIO | TextIO | Iterable[str]) -> Corpus:
     if faults:
         raise min(faults, key=lambda fault: fault[0])[1]
 
-    del ids, positions, lines
+    del ids, positions
     position_type = line_starts.dtype
     # A sentence runs from its block's first line to the blank line that
     # closes the block, or to the end of the text.
@@ -822,9 +820,7 @@ def _line(line: str, line_no: int, position: int) -> ConlluError:
     sentence, is for ``read_conllu`` to check.
     """
     columns = line.split("\t")
-    if "\n" in line:
-        reason = "line break inside the line"
-    elif "\r" in line:
+    if "\r" in line:
         # A file reader splits lines at a bare \r too, so such a line
         # would not read back once written.
         reason = "carriage return inside the line"

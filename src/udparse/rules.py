@@ -180,11 +180,13 @@ def parse_rules(text: str) -> tuple[RuleSet, DirectionPolicy]:
 
     Tags without a DIR line attach freely.  A line that ``RuleSet`` or
     ``DirectionPolicy`` refuses, or that has neither form, raises
-    ValueError with ``rule file line N: `` before the reason.
+    ValueError with ``rule file line N: `` before the reason.  Lines end
+    at ``\\n`` only, as CoNLL-U lines do, and one byte-order mark at the
+    start is skipped.
     """
     pairs: list[tuple[str, str]] = []
     directions: dict[str, Direction] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,3 +1,4 @@
+import io
 import random
 
 import numpy as np
@@ -275,7 +276,7 @@ def read_forms(forms, size=7):
         lines += [f"{i}\t{form}\t_\tX\t_\t_\t_\t_\t_\t_"
                   for i, form in enumerate(forms[start:start + size], start=1)]
         lines.append("")
-    return read_conllu(lines)
+    return read_conllu(io.StringIO("".join(line + "\n" for line in lines)))
 
 
 def crowded(first, second):

@@ -229,6 +229,25 @@ class TestParseCommand:
         assert err == ("error: rule file line 3: invalid UTF-8: cannot decode byte 0xff "
                        "(invalid start byte)\n")
 
+    def test_rule_file_lines_are_numbered_at_line_feeds(self, tmp_path, capsys):
+        rules = tmp_path / "rules.txt"
+        rules.write_bytes(b"NOUN NOUN\x0c# page\nDET BOGUS\n")
+        code, out, err = run(["parse", str(SAMPLE_PATH), "--rules", str(rules)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: rule file line 2: unknown tag in rule pair (DET, BOGUS)\n"
+
+    def test_rule_file_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        tables = "".join(f"{head} {dep}\n" for head, dep in DEFAULT_RULESET.pairs)
+        (tmp_path / "plain.rules").write_text(tables, encoding="utf-8")
+        (tmp_path / "bom.rules").write_text(tables, encoding="utf-8-sig")
+        outputs = []
+        for name in ("plain", "bom"):
+            code, out, err = run(["parse", str(SAMPLE_PATH), "--rules",
+                                  str(tmp_path / f"{name}.rules")], capsys)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_identical_runs_produce_identical_bytes(self, tmp_path, capsys):
         source = tmp_path / "in.conllu"
         source.write_text(SAMPLE_PATH.read_text(encoding="utf-8"), encoding="utf-8")

@@ -158,7 +158,7 @@ class TestRead:
         with pytest.raises(ConlluError, match=f"line {line}: token {line} is its own head"):
             parse_conllu(text)
         with pytest.raises(ConlluError, match=f"line {line}: token {line} is its own head"):
-            read_conllu(text.splitlines())
+            read_conllu(io.BytesIO(text.encode()))
 
     def test_gold_head_beyond_the_sentence_names_its_line(self):
         # The first sentence is fine; in the second, head 7 on line 5
@@ -208,27 +208,6 @@ class TestRead:
         (first, second) = parse_conllu("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"
                                        "# sent_id = b\n1\tb\t_\tVERB\t_\t_\t0\t_\t_\t_\n\n")
         assert first.comments == () and second.comments == ("# sent_id = b",)
-
-    def test_line_break_inside_a_list_element_names_the_line(self):
-        # Each element of a list is one line; written back, a form with a
-        # line break in it would split its line in two.
-        with pytest.raises(ConlluError, match="line 1: line break inside the line"):
-            read_conllu(["1\tx\ny\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"])
-        with pytest.raises(ConlluError, match="line 2: line break inside the line"):
-            read_conllu(["# fine\n", "1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n"])
-        with pytest.raises(ConlluError, match="line 1: expected 10"):
-            read_conllu(["1\tx\n", "1\tx\ny\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"])
-        # Whitespace around the line break: the element is no blank line.
-        with pytest.raises(ConlluError, match="line 1: line break inside the line"):
-            read_conllu([" \n \n"])
-
-    def test_list_elements_are_lines_with_an_optional_line_end(self):
-        text = "# a\n1\tx\t_\tNOUN\t_\t_\t0\t_\t_\t_\n\n1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\n"
-        assert read_conllu(text.splitlines(keepends=True)) == parse_conllu(text)
-        assert read_conllu(text.splitlines()) == parse_conllu(text)
-        assert read_conllu(["\ufeff" + text.splitlines()[0]] + text.splitlines()[1:]) \
-            == parse_conllu(text)
-        assert len(read_conllu([])) == 0
 
     @pytest.mark.parametrize("text", [
         "\ufeff# a\r\n1\tx\u00e9\t_\tNOUN\t_\t_\t0\t_\t_\t_\r\n\r\n1\ty\t_\tVERB\t_\t_\t0\t_\t_\t_\r",
@@ -450,6 +429,22 @@ class TestWrite:
         assert as_corpus([sentence])[0] == sentence
         given = Sentence(tokens, meta={"genre": "news"}, comments=("# sent_id = 1",))
         assert given.meta == {"genre": "news"}
+
+    @pytest.mark.parametrize("meta, comments, read", [
+        ({"genre": "news"}, ("# sent_id = 1",), {"sent_id": "1"}),
+        ({"a=b": "c"}, (), {"a": "b = c"}),
+        ({" k": "v "}, (), {"k": "v"})])
+    def test_meta_that_the_comments_would_not_read_back_as_is_an_error(self, meta, comments,
+                                                                       read):
+        # Written and read back, such a sentence would carry other metadata.
+        token = Token(1, "a", "NOUN", gold_head=0)
+        fine = Sentence((token,), meta={"text": "fine"})
+        sentence = Sentence((token,), meta=meta, comments=comments)
+        for convert in (as_corpus, format_conllu):
+            with pytest.raises(ConlluError) as raised:
+                convert([fine, sentence])
+            assert str(raised.value) == (f"sentence 2: metadata {meta!r} would read back "
+                                         f"from its comments as {read!r}")
 
     def test_meta_synthesized_when_no_raw_comments(self):
         sentence = make_sentence(["NOUN"], meta={"genre": "legal"})
@@ -889,10 +884,13 @@ WORD_EXAMPLE = word_example(WIDTHS)
 @example("1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n2\tb\t_\tVERB\t\t\t\t\t\t")
 @settings(derandomize=True, max_examples=600, deadline=None)
 def test_reader_matches_the_sequential_reader(text):
-    # The same corpus, or the same error message, from a stream and from
-    # its list of lines.
+    # The same corpus, or the same error message, from a text stream and
+    # from a binary one; a text with a lone surrogate has no UTF-8 bytes.
     expected = read_or_refuse(sequential_read_conllu, io.StringIO(text))
-    for source in (io.StringIO(text), io.StringIO(text).readlines()):
+    sources = [io.StringIO(text)]
+    with contextlib.suppress(UnicodeEncodeError):
+        sources.append(io.BytesIO(text.encode()))
+    for source in sources:
         got = read_or_refuse(read_conllu, source)
         assert got == expected
         if not isinstance(got, str):
@@ -927,7 +925,7 @@ def assert_settled_by_the_arrays(text):
     expected = sequential_read_conllu(io.StringIO(text))
     with mock.patch("udparse.conllu._line", side_effect=AssertionError("left to _line")):
         assert parse_conllu(text) == expected
-        assert read_conllu(io.StringIO(text).readlines()) == expected
+        assert read_conllu(io.BytesIO(text.encode())) == expected
 
 
 PLAIN = "1\ta\t_\tNOUN\t_\t_\t0\t_\t_\t_\n"

@@ -214,3 +214,20 @@ def test_derived_tables_are_the_matrix_read_once(ruleset):
         assert not table.flags.writeable
     assert ruleset.licensing is ruleset.licensing
     assert ruleset.float_transpose is floats
+
+
+@pytest.mark.parametrize("separator", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+def test_rule_file_lines_end_at_line_feeds_only(separator):
+    # As in a CoNLL-U file: ``str.splitlines`` would also break at these.
+    with pytest.raises(ValueError) as refused:
+        parse_rules(f"NOUN NOUN{separator}# page\nDET BOGUS\n")
+    assert str(refused.value) == "rule file line 2: unknown tag in rule pair (DET, BOGUS)"
+
+
+def test_rule_file_byte_order_mark_is_skipped():
+    rules, _ = parse_rules("\ufeffNOUN NOUN\n")
+    assert rules.pairs == (("NOUN", "NOUN"),)
+    with pytest.raises(ValueError, match="rule file line 1: unknown tag in rule pair "
+                                         "\\(\ufeffNOUN, NOUN\\)"):
+        parse_rules("\ufeff\ufeffNOUN NOUN\n")
